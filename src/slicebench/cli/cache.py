@@ -3,14 +3,18 @@
 Keys hash the function's canonical bytes, the measure name, and the engine
 version, so any engine change invalidates stale results.  Entries are the
 exact JSON objects a fresh run would produce, so hits are byte-identical to
-the run that filled them.
+the run that filled them.  A cache whose directory cannot be written warns
+once on stderr and then runs as if absent: it only ever saves work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -31,6 +35,7 @@ def default_cache_dir() -> Path:
 class ResultCache:
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.disabled = False
 
     def key(self, f: LabeledFunction, measure: str) -> str:
         h = hashlib.sha256()
@@ -45,6 +50,8 @@ class ResultCache:
         return self.root / f"{key}.json"
 
     def get(self, f: LabeledFunction, measure: str) -> dict[str, Any] | None:
+        if self.disabled:
+            return None
         path = self._path(self.key(f, measure))
         try:
             obj = json.loads(path.read_text())
@@ -53,8 +60,19 @@ class ResultCache:
         return obj if isinstance(obj, dict) else None
 
     def put(self, f: LabeledFunction, measure: str, entry: dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
+        if self.disabled:
+            return
         path = self._path(self.key(f, measure))
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
+        # one temp name per process and thread, so concurrent writers of a
+        # key never write into each other's file
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        except OSError as e:
+            self.disabled = True
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            warning = {"warning": "cache", "message": f"running without the result cache: {e}"}
+            sys.stderr.write(json.dumps(warning, sort_keys=True) + "\n")

@@ -30,12 +30,10 @@ from ..adversary import (
 )
 from ..catalog import REGISTRY, parse_construction
 from ..errors import (
-    AdversaryInvalidError,
     DomainError,
     FormatError,
-    MatchProtocolError,
-    MembershipError,
     ResourceCapError,
+    SliceBenchError,
     VerificationError,
 )
 from ..fileio import (
@@ -418,12 +416,8 @@ def main(argv=None) -> int:
     except VerificationError as e:
         _error("verification", str(e))
         return _EXIT_ASSERTION
-    except (
-        AdversaryInvalidError,
-        DomainError,
-        MatchProtocolError,
-        MembershipError,
-    ) as e:
+    except SliceBenchError as e:
+        # every other package error is a bad input or parameter
         _error("input", str(e))
         return _EXIT_INPUT
     except FileNotFoundError as e:

@@ -6,12 +6,17 @@ unit windows keeps most probes cheap; the transposition table stores [lo, hi]
 bounds per state and survives across probes.  Fail-soft convention: a return
 value v means the true value is exactly v when alpha < v < beta, at most v
 when v <= alpha, and at least v when v >= beta.
+
+A state being expanded checks each child it tries for a single label and
+probes the child's TT entry (creating it on a miss) before recursing, so
+leaves and TT cutoffs cost no call.  Only states that survive the cutoffs
+are expanded, and only those are counted in ``nodes``.
 """
 
 from __future__ import annotations
 
-from ..errors import DomainError, ResourceCapError
-from ..slicecore import LabeledFunction
+from ..errors import ResourceCapError
+from ..slicecore import LabeledFunction, label_rank_bitsets, position_rank_bitsets
 from .trees import Leaf, Node, Tree
 
 _NONADAPTIVE_MAX_N = 20
@@ -36,18 +41,19 @@ class DepthSolver:
         self.kind = dom.kind
         self.is_boolean = f.is_boolean
         self.table = f.indices()
-        ones_at = [0] * dom.n
-        for r, x in enumerate(dom.members()):
-            while x:
-                low = x & -x
-                ones_at[low.bit_length() - 1] |= 1 << r
-                x ^= low
-        self.ones_at = ones_at
-        lbs = [0] * len(f.alphabet)
-        for r, li in enumerate(self.table):
-            lbs[li] |= 1 << r
-        self.label_bitsets = lbs
+        self.ones_at = position_rank_bitsets(dom)
+        self.label_bitsets = label_rank_bitsets(f)
         self.full = (1 << self.size) - 1
+        self.all_positions = (1 << self.n) - 1
+        # free_hi[nf]: static upper bound on a state with nf free positions
+        if self.kind == "slice":
+            # weight pins the last free position (nf - 1), and Boolean slice
+            # functions always finish two queries early for nf >= 3 (nf - 2)
+            self.free_hi = list(range(-1, self.n))
+            if self.is_boolean:
+                self.free_hi[3:] = range(1, self.n - 1)
+        else:
+            self.free_hi = list(range(self.n + 1))
         # state key: (zeros mask, ones mask) of answered positions; the live
         # set is a function of the key, so the table is sound
         self.tt: dict[tuple[int, int], list[int]] = {}
@@ -62,96 +68,157 @@ class DepthSolver:
     def _leaf_index(self, S: int) -> int:
         return self.table[(S & -S).bit_length() - 1]
 
-    def _label_count(self, S: int) -> int:
+    def _label_lo(self, S: int) -> int:
+        """ceil(log2 #labels on S), at least 1: a tree needs a leaf per label."""
         cnt = 0
         while S:
             r = (S & -S).bit_length() - 1
             S &= ~self.label_bitsets[self.table[r]]
             cnt += 1
-        return cnt
-
-    def _static_hi(self, fixed: int, S: int) -> int:
-        nf = self.n - fixed.bit_count()
-        if self.kind == "slice":
-            # weight pins the last free position, and Boolean slice
-            # functions always finish two queries early for nf >= 3
-            hi = nf - 2 if self.is_boolean and nf >= 3 else nf - 1
-        else:
-            hi = nf
-        return min(hi, S.bit_count() - 1)
+        lo = (cnt - 1).bit_length()
+        return lo if lo > 1 else 1
 
     def _entry(self, S: int, zeros: int, ones: int) -> list[int]:
         key = (zeros, ones)
         ent = self.tt.get(key)
         if ent is None:
-            lo = max(1, (self._label_count(S) - 1).bit_length())
-            ent = [lo, self._static_hi(zeros | ones, S)]
-            self.tt[key] = ent
+            # a non-constant Boolean state has two labels, so lo = 1
+            lo = 1 if self.is_boolean else self._label_lo(S)
+            hi = self.free_hi[self.n - (zeros | ones).bit_count()]
+            ent = self.tt[key] = [lo, min(hi, S.bit_count() - 1)]
         return ent
-
-    def _moves(self, S: int, zeros: int, ones: int) -> list[tuple[int, int, int, int]]:
-        free = ~(zeros | ones)
-        out = []
-        for p in range(self.n):
-            if not free >> p & 1:
-                continue
-            S1 = S & self.ones_at[p]
-            if S1 == 0 or S1 == S:
-                continue
-            S0 = S ^ S1
-            out.append((max(S0.bit_count(), S1.bit_count()), p, S0, S1))
-        out.sort()
-        return out
 
     # -- alpha-beta ---------------------------------------------------------
 
-    def _search(self, S: int, zeros: int, ones: int, alpha: int, beta: int) -> int:
-        if self._mono(S):
-            return 0
-        ent = self._entry(S, zeros, ones)
-        lo, hi = ent
-        if lo >= beta:
-            return lo
-        if hi <= alpha:
-            return hi
-        if lo == hi:
-            return lo
+    def _expand(
+        self,
+        S: int,
+        zeros: int,
+        ones: int,
+        ent: list[int],
+        alpha: int,
+        beta: int,
+        c: int,
+        nf: int,
+    ) -> int:
+        """Search a state that its TT entry ent = [lo, hi] could not cut off.
+
+        c = |S| and nf is the number of free positions.  Each child is
+        checked for a single label and probed in the TT here, in the
+        parent, so only children that survive the cutoffs are expanded;
+        the two probes are written out in full because a call per child
+        is the cost this saves.
+        """
         self.nodes += 1
-        moves = self._moves(S, zeros, ones)
+        ones_at = self.ones_at
+        # moves as (larger side's size, position bit, S1, |S1|): small
+        # larger sides first, then low positions
+        moves = []
+        free = ~(zeros | ones) & self.all_positions
+        while free:
+            bit = free & -free
+            free ^= bit
+            S1 = S & ones_at[bit.bit_length() - 1]
+            c1 = S1.bit_count()
+            if c1 and c1 != c:
+                c0 = c - c1
+                moves.append((c0 if c0 > c1 else c1, bit, S1, c1))
+        moves.sort()
+        lo, hi = ent
         if len(moves) < hi:
             hi = ent[1] = len(moves)
             if hi <= alpha:
                 return hi
             if lo == hi:
                 return lo
+        tt = self.tt
+        tt_get = tt.get
+        lbs = self.label_bitsets
+        table = self.table
+        boolean = self.is_boolean
+        lb1 = lbs[1] if boolean else 0
+        nf -= 1
+        hi_free = self.free_hi[nf]
         best = hi + 1  # min over exact move costs found so far
         pruned = hi + 1  # min over lower bounds of pruned moves
-        for _, p, S0, S1 in moves:
-            bcut = min(beta, best)
+        for _, bit, S1, c1 in moves:
+            bcut = beta if beta < best else best
             ca, cb = alpha - 1, bcut - 1
-            bit = 1 << p
-            if S0.bit_count() >= S1.bit_count():
-                kids = ((S0, zeros | bit, ones), (S1, zeros, ones | bit))
+            S0 = S ^ S1
+            c0 = c - c1
+            # the larger side goes first
+            if c0 >= c1:
+                X, xz, xo, xc = S0, zeros | bit, ones, c0
+                Y, yz, yo, yc = S1, zeros, ones | bit, c1
             else:
-                kids = ((S1, zeros, ones | bit), (S0, zeros | bit, ones))
-            v1 = self._search(kids[0][0], kids[0][1], kids[0][2], ca, cb)
+                X, xz, xo, xc = S1, zeros, ones | bit, c1
+                Y, yz, yo, yc = S0, zeros | bit, ones, c0
+            if boolean:
+                T = X & lb1
+                leaf = not T or T == X
+            else:
+                leaf = not X & ~lbs[table[(X & -X).bit_length() - 1]]
+            if leaf:
+                v1 = 0
+            else:
+                key = (xz, xo)
+                e = tt_get(key)
+                if e is None:
+                    e = tt[key] = [
+                        1 if boolean else self._label_lo(X),
+                        hi_free if hi_free < xc else xc - 1,
+                    ]
+                elo, ehi = e
+                if elo >= cb:
+                    v1 = elo
+                elif ehi <= ca:
+                    v1 = ehi
+                elif elo == ehi:
+                    v1 = elo
+                else:
+                    v1 = self._expand(X, xz, xo, e, ca, cb, xc, nf)
             if v1 >= cb:
-                pruned = min(pruned, 1 + v1)
+                if v1 + 1 < pruned:
+                    pruned = v1 + 1
                 continue
-            v2 = self._search(kids[1][0], kids[1][1], kids[1][2], max(ca, v1), cb)
-            c = 1 + (v2 if v2 > v1 else v1)
-            if c <= alpha:
-                if c < ent[1]:
-                    ent[1] = c
-                return c
-            if c < bcut:
-                best = c
+            ya = v1 if v1 > ca else ca
+            if boolean:
+                T = Y & lb1
+                leaf = not T or T == Y
             else:
-                pruned = min(pruned, c)
+                leaf = not Y & ~lbs[table[(Y & -Y).bit_length() - 1]]
+            if leaf:
+                v2 = 0
+            else:
+                key = (yz, yo)
+                e = tt_get(key)
+                if e is None:
+                    e = tt[key] = [
+                        1 if boolean else self._label_lo(Y),
+                        hi_free if hi_free < yc else yc - 1,
+                    ]
+                elo, ehi = e
+                if elo >= cb:
+                    v2 = elo
+                elif ehi <= ya:
+                    v2 = ehi
+                elif elo == ehi:
+                    v2 = elo
+                else:
+                    v2 = self._expand(Y, yz, yo, e, ya, cb, yc, nf)
+            cost = 1 + (v2 if v2 > v1 else v1)
+            if cost <= alpha:
+                if cost < ent[1]:
+                    ent[1] = cost
+                return cost
+            if cost < bcut:
+                best = cost
+            elif cost < pruned:
+                pruned = cost
         if best < beta:
             ent[0] = ent[1] = best
             return best
-        v = min(best, pruned)
+        v = best if best < pruned else pruned
         if v > ent[1]:
             raise AssertionError("state value crossed its proven upper bound")
         if v > ent[0]:
@@ -162,10 +229,15 @@ class DepthSolver:
         """Exact value of a state via unit-window deepening."""
         if self._mono(S):
             return 0
+        ent = self._entry(S, zeros, ones)
+        c = S.bit_count()
+        nf = self.n - (zeros | ones).bit_count()
         while True:
-            ent = self.tt.get((zeros, ones))
-            d = ent[0] if ent else 1
-            v = self._search(S, zeros, ones, d - 1, d + 1)
+            d, hi = ent
+            if hi <= d:
+                v = hi
+            else:
+                v = self._expand(S, zeros, ones, ent, d - 1, d + 1, c, nf)
             if v == d:
                 return v
             if v < d:
@@ -268,8 +340,9 @@ def exact_depth_with_tree(f: LabeledFunction) -> tuple[int, Tree]:
     return value, solver.build_tree()
 
 
-def nonadaptive_depth(f: LabeledFunction) -> int:
-    """Fewest positions that, read all at once, always determine the label."""
+def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
+    """Fewest positions that, read all at once, always determine the label,
+    with one optimal position set."""
     dom = f.domain
     if dom.n > _NONADAPTIVE_MAX_N:
         raise ResourceCapError(f"nonadaptive depth capped at n <= {_NONADAPTIVE_MAX_N}")
@@ -277,26 +350,6 @@ def nonadaptive_depth(f: LabeledFunction) -> int:
         raise ResourceCapError(
             f"nonadaptive depth capped at domain size <= {_NONADAPTIVE_MAX_SIZE}"
         )
-    members = list(dom.members())
-    table = f.indices()
-    diffs = set()
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if table[i] != table[j]:
-                diffs.add(members[i] ^ members[j])
-    if not diffs:
-        return 0
-    from ..kernels import min_hitting_set
-
-    size, _ = min_hitting_set(sorted(diffs), dom.n)
-    return size
-
-
-def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
-    """Like nonadaptive_depth but also returns one optimal position set."""
-    dom = f.domain
-    if dom.n > _NONADAPTIVE_MAX_N or dom.size > _NONADAPTIVE_MAX_SIZE:
-        raise ResourceCapError("nonadaptive depth cap exceeded")
     members = list(dom.members())
     table = f.indices()
     diffs = set()

@@ -357,6 +357,9 @@ def position_rank_bitsets(dom: Domain) -> list[int]:
 
 def label_rank_bitsets(f: LabeledFunction) -> list[int]:
     """Per alphabet index, the bitset of member ranks carrying that label."""
+    if f.is_boolean:
+        ones = f.ones_bitset()
+        return [((1 << f.domain.size) - 1) ^ ones, ones]
     out = [0] * len(f.alphabet)
     for r, li in enumerate(f.indices()):
         out[li] |= 1 << r

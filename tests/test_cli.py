@@ -1,10 +1,12 @@
 """End-to-end command-line behavior, exit codes included."""
 
+import importlib
 import json
 
 import pytest
 
 from slicebench.cli.main import main
+from slicebench.errors import AdversaryExhaustedError, EmptyRestrictionError
 
 
 def run(capsys, *argv):
@@ -114,6 +116,38 @@ def test_measure_resource_cap_exit_code(capsys):
     )
     assert code == 3
     assert json.loads(err)["error"] == "resource-cap"
+
+
+def test_measure_runs_without_an_unusable_cache(capsys, monkeypatch, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("SLICEBENCH_CACHE_DIR", str(blocker))
+    code, out, err = run(
+        capsys, "measure", "--construct", "eq:k=1", "--measures", "C,D"
+    )
+    assert code == 0
+    measures = json.loads(out)["measures"]
+    assert {k: measures[k]["value"] for k in ("C", "D")} == {"C": 2, "D": 2}
+    warnings = [json.loads(line) for line in err.splitlines()]
+    assert len(warnings) == 1 and warnings[0]["warning"] == "cache"
+
+
+@pytest.mark.parametrize("error", [EmptyRestrictionError, AdversaryExhaustedError])
+def test_every_package_error_maps_to_the_input_code(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("raised inside the measure step")
+
+    # the package re-exports main(), which hides the module of that name
+    cli_main = importlib.import_module("slicebench.cli.main")
+    monkeypatch.setattr(cli_main, "compute_measures", fail)
+    code, _, err = run(
+        capsys, "measure", "--construct", "eq:k=1", "--measures", "C", "--no-cache"
+    )
+    assert code == 4
+    assert json.loads(err) == {
+        "error": "input",
+        "message": "raised inside the measure step",
+    }
 
 
 def test_match_eq_players_transcript(capsys):

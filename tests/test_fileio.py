@@ -132,6 +132,18 @@ def test_cache_round_trip(tmp_path):
     assert cache.get(g, "D") is None
 
 
+def test_cache_put_ignores_a_stale_shared_temp_name(tmp_path):
+    cache = ResultCache(tmp_path)
+    f = make_eq(1)
+    entry = {"value": 2, "witness": None, "nodes": 9, "millis": 1}
+    # a leftover "<key>.tmp" directory must not block this writer
+    (tmp_path / f"{cache.key(f, 'D')}.tmp").mkdir()
+    cache.put(f, "D", entry)
+    assert not cache.disabled
+    assert cache.get(f, "D") == entry
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json", ".tmp"]
+
+
 def test_cache_key_includes_measure_and_engine(tmp_path):
     cache = ResultCache(tmp_path)
     f = make_eq(1)

@@ -1,6 +1,10 @@
 """Measure engines against the naive oracles, witness checks, and caps."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     block_sensitivity_max,
@@ -12,6 +16,7 @@ from oracles import (
 )
 from slicebench.catalog import (
     make_ed,
+    parse_construction,
     make_eq,
     or_first_half,
     paley_weight2,
@@ -32,6 +37,7 @@ from slicebench.measures.certificates import (
     unambiguous_certificate_complexity,
 )
 from slicebench.measures.depth import (
+    DepthSolver,
     exact_depth,
     exact_depth_with_tree,
     nonadaptive_positions,
@@ -300,3 +306,61 @@ def test_depth_on_strings_spread_across_positions():
     )
     d = exact_depth(f)
     assert 1 <= d <= 4
+
+
+# (D, nodes, len(tt)) after solve() and after build_tree().  These pin the
+# search tree itself: a change to the solver's speed must visit the same
+# states in the same order, so neither count may move.
+SEARCH_SHAPE_PINS = {
+    "eq:k=2": ((5, 293, 547), (5, 310, 566)),
+    "gs:n=8,k=4": ((6, 944, 1273), (6, 955, 1282)),
+    "ed:k=3,l=2": ((4, 45, 109), (4, 46, 110)),
+    "random:n=8,k=4,seed=1": ((5, 406, 844), (5, 426, 866)),
+    # three labels, so the label-count lower bound is 2 here
+    "weights:n=3,m=3,k=4": ((6, 644, 1503), (6, 695, 1580)),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SEARCH_SHAPE_PINS))
+def test_depth_search_shape_is_pinned(spec):
+    f = parse_construction(spec).build()
+    solver = DepthSolver(f)
+    value = solver.solve()
+    after_solve = (value, solver.nodes, len(solver.tt))
+    tree = solver.build_tree()
+    validate_tree(tree, f)
+    assert tree_depth(tree) == value
+    after_tree = (value, solver.nodes, len(solver.tt))
+    assert (after_solve, after_tree) == SEARCH_SHAPE_PINS[spec]
+
+
+@st.composite
+def small_functions(draw):
+    """A function on a slice, cube or explicit domain of at most 20 members,
+    over the Boolean alphabet or three labels."""
+    kind = draw(st.sampled_from(["slice", "cube", "explicit"]))
+    if kind == "slice":
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, n - 1).filter(lambda k: math.comb(n, k) <= 20))
+        dom = Domain.slice(n, k)
+    elif kind == "cube":
+        dom = Domain.cube(draw(st.integers(1, 4)))
+    else:
+        n = draw(st.integers(1, 5))
+        members = draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20, unique=True)
+        )
+        dom = Domain.explicit(n, sorted(members))
+    alphabet = draw(st.sampled_from([BOOLEAN, (0, 1, 2)]))
+    table = draw(
+        st.lists(
+            st.integers(0, len(alphabet) - 1), min_size=dom.size, max_size=dom.size
+        )
+    )
+    return LabeledFunction.from_indices(dom, alphabet, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions())
+def test_exact_depth_matches_minimax_oracle(f):
+    assert exact_depth(f) == minimax_depth(f)

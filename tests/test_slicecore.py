@@ -163,10 +163,16 @@ def test_position_and_label_bitsets():
     for p in range(4):
         for r, x in enumerate(dom.members()):
             assert (ones_at[p] >> r & 1) == (x >> p & 1)
-    f = LabeledFunction.from_callable(dom, lambda x: x & 1, BOOLEAN)
-    by_label = label_rank_bitsets(f)
-    assert len(by_label) == 2
-    assert by_label[0] ^ by_label[1] == (1 << dom.size) - 1
+    for f in (
+        LabeledFunction.from_callable(dom, lambda x: x & 1, BOOLEAN),
+        LabeledFunction.from_callable(dom, lambda x: x % 3, (0, 1, 2)),
+    ):
+        by_label = label_rank_bitsets(f)
+        assert len(by_label) == len(f.alphabet)
+        for r in range(dom.size):
+            assert [b >> r & 1 for b in by_label] == [
+                int(i == f.label_index(r)) for i in range(len(f.alphabet))
+            ]
 
 
 def test_restrict_renumbers_residual_positions():
