@@ -800,7 +800,7 @@ def run_match(
                 "no domain member is consistent with the answers"
             )
         alg.feed(p, bit)
-    table = f.indices()
+    table = f.table
     seen: set[int] = set()
     rest = live
     while rest and len(seen) < 2:

@@ -2,13 +2,11 @@
 
 from .cache import ResultCache
 from .experiments import ExperimentSpec, experiment_names, get_experiment, run_experiment
-from .main import main
 
 __all__ = [
     "ExperimentSpec",
     "ResultCache",
     "experiment_names",
     "get_experiment",
-    "main",
     "run_experiment",
 ]

@@ -10,14 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .slicecore import mask_positions
 
 
 # -- minimum hitting set -----------------------------------------------------
@@ -60,7 +53,7 @@ def min_hitting_set(masks: Sequence[int], n: int) -> tuple[int, int]:
         if count + packing_bound(rem) >= state["size"]:
             return
         target = min(rem, key=lambda m: (m.bit_count(), m))
-        for p in _bits(target):
+        for p in mask_positions(target):
             bit = 1 << p
             go([m for m in rem if not m & bit], chosen | bit, count + 1)
 
@@ -74,7 +67,7 @@ def _greedy_hitting(masks: list[int], n: int) -> tuple[int, int]:
     while rem:
         counts = [0] * n
         for m in rem:
-            for p in _bits(m):
+            for p in mask_positions(m):
                 counts[p] += 1
         p = max(range(n), key=lambda q: (counts[q], -q))
         chosen |= 1 << p
@@ -130,7 +123,7 @@ def exact_cover(universe: int, sets: Sequence[int]) -> list[int] | None:
     for i, s in enumerate(sets):
         if s & ~universe:
             raise ValueError("set escapes universe")
-        for p in _bits(s):
+        for p in mask_positions(s):
             by_element.setdefault(p, []).append(i)
 
     chosen: list[int] = []
@@ -141,7 +134,7 @@ def exact_cover(universe: int, sets: Sequence[int]) -> list[int] | None:
         # branch on the uncovered element with the fewest usable sets
         target = -1
         options: list[int] | None = None
-        for p in _bits(rem):
+        for p in mask_positions(rem):
             opts = [i for i in by_element.get(p, ()) if not sets[i] & ~rem]
             if not opts:
                 return False
@@ -221,7 +214,7 @@ def max_bipartite_matching(
     match_right: dict[int, int] = {}
 
     def augment(u: int, seen: set[int]) -> bool:
-        for v in _bits(neighbors.get(u, 0)):
+        for v in mask_positions(neighbors.get(u, 0)):
             if v in seen:
                 continue
             seen.add(v)

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import SpanBasis
-from ..slicecore import Domain, LabeledFunction
+from ..slicecore import Domain, LabeledFunction, member_masks
 
 _DEG_MAX_SIZE = 1 << 14
 
@@ -38,7 +38,7 @@ def degree(f: LabeledFunction):
 
 def _degree_cube(f: LabeledFunction):
     n = f.domain.n
-    coef = list(f.indices())
+    coef = f.indices()
     for p in range(n):
         bit = 1 << p
         for m in range(1 << n):
@@ -55,7 +55,7 @@ def _degree_cube(f: LabeledFunction):
 
 def _degree_span(f: LabeledFunction):
     dom = f.domain
-    vec = list(f.indices())
+    vec = f.table
     for d in range(dom.n + 1):
         if _monomial_basis(dom, d).contains(vec):
             return d, None
@@ -68,7 +68,7 @@ def _monomial_basis(dom: Domain, d: int) -> SpanBasis:
     basis = _BASIS_CACHE.get(key)
     if basis is None:
         basis = SpanBasis(dom.size) if d == 0 else _monomial_basis(dom, d - 1).copy()
-        members = list(dom.members())
+        members = member_masks(dom)
         for subset in combinations(range(dom.n), d):
             mask = 0
             for p in subset:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import max_clique, max_independent_set
-from ..slicecore import LabeledFunction, SliceGraph, position_rank_bitsets
+from ..slicecore import LabeledFunction, SliceGraph, mask_positions, position_rank_bitsets
 
 _SUBCUBE_MAX_N = 14
 _MONO_MAX_N = 40
@@ -53,12 +53,8 @@ def max_one_subcube_intersection(f: LabeledFunction):
             rec(p + 1, zeros, ones | bit, S1)
 
     rec(0, 0, 0, full)
-    n = dom.n
-    witness = {
-        "zeros": [p for p in range(n) if best["zeros"] >> p & 1],
-        "ones": [p for p in range(n) if best["ones"] >> p & 1],
-    }
-    return best["count"], witness
+    zeros, ones = mask_positions(best["zeros"]), mask_positions(best["ones"])
+    return best["count"], {"zeros": zeros, "ones": ones}
 
 
 def packing_lower_bound(f: LabeledFunction):

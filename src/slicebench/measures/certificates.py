@@ -17,6 +17,7 @@ from ..slicecore import (
     LabeledFunction,
     label_rank_bitsets,
     mask_to_string,
+    member_masks,
     position_rank_bitsets,
 )
 
@@ -32,8 +33,8 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     mode reports the lowest-rank input attaining the maximum.
     """
     dom = f.domain
-    members = list(dom.members())
-    table = f.indices()
+    members = member_masks(dom)
+    table = f.table
     if x is not None:
         return _certificate_at(f, members, table, dom.rank(x))
     best = -1
@@ -69,7 +70,7 @@ def _monochromatic_assignments(f: LabeledFunction):
     dom = f.domain
     ones_at = position_rank_bitsets(dom)
     labels = label_rank_bitsets(f)
-    table = f.indices()
+    table = f.table
     full = (1 << dom.size) - 1
     best: dict[int, tuple[int, int, int]] = {}
 
@@ -135,9 +136,7 @@ def subcube_partition_complexity(f: LabeledFunction):
         raise ResourceCapError(f"SC capped at n <= {_SC_MAX_N}")
     n = dom.n
     points = 1 << n
-    member_label = {}
-    for r, xm in enumerate(dom.members()):
-        member_label[xm] = f.label_index(r)
+    member_label = dict(zip(member_masks(dom), f.table))
     cells = []
     for zeros, ones in _all_assignments(n):
         seen = set()
@@ -198,7 +197,7 @@ def balanced_certificate(
         raise DomainError("balanced certificates need a Boolean function")
     ones_at = position_rank_bitsets(dom)
     labels = label_rank_bitsets(f)
-    table = f.indices()
+    table = f.table
     full = (1 << dom.size) - 1
     if x is not None:
         return _bc_at(f, ones_at, labels, table, full, x)

@@ -16,7 +16,13 @@ are expanded, and only those are counted in ``nodes``.
 from __future__ import annotations
 
 from ..errors import ResourceCapError
-from ..slicecore import LabeledFunction, label_rank_bitsets, position_rank_bitsets
+from ..slicecore import (
+    LabeledFunction,
+    label_rank_bitsets,
+    mask_positions,
+    member_masks,
+    position_rank_bitsets,
+)
 from .trees import Leaf, Node, Tree
 
 _NONADAPTIVE_MAX_N = 20
@@ -40,7 +46,7 @@ class DepthSolver:
         self.size = dom.size
         self.kind = dom.kind
         self.is_boolean = f.is_boolean
-        self.table = f.indices()
+        self.table = f.table
         self.ones_at = position_rank_bitsets(dom)
         self.label_bitsets = label_rank_bitsets(f)
         self.full = (1 << self.size) - 1
@@ -265,7 +271,7 @@ class DepthSolver:
         monochromatic subcube: depth >= log2(count of that label)."""
         if not self.is_boolean or self.size > _HINT_MAX_SIZE:
             return 0
-        members = list(self.f.domain.members())
+        members = member_masks(self.f.domain)
         best = 0
         for side in (1, 0):
             lb = self.label_bitsets[side]
@@ -350,8 +356,8 @@ def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
         raise ResourceCapError(
             f"nonadaptive depth capped at domain size <= {_NONADAPTIVE_MAX_SIZE}"
         )
-    members = list(dom.members())
-    table = f.indices()
+    members = member_masks(dom)
+    table = f.table
     diffs = set()
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -359,7 +365,7 @@ def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
                 diffs.add(members[i] ^ members[j])
     if not diffs:
         return 0, []
-    from ..kernels import min_hitting_set, _bits
+    from ..kernels import min_hitting_set
 
     size, mask = min_hitting_set(sorted(diffs), dom.n)
-    return size, _bits(mask)
+    return size, mask_positions(mask)

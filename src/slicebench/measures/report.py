@@ -17,6 +17,8 @@ from ..errors import DomainError, MembershipError, VerificationError
 from ..slicecore import (
     Assignment,
     LabeledFunction,
+    label_rank_bitsets,
+    member_masks,
     position_rank_bitsets,
     string_to_mask,
 )
@@ -138,13 +140,7 @@ def _consistent_bitset(f: LabeledFunction, a: Assignment) -> int:
 
 
 def _mono_for(f: LabeledFunction, S: int, want: int) -> bool:
-    table = f.indices()
-    while S:
-        low = S & -S
-        if table[low.bit_length() - 1] != want:
-            return False
-        S ^= low
-    return True
+    return not S & ~label_rank_bitsets(f)[want]
 
 
 def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
@@ -176,40 +172,24 @@ def _verify_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
     positions = witness["positions"]
     if len(set(positions)) != len(positions) or len(positions) != value:
         _fail("nonadaptive", "positions are not a distinct set of the stated size")
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
+    mask = sum(1 << p for p in positions)
     seen: dict[int, int] = {}
-    table = f.indices()
-    for r, xm in enumerate(f.domain.members()):
-        key = xm & mask
-        if seen.setdefault(key, table[r]) != table[r]:
+    for xm, label in zip(member_masks(f.domain), f.table):
+        if seen.setdefault(xm & mask, label) != label:
             _fail("nonadaptive", f"positions do not determine the label at {xm:b}")
 
 
-def _verify_certificate(f: LabeledFunction, value: int, witness: Any) -> None:
-    xm = _witness_input(f, witness, "C")
-    a = _witness_assignment(witness, "C")
-    if not a.consistent_with(xm):
-        _fail("C", "assignment conflicts with its input")
-    if a.size != value:
-        _fail("C", f"assignment size {a.size} != stated value {value}")
-    want = f.indices()[f.domain.rank(xm)]
-    if not _mono_for(f, _consistent_bitset(f, a), want):
-        _fail("C", "assignment is not label-constant over its consistent members")
-
-
-def _verify_balanced(name: str):
+def _verify_certificate(name: str, balanced: bool):
     def check(f: LabeledFunction, value: int, witness: Any) -> None:
         xm = _witness_input(f, witness, name)
         a = _witness_assignment(witness, name)
-        if not a.is_balanced:
+        if balanced and not a.is_balanced:
             _fail(name, "assignment is not balanced")
         if not a.consistent_with(xm):
             _fail(name, "assignment conflicts with its input")
         if a.size != value:
             _fail(name, f"assignment size {a.size} != stated value {value}")
-        want = f.indices()[f.domain.rank(xm)]
+        want = f.label_index(f.domain.rank(xm))
         if not _mono_for(f, _consistent_bitset(f, a), want):
             _fail(name, "assignment is not label-constant over consistent members")
 
@@ -227,7 +207,7 @@ def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
         if not S:
             _fail("UC", "certificate consistent with no member")
         r = (S & -S).bit_length() - 1
-        if not _mono_for(f, S, f.indices()[r]):
+        if not _mono_for(f, S, f.label_index(r)):
             _fail("UC", "certificate is not label-constant")
         if covered & S:
             _fail("UC", "certificates overlap")
@@ -243,9 +223,7 @@ def _verify_sc(f: LabeledFunction, value: int, witness: Any) -> None:
     if not isinstance(witness, dict) or "subcubes" not in witness:
         _fail("SC", "witness lacks subcubes")
     n = f.domain.n
-    member_label = {
-        xm: f.label_index(r) for r, xm in enumerate(f.domain.members())
-    }
+    member_label = dict(zip(member_masks(f.domain), f.table))
     covered = 0
     worst = 0
     for obj in witness["subcubes"]:
@@ -338,14 +316,14 @@ def _verify_recompute(name: str, fn: Callable):
 _VERIFIERS: dict[str, Callable[[LabeledFunction, int, Any], None]] = {
     "D": _verify_tree,
     "nonadaptive": _verify_nonadaptive,
-    "C": _verify_certificate,
+    "C": _verify_certificate("C", balanced=False),
     "UC": _verify_uc,
     "SC": _verify_sc,
     "s": _verify_sensitivity,
     "bs": _verify_blocks("bs", None),
     "bs2": _verify_blocks("bs2", 2),
-    "BC": _verify_balanced("BC"),
-    "mBC": _verify_balanced("mBC"),
+    "BC": _verify_certificate("BC", balanced=True),
+    "mBC": _verify_certificate("mBC", balanced=True),
     "deg": _verify_recompute("deg", degree),
     "packing": _verify_recompute("packing", packing_lower_bound),
     "m": _verify_recompute("m", max_one_subcube_intersection),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..errors import ResourceCapError
 from ..kernels import max_bipartite_matching, max_disjoint_packing
-from ..slicecore import LabeledFunction, mask_to_string
+from ..slicecore import LabeledFunction, mask_to_string, member_masks
 
 _DEFAULT_BLOCK_CAP = 20000
 
@@ -72,28 +72,26 @@ def block_sensitivity(
     max_block_size restricts admissible block sizes (2 gives the
     transposition-only variant).  Witness: {"input", "blocks": [[pos...]]}.
     """
-    if x is not None:
-        f.domain.rank(x)
-        return _block_sensitivity_at(f, x, max_block_size, block_cap)
+    dom = f.domain
+    ranks = range(dom.size) if x is None else [dom.rank(x)]
+    members, table = member_masks(dom), f.table
     best = -1
     witness = None
-    for xm in f.domain.members():
-        v, w = _block_sensitivity_at(f, xm, max_block_size, block_cap)
+    for r in ranks:
+        v, w = _block_sensitivity_at(
+            dom.n, members, table, r, max_block_size, block_cap
+        )
         if v > best:
             best, witness = v, w
     return best, witness
 
 
-def _block_sensitivity_at(
-    f: LabeledFunction, xm: int, max_block_size: int | None, block_cap: int
-):
-    dom = f.domain
-    r = dom.rank(xm)
-    table = f.indices()
+def _block_sensitivity_at(n, members, table, r, max_block_size, block_cap):
+    xm = members[r]
     fx = table[r]
     masks = []
-    for j, ym in enumerate(dom.members()):
-        if table[j] == fx:
+    for ym, label in zip(members, table):
+        if label == fx:
             continue
         m = xm ^ ym
         if max_block_size is None or m.bit_count() <= max_block_size:
@@ -104,8 +102,8 @@ def _block_sensitivity_at(
             f"{len(minimal)} minimal blocks exceed the packing cap {block_cap}"
         )
     count, chosen = max_disjoint_packing(minimal)
-    blocks = [[p for p in range(dom.n) if m >> p & 1] for m in chosen]
-    return count, {"input": mask_to_string(xm, dom.n), "blocks": blocks}
+    blocks = [[p for p in range(n) if m >> p & 1] for m in chosen]
+    return count, {"input": mask_to_string(xm, n), "blocks": blocks}
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:

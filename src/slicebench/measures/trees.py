@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from ..slicecore import LabeledFunction
+from ..slicecore import LabeledFunction, mask_to_string, member_masks
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,12 @@ def evaluate(t: Tree, mask: int) -> int:
     return t.label_index
 
 
-def queries_on(t: Tree, mask: int) -> list[int]:
-    """Positions the tree reads on this input, in order."""
-    out = []
-    while isinstance(t, Node):
-        out.append(t.position)
-        t = t.on_one if mask >> t.position & 1 else t.on_zero
-    return out
-
-
 def validate(t: Tree, f: LabeledFunction) -> None:
     """Check the tree computes f on every domain member; raises on mismatch."""
     dom = f.domain
-    for r, x in enumerate(dom.members()):
+    for x, want in zip(member_masks(dom), f.table):
         got = evaluate(t, x)
-        want = f.label_index(r)
         if got != want:
-            from ..slicecore import mask_to_string
-
             raise DomainError(
                 f"tree disagrees with function at {mask_to_string(x, dom.n)}:"
                 f" tree gives index {got}, table has {want}"

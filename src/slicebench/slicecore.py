@@ -5,13 +5,17 @@ the character at position i, so the textual form "1100" has positions {0, 1}
 set.  Domains enumerate their members in a fixed order (colexicographic for
 slices, numeric for the cube, list order for explicit domains) and expose
 rank/unrank between members and table indices.
+
+Small domains are enumerated once per domain value: equal domains share one
+member tuple and one set of position bitsets (member_masks,
+position_rank_bitsets), and only the last few are kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -24,6 +28,10 @@ from .errors import (
 MAX_POSITIONS = 64
 MAX_DOMAIN_SIZE = 1 << 26
 MAX_ALPHABET = 256
+# enumeration views are cached for domains of at most _VIEW_MAX_SIZE members,
+# the last _VIEW_SLOTS of them
+_VIEW_MAX_SIZE = 1 << 16
+_VIEW_SLOTS = 16
 
 Label = int | tuple[int, ...]
 
@@ -153,6 +161,11 @@ class Domain:
         return mask in self._explicit_index
 
     def members(self) -> Iterator[int]:
+        if self.size <= _VIEW_MAX_SIZE:
+            return iter(member_masks(self))
+        return self._enumerate()
+
+    def _enumerate(self) -> Iterator[int]:
         if self.kind == "slice":
             yield from iter_colex_masks(self.n, self.k)
         elif self.kind == "cube":
@@ -179,10 +192,6 @@ class Domain:
         if self.kind == "cube":
             return r
         return self.explicit_members[r]
-
-    def rank_map(self) -> dict[int, int]:
-        """mask -> rank dictionary; build on demand for hot loops."""
-        return {x: r for r, x in enumerate(self.members())}
 
     @cached_property
     def _explicit_index(self) -> dict[int, int]:
@@ -240,7 +249,7 @@ class Assignment:
         return Assignment(self.zeros | other.zeros, self.ones | other.ones)
 
     def positions(self) -> tuple[list[int], list[int]]:
-        return (_mask_positions(self.zeros), _mask_positions(self.ones))
+        return (mask_positions(self.zeros), mask_positions(self.ones))
 
     def to_json_obj(self) -> dict:
         zs, os_ = self.positions()
@@ -251,7 +260,8 @@ class Assignment:
         return cls.of(zeros=obj.get("zeros", ()), ones=obj.get("ones", ()))
 
 
-def _mask_positions(mask: int) -> list[int]:
+def mask_positions(mask: int) -> list[int]:
+    """Set bit positions of mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
@@ -327,15 +337,17 @@ class LabeledFunction:
     def evaluate(self, mask: int) -> Label:
         return self.label(self.domain.rank(mask))
 
-    def indices(self) -> list[int]:
-        """The full table as a list of alphabet indices, rank order."""
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """The full table as a tuple of alphabet indices, rank order."""
         if self.is_boolean:
             p = self.packed
-            return [p[r >> 3] >> (r & 7) & 1 for r in range(self.domain.size)]
-        return list(self.packed)
+            return tuple([p[r >> 3] >> (r & 7) & 1 for r in range(self.domain.size)])
+        return tuple(self.packed)
 
-    def labels_used(self) -> set[int]:
-        return set(self.indices())
+    def indices(self) -> list[int]:
+        """The full table as a fresh list of alphabet indices, rank order."""
+        return list(self.table)
 
     def ones_bitset(self) -> int:
         """Big-int bitset of ranks labeled 1 (Boolean functions)."""
@@ -344,15 +356,42 @@ class LabeledFunction:
         return int.from_bytes(self.packed, "little") & ((1 << self.domain.size) - 1)
 
 
-def position_rank_bitsets(dom: Domain) -> list[int]:
+class _DomainView:
+    """A domain's members in rank order, and its per-position rank bitsets
+    built on first use.  Equal small domains share one view."""
+
+    def __init__(self, dom: Domain):
+        self.n = dom.n
+        self.members = tuple(dom._enumerate())
+
+    @cached_property
+    def position_bitsets(self) -> tuple[int, ...]:
+        out = [0] * self.n
+        for r, x in enumerate(self.members):
+            while x:
+                low = x & -x
+                out[low.bit_length() - 1] |= 1 << r
+                x ^= low
+        return tuple(out)
+
+
+@lru_cache(maxsize=_VIEW_SLOTS)
+def _cached_view(dom: Domain) -> _DomainView:
+    return _DomainView(dom)
+
+
+def _view(dom: Domain) -> _DomainView:
+    return _cached_view(dom) if dom.size <= _VIEW_MAX_SIZE else _DomainView(dom)
+
+
+def member_masks(dom: Domain) -> tuple[int, ...]:
+    """All members of dom in rank order."""
+    return _view(dom).members
+
+
+def position_rank_bitsets(dom: Domain) -> tuple[int, ...]:
     """Per position p, the bitset of member ranks whose bit p is set."""
-    out = [0] * dom.n
-    for r, x in enumerate(dom.members()):
-        while x:
-            low = x & -x
-            out[low.bit_length() - 1] |= 1 << r
-            x ^= low
-    return out
+    return _view(dom).position_bitsets
 
 
 def label_rank_bitsets(f: LabeledFunction) -> list[int]:
@@ -361,7 +400,7 @@ def label_rank_bitsets(f: LabeledFunction) -> list[int]:
         ones = f.ones_bitset()
         return [((1 << f.domain.size) - 1) ^ ones, ones]
     out = [0] * len(f.alphabet)
-    for r, li in enumerate(f.indices()):
+    for r, li in enumerate(f.table):
         out[li] |= 1 << r
     return out
 
@@ -543,7 +582,7 @@ class SliceGraph:
         out = []
         for u in range(self.n):
             row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in _mask_positions(row):
+            for v in mask_positions(row):
                 out.append((u, v))
         return out
 

@@ -151,7 +151,7 @@ def test_weights_task_labels():
     assert f.evaluate(string_to_mask("0110")) == (1, 1)
     assert f.evaluate(string_to_mask("1100")) == (2, 0)
     assert f.evaluate(string_to_mask("0011")) == (2, 0)
-    assert sorted(f.labels_used()) == [0, 1]
+    assert sorted(set(f.indices())) == [0, 1]
     assert set(f.alphabet) == {(1, 1), (2, 0)}
 
 

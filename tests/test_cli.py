@@ -1,10 +1,15 @@
 """End-to-end command-line behavior, exit codes included."""
 
-import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slicebench
+import slicebench.cli.main as cli_main
 from slicebench.cli.main import main
 from slicebench.errors import AdversaryExhaustedError, EmptyRestrictionError
 
@@ -132,13 +137,25 @@ def test_measure_runs_without_an_unusable_cache(capsys, monkeypatch, tmp_path):
     assert len(warnings) == 1 and warnings[0]["warning"] == "cache"
 
 
+def test_cli_module_runs_with_dash_m_without_warnings():
+    src = str(Path(slicebench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicebench.cli.main", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert "usage:" in proc.stdout
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("error", [EmptyRestrictionError, AdversaryExhaustedError])
 def test_every_package_error_maps_to_the_input_code(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("raised inside the measure step")
 
-    # the package re-exports main(), which hides the module of that name
-    cli_main = importlib.import_module("slicebench.cli.main")
     monkeypatch.setattr(cli_main, "compute_measures", fail)
     code, _, err = run(
         capsys, "measure", "--construct", "eq:k=1", "--measures", "C", "--no-cache"

@@ -1,9 +1,13 @@
 """Domains, assignments, functions, restriction, and graph round-trips."""
 
+import inspect
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slicebench import slicecore
 from slicebench.errors import DomainError, EmptyRestrictionError, MembershipError
 from slicebench.slicecore import (
     BOOLEAN,
@@ -20,6 +24,7 @@ from slicebench.slicecore import (
     label_rank_bitsets,
     lift_assignment,
     mask_to_string,
+    member_masks,
     position_rank_bitsets,
     residual_positions,
     restrict,
@@ -69,7 +74,7 @@ def test_rank_unrank_bijection(dom):
         assert x in dom
         seen.add(x)
     assert len(seen) == dom.size
-    assert dom.rank_map() == {x: r for r, x in enumerate(dom.members())}
+    assert [dom.rank(x) for x in dom.members()] == list(range(dom.size))
 
 
 def test_domain_membership_errors():
@@ -133,7 +138,7 @@ def test_labeled_function_constructors_agree():
     assert by_callable == by_indices
     assert by_callable.indices() == by_indices.indices()
     assert by_callable.is_boolean
-    assert by_callable.labels_used() == {0, 1}
+    assert set(by_callable.indices()) == {0, 1}
 
 
 def test_labeled_function_tuple_alphabet():
@@ -173,6 +178,90 @@ def test_position_and_label_bitsets():
             assert [b >> r & 1 for b in by_label] == [
                 int(i == f.label_index(r)) for i in range(len(f.alphabet))
             ]
+
+
+@st.composite
+def small_domains(draw):
+    """A slice, cube or explicit domain of at most 20 members, with its
+    members listed without the enumeration code."""
+    kind = draw(st.sampled_from(["slice", "cube", "explicit"]))
+    if kind == "slice":
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, n - 1).filter(lambda k: math.comb(n, k) <= 20))
+        # colex order on one weight is increasing numeric order
+        return Domain.slice(n, k), [x for x in range(1 << n) if x.bit_count() == k]
+    if kind == "cube":
+        n = draw(st.integers(1, 4))
+        return Domain.cube(n), list(range(1 << n))
+    n = draw(st.integers(1, 5))
+    members = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20, unique=True)
+    )
+    return Domain.explicit(n, members), members
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_domains(), st.data())
+def test_cached_views_match_fresh_enumeration(drawn, data):
+    dom, expected = drawn
+    for _ in range(2):  # the second pass reads the cached view
+        assert list(dom.members()) == expected
+        assert member_masks(dom) == tuple(expected)
+        assert position_rank_bitsets(dom) == tuple(
+            sum(1 << r for r, x in enumerate(expected) if x >> p & 1)
+            for p in range(dom.n)
+        )
+    alphabet = data.draw(st.sampled_from([BOOLEAN, (0, 1, 2)]))
+    table = data.draw(
+        st.lists(
+            st.integers(0, len(alphabet) - 1), min_size=dom.size, max_size=dom.size
+        )
+    )
+    f = LabeledFunction.from_indices(dom, alphabet, table)
+    for _ in range(2):
+        assert f.indices() == table
+        assert f.table == tuple(table)
+        assert [f.label_index(r) for r in range(dom.size)] == table
+
+
+def test_equal_domains_share_one_view():
+    built = Domain.slice(7, 3)
+    restricted = restrict(
+        LabeledFunction.from_callable(Domain.slice(8, 3), lambda x: x & 1, BOOLEAN),
+        Assignment.of(zeros=[0]),
+    ).domain
+    assert built == restricted and built is not restricted
+    assert position_rank_bitsets(built) is position_rank_bitsets(restricted)
+    assert member_masks(built) is member_masks(Domain.slice(7, 3))
+
+
+def test_shared_views_are_immutable():
+    dom = Domain.slice(6, 3)
+    f = LabeledFunction.from_callable(dom, lambda x: x % 3, (0, 1, 2))
+    assert isinstance(member_masks(dom), tuple)
+    assert isinstance(position_rank_bitsets(dom), tuple)
+    assert isinstance(f.table, tuple)
+    want = tuple(x % 3 for x in dom.members())
+    fresh = f.indices()
+    assert type(fresh) is list
+    fresh[0] = (want[0] + 1) % 3
+    assert f.table == want and f.indices() == list(want)
+
+
+def test_domain_above_view_limit_is_enumerated_uncached():
+    dom = Domain.slice(40, 4)
+    assert dom.size > slicecore._VIEW_MAX_SIZE
+    before = slicecore._cached_view.cache_info()
+    assert inspect.isgenerator(dom.members())
+    members = member_masks(dom)
+    assert len(members) == dom.size
+    assert all(dom.rank(x) == r for r, x in enumerate(members))
+    ones_at = position_rank_bitsets(dom)
+    for p in (0, 39):
+        bits = format(ones_at[p], f"0{dom.size}b")[::-1]
+        assert bits == "".join(str(x >> p & 1) for x in members)
+    after = slicecore._cached_view.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_restrict_renumbers_residual_positions():
