@@ -24,10 +24,10 @@ from .measures.trees import Node
 from .slicecore import (
     Assignment,
     LabeledFunction,
-    label_rank_bitsets,
     position_rank_bitsets,
     residual_positions,
     restrict,
+    string_to_mask,
     to_graph,
 )
 
@@ -645,35 +645,15 @@ class _M2WeightsAdversary(AdversaryPlayer):
         return c
 
 
-# -- factories matching the public names ------------------------------------------
+# -- public names and the spec tables ---------------------------------------------
 
-
-def eq_algorithm(k: int) -> EqAlgorithm:
-    return EqAlgorithm(k)
-
-
-def eq_adversary(k: int) -> EqAdversary:
-    return EqAdversary(k)
-
-
-def weights_alg_A(n: int, m: int, k: int) -> WeightsAlgA:
-    return WeightsAlgA(n, m, k)
-
-
-def weights_alg_B(n: int, m: int, k: int) -> WeightsAlgB:
-    return WeightsAlgB(n, m, k)
-
-
-def weights_m2_algorithm(n: int, k: int) -> WeightsM2Algorithm:
-    return WeightsM2Algorithm(n, k)
-
-
-def weight1_algorithm(f: LabeledFunction) -> Weight1Algorithm:
-    return Weight1Algorithm(f)
-
-
-def weight2_algorithm(f: LabeledFunction) -> Weight2Algorithm:
-    return Weight2Algorithm(f)
+eq_algorithm = EqAlgorithm
+eq_adversary = EqAdversary
+weights_alg_A = WeightsAlgA
+weights_alg_B = WeightsAlgB
+weights_m2_algorithm = WeightsM2Algorithm
+weight1_algorithm = Weight1Algorithm
+weight2_algorithm = Weight2Algorithm
 
 
 def weights_adversary(
@@ -706,6 +686,36 @@ def weights_adversary(
             raise DomainError("m2_high mode needs m = 2, n >= 4, k > n/2")
         return _M2WeightsAdversary(n, k, high=True)
     raise DomainError(f"unknown adversary mode: {mode}")
+
+
+def _fixed_input(f: LabeledFunction, x: str) -> FixedInputAdversary:
+    """FixedInputAdversary for the member of f's domain spelled by bitstring x."""
+    mask = string_to_mask(x)
+    f.domain.rank(mask)
+    return FixedInputAdversary(mask)
+
+
+# Spec-string tables for catalog.build.  A builder parameter named f gets the
+# function under play, and seed the caller's default seed.
+ALGORITHMS = {
+    "eq": EqAlgorithm,
+    "weights-a": WeightsAlgA,
+    "weights-b": WeightsAlgB,
+    "weights-m2": WeightsM2Algorithm,
+    "weight1": Weight1Algorithm,
+    "weight2": Weight2Algorithm,
+    "optimal": optimal_tree_player,
+}
+
+ADVERSARIES = {
+    "eq": EqAdversary,
+    "weights-basic": lambda n, m, k, seed=None: weights_adversary(n, m, k, "basic", seed),
+    "weights-balanced": lambda n, m, k, seed=None: weights_adversary(
+        n, m, k, "balanced", seed
+    ),
+    "weights-m2": lambda n, k: weights_adversary(n, 2, k, "m2"),
+    "fixed": _fixed_input,
+}
 
 
 # -- referee ----------------------------------------------------------------------
@@ -800,20 +810,13 @@ def run_match(
                 "no domain member is consistent with the answers"
             )
         alg.feed(p, bit)
-    table = f.table
-    seen: set[int] = set()
-    rest = live
-    while rest and len(seen) < 2:
-        rank = (rest & -rest).bit_length() - 1
-        seen.add(table[rank])
-        rest &= rest - 1
-    determined = len(seen) == 1
+    determined = f.is_single_label(live)
     if status != "claimed":
         claimed = None
     correct = (
         status == "claimed"
         and determined
-        and claimed == f.alphabet[next(iter(seen))]
+        and claimed == f.label((live & -live).bit_length() - 1)
     )
     forced_guess = status == "claimed" and not determined
     return MatchTranscript(
@@ -846,11 +849,8 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
     dom = f.domain
     ones_at = position_rank_bitsets(dom)
     full = (1 << dom.size) - 1
-    label_sets = label_rank_bitsets(f)
+    mono = f.is_single_label
     table: dict[tuple[int, int], int] | None = {} if adv.memo_safe else None
-
-    def mono(live: int) -> bool:
-        return any(live & ls == live for ls in label_sets)
 
     def rec(live: int, queried: int, answers: int, state: AdversaryPlayer) -> int:
         if live == 0:

@@ -7,6 +7,7 @@ name so the command line can rebuild any of them from a short string.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .slicecore import (
     LabeledFunction,
     SliceGraph,
     from_graph,
+    mask_positions,
     string_to_mask,
 )
 
@@ -69,13 +71,7 @@ def graham_sloane(n: int, k: int, i: int | None = None):
     dom = Domain.slice(n, k)
     classes: list[list[int]] = [[] for _ in range(n)]
     for xm in dom.members():
-        total = 0
-        m = xm
-        while m:
-            low = m & -m
-            total += low.bit_length() - 1
-            m ^= low
-        classes[total % n].append(xm)
+        classes[sum(mask_positions(xm)) % n].append(xm)
     best = max(range(n), key=lambda j: (len(classes[j]), -j))
     pick = best if i is None else i
     if not 0 <= pick < n:
@@ -102,11 +98,8 @@ def kml_set(r: int) -> LabeledFunction:
 
     def xor_zero(xm: int) -> int:
         acc = 0
-        m = xm
-        while m:
-            low = m & -m
-            acc ^= low.bit_length() - 1
-            m ^= low
+        for p in mask_positions(xm):
+            acc ^= p
         return 1 if acc == 0 else 0
 
     return LabeledFunction.from_callable(dom, xor_zero, BOOLEAN)
@@ -248,7 +241,71 @@ def or_first_half(n: int) -> LabeledFunction:
     )
 
 
-# -- construction registry -------------------------------------------------------
+# -- spec strings and name tables ------------------------------------------------
+
+
+def parse_spec(text: str, what: str, text_keys=()) -> tuple[str, dict[str, Any]]:
+    """Split "name" or "name:key=val,..." into the name and its parameters.
+
+    Values are ints, and dash-joined ints become int tuples; a key in
+    text_keys keeps its value as text.  what names the kind of spec in
+    error messages.
+    """
+    name, sep, rest = text.partition(":")
+    name = name.strip()
+    if not name:
+        raise DomainError(f"empty {what} name")
+    params: dict[str, Any] = {}
+    if sep:
+        for part in rest.split(","):
+            key, eq, raw = part.partition("=")
+            key = key.strip()
+            raw = raw.strip()
+            if not eq or not key or not raw:
+                raise DomainError(f"bad {what} parameter {part!r}; expected key=value")
+            if key in params:
+                raise DomainError(f"duplicate {what} parameter {key!r}")
+            if key in text_keys:
+                params[key] = raw
+                continue
+            try:
+                if "-" in raw.lstrip("-"):
+                    params[key] = tuple(int(v) for v in raw.split("-"))
+                else:
+                    params[key] = int(raw)
+            except ValueError:
+                raise DomainError(
+                    f"{what} parameter {key!r} must be an int or dash-joined ints, "
+                    f"not {raw!r}"
+                ) from None
+    return name, params
+
+
+def build(table: dict[str, Callable], what: str, name: str, params: dict, **context):
+    """Call the builder table[name] with params as keyword arguments.
+
+    Each context value goes to a builder that has a parameter of that name
+    and is dropped otherwise.  A spec may set a context name only where the
+    builder gives it a default, and then the spec's value wins.
+    """
+    builder = table.get(name)
+    if builder is None:
+        raise DomainError(f"unknown {what} {name!r}; known: {', '.join(table)}")
+    taken = inspect.signature(builder).parameters
+    required = [k for k, p in taken.items() if p.default is p.empty]
+    settable = {k for k, p in taken.items() if k not in context or p.default is not p.empty}
+    unknown = sorted(set(params) - settable)
+    if unknown:
+        raise DomainError(f"{what} {name!r} got unknown parameters {', '.join(unknown)}")
+    missing = [k for k in required if k not in params and k not in context]
+    if missing:
+        raise DomainError(f"{what} {name!r} needs parameters {', '.join(missing)}")
+    args = {k: v for k, v in context.items() if k in taken}
+    args.update(params)
+    try:
+        return builder(**args)
+    except TypeError as e:
+        raise DomainError(f"bad parameters for {what} {name!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -263,15 +320,7 @@ class ConstructionSpec:
         return cls(name=name, params=tuple(sorted(params.items())))
 
     def build(self) -> LabeledFunction:
-        builder = REGISTRY.get(self.name)
-        if builder is None:
-            raise DomainError(
-                f"unknown construction {self.name!r}; known: {', '.join(sorted(REGISTRY))}"
-            )
-        try:
-            return builder(**dict(self.params))
-        except TypeError as e:
-            raise DomainError(f"bad parameters for {self.name!r}: {e}") from None
+        return build(REGISTRY, "construction", self.name, dict(self.params))
 
     def to_string(self) -> str:
         if not self.params:
@@ -292,45 +341,23 @@ class ConstructionSpec:
 
 def parse_construction(text: str) -> ConstructionSpec:
     """Parse "name" or "name:key=val,..."; dash-joined ints become tuples."""
-    name, sep, rest = text.partition(":")
-    name = name.strip()
-    if not name:
-        raise DomainError("empty construction name")
-    params: dict[str, Any] = {}
-    if sep:
-        for part in rest.split(","):
-            key, eq, raw = part.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not eq or not key or not raw:
-                raise DomainError(f"bad construction parameter {part!r}")
-            if key in params:
-                raise DomainError(f"duplicate construction parameter {key!r}")
-            params[key] = _parse_value(raw)
+    name, params = parse_spec(text, "construction")
     return ConstructionSpec.of(name, **params)
 
 
-def _parse_value(raw: str) -> Any:
-    try:
-        if "-" in raw.lstrip("-"):
-            return tuple(int(v) for v in raw.split("-"))
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"construction parameters must be ints, not {raw!r}") from None
-
-
+# in name order: help text and error messages list the names as they stand
 REGISTRY: dict[str, Callable[..., LabeledFunction]] = {
-    "eq": make_eq,
+    "compose": compose_symmetric,
     "ed": make_ed,
+    "eq": make_eq,
     "gs": lambda n, k, i=None: graham_sloane(n, k, i)[2],
     "kml": kml_set,
+    "or-first-half": or_first_half,
     "paley": lambda q: from_graph(paley_weight2(q)),
+    "random": random_slice_function,
     "random-graph": lambda n, seed: from_graph(random_graph(n, seed)),
-    "rubinstein-variant": rubinstein_variant,
     "rubinstein-original": rubinstein_original,
     "rubinstein-slice": lambda n: slice_restriction(rubinstein_original(n)),
+    "rubinstein-variant": rubinstein_variant,
     "weights": weights_task,
-    "compose": lambda fsym, gsym, k: compose_symmetric(fsym, gsym, k),
-    "random": random_slice_function,
-    "or-first-half": or_first_half,
 }

@@ -3,8 +3,11 @@
 Keys hash the function's canonical bytes, the measure name, and the engine
 version, so any engine change invalidates stale results.  Entries are the
 exact JSON objects a fresh run would produce, so hits are byte-identical to
-the run that filled them.  A cache whose directory cannot be written warns
-once on stderr and then runs as if absent: it only ever saves work.
+the run that filled them.  Each file stores its entry with the sha256 of the
+entry's canonical JSON, and an entry whose digest does not match (a torn
+write, a hand edit) reads as a miss; this catches corruption, not forgery.
+A cache whose directory cannot be written warns once on stderr and then
+runs as if absent: it only ever saves work.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "slicebench"
 
 
+def _digest(entry: dict[str, Any]) -> str:
+    return hashlib.sha256(json.dumps(entry, sort_keys=True).encode()).hexdigest()
+
+
 class ResultCache:
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
@@ -57,7 +64,9 @@ class ResultCache:
             obj = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        return obj if isinstance(obj, dict) else None
+        entry = obj.get("entry") if isinstance(obj, dict) else None
+        intact = isinstance(entry, dict) and obj.get("sha256") == _digest(entry)
+        return entry if intact else None
 
     def put(self, f: LabeledFunction, measure: str, entry: dict[str, Any]) -> None:
         if self.disabled:
@@ -68,7 +77,8 @@ class ResultCache:
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(entry, sort_keys=True))
+            record = {"entry": entry, "sha256": _digest(entry)}
+            tmp.write_text(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)
         except OSError as e:
             self.disabled = True

@@ -674,6 +674,17 @@ def _nesting_depth(value) -> int:
     return depth
 
 
+def _int_leaves(field_name: str, value):
+    """value with tuples turned into lists; every leaf must be an int."""
+    if isinstance(value, (list, tuple)):
+        return [_int_leaves(field_name, item) for item in value]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(
+            f"parameter {field_name!r} must hold ints or lists of ints, not {value!r}"
+        )
+    return value
+
+
 def _match_nesting(field_name: str, value, default):
     """Wrap an override in lists until it is shaped like the default.
 
@@ -703,6 +714,12 @@ class ExperimentSpec:
     def of(
         cls, name: str, overrides: dict | None = None, out: str | None = None
     ) -> "ExperimentSpec":
+        if not isinstance(name, str):
+            raise DomainError(f"experiment name must be a string, not {name!r}")
+        if not isinstance(overrides, (dict, type(None))):
+            raise DomainError(f"experiment params must be an object, not {overrides!r}")
+        if not isinstance(out, (str, type(None))):
+            raise DomainError(f"experiment out must be a path string, not {out!r}")
         exp = get_experiment(name)
         params = exp.defaults()
         for field_name, value in (overrides or {}).items():
@@ -710,6 +727,7 @@ class ExperimentSpec:
                 raise DomainError(
                     f"experiment {name!r} has no parameter {field_name!r}"
                 )
+            value = _int_leaves(field_name, value)
             params[field_name] = _match_nesting(field_name, value, params[field_name])
         return cls(name=name, params=params, out=out)
 

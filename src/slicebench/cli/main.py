@@ -15,20 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from ..adversary import (
-    FixedInputAdversary,
-    eq_adversary,
-    eq_algorithm,
-    optimal_tree_player,
-    run_match,
-    weight1_algorithm,
-    weight2_algorithm,
-    weights_adversary,
-    weights_alg_A,
-    weights_alg_B,
-    weights_m2_algorithm,
-)
-from ..catalog import REGISTRY, parse_construction
+from ..adversary import ADVERSARIES, ALGORITHMS, run_match
+from ..catalog import REGISTRY, build, parse_construction, parse_spec
 from ..errors import (
     DomainError,
     FormatError,
@@ -42,7 +30,6 @@ from ..fileio import (
     read_function,
 )
 from ..measures.report import MEASURES, compute_measures, verify_entry
-from ..slicecore import string_to_mask
 from .cache import ResultCache
 from .experiments import ExperimentSpec, experiment_names, run_experiment
 
@@ -87,89 +74,6 @@ def _load_function(args):
         digest = hashlib.sha256(canonical_function_bytes(f)).hexdigest()
         return f, {"sha256": digest}
     raise DomainError("give either --function FILE or --construct SPEC")
-
-
-def _split_player_spec(text: str) -> tuple[str, dict[str, str]]:
-    name, sep, rest = text.partition(":")
-    name = name.strip()
-    params: dict[str, str] = {}
-    if sep:
-        for part in rest.split(","):
-            key, eq, raw = part.partition("=")
-            if not eq or not key.strip() or not raw.strip():
-                raise DomainError(f"bad player parameter {part!r}")
-            if key.strip() in params:
-                raise DomainError(f"duplicate player parameter {key.strip()!r}")
-            params[key.strip()] = raw.strip()
-    return name, params
-
-
-def _int_params(name: str, params: dict[str, str], *wanted: str) -> list[int]:
-    missing = [w for w in wanted if w not in params]
-    if missing:
-        raise DomainError(f"{name} needs parameters {', '.join(wanted)}")
-    extra = set(params) - set(wanted)
-    if extra:
-        raise DomainError(f"{name} got unknown parameters {', '.join(sorted(extra))}")
-    try:
-        return [int(params[w]) for w in wanted]
-    except ValueError as e:
-        raise DomainError(f"{name}: {e}") from None
-
-
-_ALGORITHMS = "eq, weights-a, weights-b, weights-m2, weight1, weight2, optimal"
-
-
-def _make_algorithm(text: str, f):
-    name, params = _split_player_spec(text)
-    if name == "eq":
-        (k,) = _int_params(name, params, "k")
-        return eq_algorithm(k)
-    if name == "weights-a":
-        n, m, k = _int_params(name, params, "n", "m", "k")
-        return weights_alg_A(n, m, k)
-    if name == "weights-b":
-        n, m, k = _int_params(name, params, "n", "m", "k")
-        return weights_alg_B(n, m, k)
-    if name == "weights-m2":
-        n, k = _int_params(name, params, "n", "k")
-        return weights_m2_algorithm(n, k)
-    if name in ("weight1", "weight2", "optimal"):
-        if params:
-            raise DomainError(f"{name} takes no parameters; it reads the function")
-        if name == "weight1":
-            return weight1_algorithm(f)
-        if name == "weight2":
-            return weight2_algorithm(f)
-        return optimal_tree_player(f)
-    raise DomainError(f"unknown algorithm {name!r}; known: {_ALGORITHMS}")
-
-
-_ADVERSARIES = "eq, weights-basic, weights-balanced, weights-m2, fixed"
-
-
-def _make_adversary(text: str, f, seed: int | None):
-    name, params = _split_player_spec(text)
-    if name == "eq":
-        (k,) = _int_params(name, params, "k")
-        return eq_adversary(k)
-    if name == "fixed":
-        x = params.pop("x", None)
-        if x is None or params:
-            raise DomainError("fixed needs exactly one parameter x=<bitstring>")
-        mask = string_to_mask(x)
-        f.domain.rank(mask)
-        return FixedInputAdversary(mask)
-    if name in ("weights-basic", "weights-balanced"):
-        mode = name.removeprefix("weights-")
-        own_seed = params.pop("seed", None)
-        n, m, k = _int_params(name, params, "n", "m", "k")
-        chosen = int(own_seed) if own_seed is not None else seed
-        return weights_adversary(n, m, k, mode=mode, seed=chosen)
-    if name == "weights-m2":
-        n, k = _int_params(name, params, "n", "k")
-        return weights_adversary(n, 2, k, mode="m2")
-    raise DomainError(f"unknown adversary {name!r}; known: {_ADVERSARIES}")
 
 
 def _flat_cell(value) -> str:
@@ -229,11 +133,6 @@ def _cmd_measure(args) -> int:
     names = [part.strip() for part in args.measures.split(",") if part.strip()]
     if not names:
         raise DomainError("empty measure list")
-    for name in names:
-        if name not in MEASURES:
-            raise DomainError(
-                f"unknown measure {name!r}; known: {', '.join(sorted(MEASURES))}"
-            )
     cache = None if args.no_cache else ResultCache()
     report = compute_measures(f, names, ref, cache)
     text = _measure_csv(report) if args.csv else _json_text(report)
@@ -243,8 +142,11 @@ def _cmd_measure(args) -> int:
 
 def _cmd_match(args) -> int:
     f, ref = _load_function(args)
-    alg = _make_algorithm(args.algorithm, f)
-    adv = _make_adversary(args.adversary, f, args.seed)
+    name, params = parse_spec(args.algorithm, "algorithm")
+    alg = build(ALGORITHMS, "algorithm", name, params, f=f)
+    # fixed:x=<bitstring> names a member, so x keeps its text
+    name, params = parse_spec(args.adversary, "adversary", text_keys=("x",))
+    adv = build(ADVERSARIES, "adversary", name, params, f=f, seed=args.seed)
     transcript = run_match(alg, adv, f, budget=args.budget)
     lines = []
     for i, (position, answer) in enumerate(transcript.pairs):
@@ -272,23 +174,9 @@ def _cmd_experiment(args) -> int:
             raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
         spec = ExperimentSpec.from_json_obj(obj)
     elif args.name is not None:
-        overrides = {}
-        for item in args.set:
-            key, eq, raw = item.partition("=")
-            if not eq or not key or not raw:
-                raise DomainError(f"bad override {item!r}; expected key=value")
-            if key in overrides:
-                raise DomainError(f"duplicate override {key!r}")
-            try:
-                overrides[key] = (
-                    [int(v) for v in raw.split("-")] if "-" in raw.lstrip("-")
-                    else int(raw)
-                )
-            except ValueError:
-                raise DomainError(
-                    f"override {key!r} must be an int or dash-joined ints; "
-                    "use --spec for anything richer"
-                ) from None
+        # the --set items are the parameter list of one spec string
+        text = "--set:" + ",".join(args.set) if args.set else "--set"
+        _, overrides = parse_spec(text, "override")
         spec = ExperimentSpec.of(args.name, overrides)
     else:
         raise DomainError(
@@ -338,7 +226,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument(
         "spec",
-        help=f"construction, e.g. eq:k=2; known: {', '.join(sorted(REGISTRY))}",
+        help=f"construction, e.g. eq:k=2; known: {', '.join(REGISTRY)}",
     )
     p.add_argument("--out", help="write to this path instead of stdout")
     p.set_defaults(handler=_cmd_construct)
@@ -362,10 +250,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--function", help="function file to load")
     p.add_argument("--construct", help="construction spec instead of a file")
     p.add_argument(
-        "--algorithm", required=True, help=f"one of: {_ALGORITHMS}"
+        "--algorithm", required=True, help=f"one of: {', '.join(ALGORITHMS)}"
     )
     p.add_argument(
-        "--adversary", required=True, help=f"one of: {_ADVERSARIES}"
+        "--adversary", required=True, help=f"one of: {', '.join(ADVERSARIES)}"
     )
     p.add_argument("--budget", type=int, help="cap on the number of queries")
     p.add_argument("--seed", type=int, help="seed for randomized adversaries")

@@ -8,7 +8,7 @@ witnesses.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .slicecore import mask_positions
 
@@ -16,21 +16,26 @@ from .slicecore import mask_positions
 # -- minimum hitting set -----------------------------------------------------
 
 
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The distinct masks that contain no other mask, by size then value."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(m & k == k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def min_hitting_set(masks: Sequence[int], n: int) -> tuple[int, int]:
     """Smallest set of positions meeting every mask.
 
     Returns (size, chosen_positions_mask).  Masks must be nonzero.
     """
-    work = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    if not work:
+    # hitting a subset hits the superset, so only minimal masks matter
+    minimal = minimal_masks(masks)
+    if not minimal:
         return 0, 0
-    if work[0] == 0:
+    if minimal[0] == 0:
         raise ValueError("empty mask cannot be hit")
-    # drop supersets of kept masks; hitting a subset hits the superset
-    minimal: list[int] = []
-    for m in work:
-        if not any(m & k == k for k in minimal):
-            minimal.append(m)
 
     best_size, best_mask = _greedy_hitting(minimal, n)
     state = {"size": best_size, "mask": best_mask}

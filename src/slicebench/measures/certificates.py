@@ -69,14 +69,9 @@ def _monochromatic_assignments(f: LabeledFunction):
     """
     dom = f.domain
     ones_at = position_rank_bitsets(dom)
-    labels = label_rank_bitsets(f)
-    table = f.table
+    mono = f.is_single_label
     full = (1 << dom.size) - 1
     best: dict[int, tuple[int, int, int]] = {}
-
-    def mono(S: int) -> bool:
-        r = (S & -S).bit_length() - 1
-        return not S & ~labels[table[r]]
 
     def rec(p: int, zeros: int, ones: int, S: int) -> None:
         if p == dom.n:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from ..errors import ResourceCapError
 from ..slicecore import (
     LabeledFunction,
-    label_rank_bitsets,
     mask_positions,
     member_masks,
     position_rank_bitsets,
@@ -48,7 +47,7 @@ class DepthSolver:
         self.is_boolean = f.is_boolean
         self.table = f.table
         self.ones_at = position_rank_bitsets(dom)
-        self.label_bitsets = label_rank_bitsets(f)
+        self.label_bitsets = f.label_bitsets
         self.full = (1 << self.size) - 1
         self.all_positions = (1 << self.n) - 1
         # free_hi[nf]: static upper bound on a state with nf free positions
@@ -66,10 +65,6 @@ class DepthSolver:
         self.nodes = 0
 
     # -- state helpers -----------------------------------------------------
-
-    def _mono(self, S: int) -> bool:
-        r = (S & -S).bit_length() - 1
-        return not S & ~self.label_bitsets[self.table[r]]
 
     def _leaf_index(self, S: int) -> int:
         return self.table[(S & -S).bit_length() - 1]
@@ -233,7 +228,7 @@ class DepthSolver:
 
     def _resolve(self, S: int, zeros: int, ones: int) -> int:
         """Exact value of a state via unit-window deepening."""
-        if self._mono(S):
+        if self.f.is_single_label(S):
             return 0
         ent = self._entry(S, zeros, ones)
         c = S.bit_count()
@@ -296,7 +291,7 @@ class DepthSolver:
 
     def solve(self) -> int:
         S = self.full
-        if self._mono(S):
+        if self.f.is_single_label(S):
             return 0
         if (0, 0) not in self.tt:
             ent = self._entry(S, 0, 0)
@@ -310,7 +305,7 @@ class DepthSolver:
         return self._build(self.full, 0, 0)
 
     def _build(self, S: int, zeros: int, ones: int) -> Tree:
-        if self._mono(S):
+        if self.f.is_single_label(S):
             return Leaf(self._leaf_index(S))
         v = self._resolve(S, zeros, ones)
         for p in range(self.n):

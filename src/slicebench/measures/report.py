@@ -17,7 +17,6 @@ from ..errors import DomainError, MembershipError, VerificationError
 from ..slicecore import (
     Assignment,
     LabeledFunction,
-    label_rank_bitsets,
     member_masks,
     position_rank_bitsets,
     string_to_mask,
@@ -85,17 +84,18 @@ def compute_measures(
     cache, when given, must expose get(f, name) -> entry | None and
     put(f, name, entry); hits return the stored entry verbatim.
     """
-    measures: dict[str, Entry] = {}
+    names = list(names)
     for name in names:
-        runner = MEASURES.get(name)
-        if runner is None:
+        if name not in MEASURES:
             raise DomainError(
                 f"unknown measure {name!r}; known: {', '.join(sorted(MEASURES))}"
             )
+    measures: dict[str, Entry] = {}
+    for name in names:
         entry = cache.get(f, name) if cache is not None else None
         if entry is None:
             t0 = time.perf_counter()
-            value, witness, nodes = runner(f)
+            value, witness, nodes = MEASURES[name](f)
             millis = int((time.perf_counter() - t0) * 1000)
             entry = {"value": value, "witness": witness, "nodes": nodes, "millis": millis}
             if cache is not None:
@@ -137,10 +137,6 @@ def _consistent_bitset(f: LabeledFunction, a: Assignment) -> int:
     for p in ones:
         S &= ones_at[p]
     return S
-
-
-def _mono_for(f: LabeledFunction, S: int, want: int) -> bool:
-    return not S & ~label_rank_bitsets(f)[want]
 
 
 def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
@@ -189,8 +185,8 @@ def _verify_certificate(name: str, balanced: bool):
             _fail(name, "assignment conflicts with its input")
         if a.size != value:
             _fail(name, f"assignment size {a.size} != stated value {value}")
-        want = f.label_index(f.domain.rank(xm))
-        if not _mono_for(f, _consistent_bitset(f, a), want):
+        # the consistent set holds xm, so one label there means xm's label
+        if not f.is_single_label(_consistent_bitset(f, a)):
             _fail(name, "assignment is not label-constant over consistent members")
 
     return check
@@ -206,8 +202,7 @@ def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
         S = _consistent_bitset(f, a)
         if not S:
             _fail("UC", "certificate consistent with no member")
-        r = (S & -S).bit_length() - 1
-        if not _mono_for(f, S, f.label_index(r)):
+        if not f.is_single_label(S):
             _fail("UC", "certificate is not label-constant")
         if covered & S:
             _fail("UC", "certificates overlap")

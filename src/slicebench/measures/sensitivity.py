@@ -10,7 +10,7 @@ disjoint label-changing flip sets and is domain-generic.
 from __future__ import annotations
 
 from ..errors import ResourceCapError
-from ..kernels import max_bipartite_matching, max_disjoint_packing
+from ..kernels import max_bipartite_matching, max_disjoint_packing, minimal_masks
 from ..slicecore import LabeledFunction, mask_to_string, member_masks
 
 _DEFAULT_BLOCK_CAP = 20000
@@ -96,7 +96,7 @@ def _block_sensitivity_at(n, members, table, r, max_block_size, block_cap):
         m = xm ^ ym
         if max_block_size is None or m.bit_count() <= max_block_size:
             masks.append(m)
-    minimal = _minimal_masks(masks)
+    minimal = minimal_masks(masks)
     if len(minimal) > block_cap:
         raise ResourceCapError(
             f"{len(minimal)} minimal blocks exceed the packing cap {block_cap}"
@@ -104,11 +104,3 @@ def _block_sensitivity_at(n, members, table, r, max_block_size, block_cap):
     count, chosen = max_disjoint_packing(minimal)
     blocks = [[p for p in range(n) if m >> p & 1] for m in chosen]
     return count, {"input": mask_to_string(xm, n), "blocks": blocks}
-
-
-def _minimal_masks(masks: list[int]) -> list[int]:
-    kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(m & s == s for s in kept):
-            kept.append(m)
-    return kept

@@ -355,6 +355,22 @@ class LabeledFunction:
             raise DomainError("ones_bitset needs a Boolean function")
         return int.from_bytes(self.packed, "little") & ((1 << self.domain.size) - 1)
 
+    @cached_property
+    def label_bitsets(self) -> tuple[int, ...]:
+        """Per alphabet index, the bitset of member ranks carrying that label."""
+        if self.is_boolean:
+            ones = self.ones_bitset()
+            return (((1 << self.domain.size) - 1) ^ ones, ones)
+        out = [0] * len(self.alphabet)
+        for r, li in enumerate(self.table):
+            out[li] |= 1 << r
+        return tuple(out)
+
+    def is_single_label(self, S: int) -> bool:
+        """True when the rank set S is nonempty and carries one label."""
+        low = (S & -S).bit_length() - 1
+        return low >= 0 and not S & ~self.label_bitsets[self.table[low]]
+
 
 class _DomainView:
     """A domain's members in rank order, and its per-position rank bitsets
@@ -394,15 +410,9 @@ def position_rank_bitsets(dom: Domain) -> tuple[int, ...]:
     return _view(dom).position_bitsets
 
 
-def label_rank_bitsets(f: LabeledFunction) -> list[int]:
+def label_rank_bitsets(f: LabeledFunction) -> tuple[int, ...]:
     """Per alphabet index, the bitset of member ranks carrying that label."""
-    if f.is_boolean:
-        ones = f.ones_bitset()
-        return [((1 << f.domain.size) - 1) ^ ones, ones]
-    out = [0] * len(f.alphabet)
-    for r, li in enumerate(f.table):
-        out[li] |= 1 << r
-    return out
+    return f.label_bitsets
 
 
 def _label_sort_key(lab: Label):

@@ -225,3 +225,13 @@ def test_construction_parse_errors():
     with pytest.raises(DomainError):
         parse_construction("eq:z=1").build()
     assert sorted(REGISTRY) == sorted(set(REGISTRY))
+
+
+def test_construction_build_errors_name_the_keys():
+    with pytest.raises(DomainError, match="construction 'gs' needs parameters k$"):
+        parse_construction("gs:n=6").build()
+    with pytest.raises(DomainError, match="got unknown parameters j, z$"):
+        parse_construction("gs:n=6,k=3,z=1,j=2").build()
+    with pytest.raises(DomainError) as err:
+        parse_construction("nope").build()
+    assert str(err.value).endswith(", ".join(REGISTRY))

@@ -375,3 +375,112 @@ def test_verify_empty_report_is_input_error(capsys, tmp_path):
     )
     assert code == 4
     assert json.loads(err)["error"] == "format"
+
+
+# Transcripts recorded before the players moved onto the shared spec tables.
+_TRANSCRIPTS = json.loads(
+    (Path(__file__).parent / "data" / "match_transcripts.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", _TRANSCRIPTS, ids=lambda c: c["args"].removeprefix("match --construct ")
+)
+def test_match_stdout_is_byte_identical_to_the_pinned_transcript(capsys, case):
+    code, out, err = run(capsys, *case["args"].split())
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]
+
+
+_MATCH = ("match", "--construct", "eq:k=1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", ""),
+        ("construct", ":k=1"),
+        ("construct", "eq:k"),
+        ("construct", "eq:=1"),
+        ("construct", "eq:k=1,k=2"),
+        ("construct", "eq:k=x"),
+        ("construct", "eq:k=1-x"),
+        ("construct", "eq:k=1-2"),
+        ("construct", "eq:z=1"),
+        ("construct", "gs:n=6"),
+        ("construct", "nope:k=1"),
+        _MATCH + ("--algorithm", "", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "nope", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "eq", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "eq:k=x", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "eq:k=1-2", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "eq:k=1,k=1", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "weight1:n=3", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "optimal:f=1", "--adversary", "eq:k=1"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "nope"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "eq:k"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "eq:k=1,seed=3"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "fixed"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=01a0"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=1110"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=0110,y=1"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "weights-basic:n=4,m=2"),
+        _MATCH + ("--algorithm", "optimal", "--adversary", "weights-m2:n=4,k=2,seed=3"),
+        _MATCH
+        + ("--algorithm", "optimal", "--adversary", "weights-balanced:n=4,m=2,k=4,seed=x"),
+        ("experiment", "kml-count", "--set", "rs=x"),
+        ("experiment", "kml-count", "--set", "rs=1-x"),
+        ("experiment", "kml-count", "--set", "rs"),
+        ("experiment", "kml-count", "--set", "rs="),
+        ("experiment", "kml-count", "--set", "=3"),
+        ("experiment", "kml-count", "--set", "rs=3,4"),
+        ("experiment", "kml-count", "--set", "nope=3"),
+        ("experiment", "kml-count", "--set", "rs=3", "--set", "rs=3"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_specs_exit_with_the_input_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    payload = json.loads(err)
+    assert payload["error"] == "input"
+    assert "Traceback" not in err and "<lambda>" not in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"name": "kml-count", "params": [1]},
+        {"name": "kml-count", "params": {"rs": "x"}},
+        {"name": "kml-count", "params": {"rs": [3, True]}},
+        {"name": ["a"]},
+        {"name": "kml-count", "out": 5},
+    ],
+    ids=["params-list", "text-leaf", "bool-leaf", "name-list", "out-int"],
+)
+def test_malformed_experiment_spec_files_exit_with_the_input_code(capsys, tmp_path, obj):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "experiment", "--spec", str(spec))
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "input"
+
+
+def test_experiment_set_keeps_list_values(capsys):
+    code, out, _ = run(capsys, "experiment", "eq-depth", "--set", "ks=1-2")
+    assert code == 0
+    assert json.loads(out)["params"] == {"ks": [1, 2]}
+
+
+def test_measure_recomputes_a_hand_edited_cache_entry(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SLICEBENCH_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ("measure", "--construct", "eq:k=1", "--measures", "D")
+    assert run(capsys, *argv)[0] == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    text = path.read_text()
+    assert '"value": 2' in text
+    path.write_text(text.replace('"value": 2', '"value": 99'))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["measures"]["D"]["value"] == 2
+    assert '"value": 2' in path.read_text()

@@ -132,6 +132,22 @@ def test_cache_round_trip(tmp_path):
     assert cache.get(g, "D") is None
 
 
+def test_cache_entry_that_fails_its_digest_is_a_miss(tmp_path):
+    cache = ResultCache(tmp_path)
+    f = make_eq(1)
+    entry = {"value": 2, "witness": None, "nodes": 9, "millis": 1}
+    cache.put(f, "D", entry)
+    path = tmp_path / f"{cache.key(f, 'D')}.json"
+    stored = json.loads(path.read_text())
+    stored["entry"]["value"] = 99
+    path.write_text(json.dumps(stored))
+    assert cache.get(f, "D") is None
+    path.write_text(json.dumps(entry))  # a bare entry carries no digest
+    assert cache.get(f, "D") is None
+    cache.put(f, "D", entry)
+    assert cache.get(f, "D") == entry
+
+
 def test_cache_put_ignores_a_stale_shared_temp_name(tmp_path):
     cache = ResultCache(tmp_path)
     f = make_eq(1)

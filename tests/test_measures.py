@@ -23,7 +23,8 @@ from slicebench.catalog import (
     random_graph,
     random_slice_function,
 )
-from slicebench.errors import ResourceCapError, VerificationError
+from slicebench.errors import DomainError, ResourceCapError, VerificationError
+from slicebench.kernels import minimal_masks
 from slicebench.measures.algebra import degree
 from slicebench.measures.bounds import (
     max_one_subcube_intersection,
@@ -264,6 +265,22 @@ def test_compute_measures_report_shape_and_verify():
         entry = report["measures"][name]
         assert set(entry) == {"value", "witness", "nodes", "millis"}
         verify_entry(f, name, entry)
+
+
+def test_compute_measures_checks_every_name_before_computing():
+    class NoLookups:
+        def get(self, f, name):
+            raise AssertionError(f"{name} looked up before the names were checked")
+
+        put = get
+
+    with pytest.raises(DomainError, match="'nope'"):
+        compute_measures(make_eq(1), ["D", "nope"], None, cache=NoLookups())
+
+
+def test_minimal_masks_drops_duplicates_and_supersets():
+    assert minimal_masks([0b110, 0b010, 0b011, 0b010, 0b101]) == [0b010, 0b101]
+    assert minimal_masks([]) == []
 
 
 def test_verify_rejects_tampered_entries():

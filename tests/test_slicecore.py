@@ -224,6 +224,23 @@ def test_cached_views_match_fresh_enumeration(drawn, data):
         assert [f.label_index(r) for r in range(dom.size)] == table
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_domains(), st.data())
+def test_single_label_check_matches_a_label_scan(drawn, data):
+    dom, _ = drawn
+    alphabet = data.draw(st.sampled_from([BOOLEAN, (0, 1, 2)]))
+    table = data.draw(
+        st.lists(
+            st.integers(0, len(alphabet) - 1), min_size=dom.size, max_size=dom.size
+        )
+    )
+    f = LabeledFunction.from_indices(dom, alphabet, table)
+    S = data.draw(st.integers(0, (1 << dom.size) - 1))
+    labels = {table[r] for r in range(dom.size) if S >> r & 1}
+    assert f.is_single_label(S) == (len(labels) == 1)
+    assert label_rank_bitsets(f) is f.label_bitsets
+
+
 def test_equal_domains_share_one_view():
     built = Domain.slice(7, 3)
     restricted = restrict(
