@@ -126,8 +126,8 @@ def random_graph(n: int, seed: int) -> SliceGraph:
 
 
 def _rubinstein(n: int, patterns: Callable[[int], list[str]]) -> LabeledFunction:
-    root = math.isqrt(n)
-    if root * root != n or root % 2:
+    root = math.isqrt(max(n, 0))
+    if n < 4 or root * root != n or root % 2:
         raise DomainError("needs n a perfect square with sqrt(n) even")
     masks = {string_to_mask(s) for s in patterns(root // 2)}
     low = (1 << root) - 1
@@ -244,6 +244,12 @@ def or_first_half(n: int) -> LabeledFunction:
 # -- spec strings and name tables ------------------------------------------------
 
 
+# builder parameters that take a list of ints, written dash-joined (one int
+# is a list of one); every other parameter takes one int, or text where
+# parse_spec keeps it
+LIST_KEYS = frozenset({"fsym", "gsym", "alphabet"})
+
+
 def parse_spec(text: str, what: str, text_keys=()) -> tuple[str, dict[str, Any]]:
     """Split "name" or "name:key=val,..." into the name and its parameters.
 
@@ -284,8 +290,9 @@ def parse_spec(text: str, what: str, text_keys=()) -> tuple[str, dict[str, Any]]
 def build(table: dict[str, Callable], what: str, name: str, params: dict, **context):
     """Call the builder table[name] with params as keyword arguments.
 
-    Each context value goes to a builder that has a parameter of that name
-    and is dropped otherwise.  A spec may set a context name only where the
+    A dash-joined tuple is accepted only for a LIST_KEYS parameter.  Each
+    context value goes to a builder that has a parameter of that name and
+    is dropped otherwise.  A spec may set a context name only where the
     builder gives it a default, and then the spec's value wins.
     """
     builder = table.get(name)
@@ -301,11 +308,16 @@ def build(table: dict[str, Callable], what: str, name: str, params: dict, **cont
     if missing:
         raise DomainError(f"{what} {name!r} needs parameters {', '.join(missing)}")
     args = {k: v for k, v in context.items() if k in taken}
-    args.update(params)
-    try:
-        return builder(**args)
-    except TypeError as e:
-        raise DomainError(f"bad parameters for {what} {name!r}: {e}") from None
+    for key, value in params.items():
+        if key in LIST_KEYS:
+            value = value if isinstance(value, tuple) else (value,)
+        elif isinstance(value, tuple):
+            raise DomainError(
+                f"{what} {name!r} parameter {key!r} takes one int, "
+                f"not {'-'.join(map(str, value))}"
+            )
+        args[key] = value
+    return builder(**args)
 
 
 @dataclass(frozen=True)

@@ -170,28 +170,13 @@ class JohnsonIndependent(Experiment):
         n, k = f["n"], f["k"]
         classes, best, _ = graham_sloane(n, k)
         dom = Domain.slice(n, k)
-        class_of = [0] * dom.size
-        total = 0
-        for j, members in enumerate(classes):
-            total += len(members)
-            for x in members:
-                class_of[dom.rank(x)] = j
-        partition = total == dom.size
-        independent = True
-        for x in dom.members():
-            j = class_of[dom.rank(x)]
-            ones = [p for p in range(n) if x >> p & 1]
-            holes = [p for p in range(n) if not x >> p & 1]
-            for a in ones:
-                for b in holes:
-                    y = x ^ (1 << a) | 1 << b
-                    if class_of[dom.rank(y)] == j:
-                        independent = False
-                        break
-                if not independent:
-                    break
-            if not independent:
-                break
+        class_of = {x: j for j, members in enumerate(classes) for x in members}
+        # a partition lists every member once and nothing else
+        total = sum(len(members) for members in classes)
+        partition = total == len(class_of) == dom.size and all(
+            x in dom for x in class_of
+        )
+        independent = partition and _independent(class_of, n)
         largest = len(classes[best])
         big_enough = largest * n >= dom.size
         return _case(
@@ -200,6 +185,19 @@ class JohnsonIndependent(Experiment):
             {"min_largest_times_n": dom.size},
             partition and independent and big_enough,
         )
+
+
+def _independent(class_of: dict[int, int], n: int) -> bool:
+    """True when no transposition (swap a 1 with a 0) stays in a class."""
+    for x, j in class_of.items():
+        holes = [1 << b for b in range(n) if not x >> b & 1]
+        for a in range(n):
+            if x >> a & 1:
+                xa = x ^ (1 << a)
+                for hole in holes:
+                    if class_of[xa | hole] == j:
+                        return False
+    return True
 
 
 class KmlCount(Experiment):

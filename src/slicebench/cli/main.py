@@ -142,11 +142,13 @@ def _cmd_measure(args) -> int:
 
 def _cmd_match(args) -> int:
     f, ref = _load_function(args)
-    name, params = parse_spec(args.algorithm, "algorithm")
-    alg = build(ALGORITHMS, "algorithm", name, params, f=f)
+    # the adversary first: building the optimal algorithm solves exact depth,
+    # so a bad adversary spec is reported before that work
     # fixed:x=<bitstring> names a member, so x keeps its text
     name, params = parse_spec(args.adversary, "adversary", text_keys=("x",))
     adv = build(ADVERSARIES, "adversary", name, params, f=f, seed=args.seed)
+    name, params = parse_spec(args.algorithm, "algorithm")
+    alg = build(ALGORITHMS, "algorithm", name, params, f=f)
     transcript = run_match(alg, adv, f, budget=args.budget)
     lines = []
     for i, (position, answer) in enumerate(transcript.pairs):

@@ -35,27 +35,25 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     dom = f.domain
     members = member_masks(dom)
     table = f.table
-    if x is not None:
-        return _certificate_at(f, members, table, dom.rank(x))
+    scan = range(len(members)) if x is None else [dom.rank(x)]
     best = -1
-    witness = None
-    for r in range(len(members)):
-        v, w = _certificate_at(f, members, table, r)
+    for r in scan:
+        v, mask = _certificate_at(dom.n, members, table, r)
         if v > best:
-            best, witness = v, w
-    return best, witness
+            best, arg, arg_mask = v, members[r], mask
+    a = Assignment(zeros=arg_mask & ~arg, ones=arg_mask & arg)
+    w = {"input": mask_to_string(arg, dom.n)}
+    w.update(a.to_json_obj())
+    return best, w
 
 
-def _certificate_at(f, members, table, r):
+def _certificate_at(n, members, table, r):
+    """(C(f, x), the mask of x's certificate positions) for x = members[r]."""
     xm = members[r]
     diffs = [xm ^ members[j] for j in range(len(members)) if table[j] != table[r]]
     if not diffs:
-        return 0, {"input": mask_to_string(xm, f.domain.n), "zeros": [], "ones": []}
-    size, mask = min_hitting_set(diffs, f.domain.n)
-    a = Assignment(zeros=mask & ~xm, ones=mask & xm)
-    w = {"input": mask_to_string(xm, f.domain.n)}
-    w.update(a.to_json_obj())
-    return size, w
+        return 0, 0
+    return min_hitting_set(diffs, n)
 
 
 # -- unambiguous certificates --------------------------------------------------

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from ..errors import ResourceCapError
 from ..kernels import max_bipartite_matching, max_disjoint_packing, minimal_masks
-from ..slicecore import LabeledFunction, mask_to_string, member_masks
+from ..slicecore import (
+    LabeledFunction,
+    mask_positions,
+    mask_to_string,
+    member_masks,
+    member_ranks,
+)
 
 _DEFAULT_BLOCK_CAP = 20000
 
@@ -20,43 +26,56 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
     """s(f) or s(f, x); returns (value, witness).
 
     Slice witness: {"input", "swaps": [[one_pos, zero_pos], ...]}.
-    Cube and explicit witness: {"input", "positions": [...]}.
+    Cube and explicit witness: {"input", "positions": [...]}.  The max mode
+    reports the lowest-rank input attaining the maximum.
     """
-    if x is not None:
-        f.domain.rank(x)
-        return _sensitivity_at(f, x)
-    best = -1
-    witness = None
-    for xm in f.domain.members():
-        v, w = _sensitivity_at(f, xm)
-        if v > best:
-            best, witness = v, w
-    return best, witness
-
-
-def _sensitivity_at(f: LabeledFunction, xm: int):
     dom = f.domain
-    fx = f.evaluate(xm)
+    ranks, table = member_ranks(dom), f.table
+    if x is not None:
+        dom.rank(x)
+        v, found = _sensitivity_at(dom, ranks, table, x)
+        return v, _sensitivity_witness(dom, x, found)
+    best = -1
+    arg = found_best = None
+    for xm in dom.members():
+        v, found = _sensitivity_at(dom, ranks, table, xm)
+        if v > best:
+            best, arg, found_best = v, xm, found
+    return best, _sensitivity_witness(dom, arg, found_best)
+
+
+def _sensitivity_at(dom, ranks, table, xm):
+    """(s(f, xm), its sensitive swap pairs or flip positions)."""
+    fx = table[ranks[xm]]
     if dom.kind == "slice":
-        one_pos = [p for p in range(dom.n) if xm >> p & 1]
+        one_pos = mask_positions(xm)
+        zero_bits = [1 << j for j in range(dom.n) if not xm >> j & 1]
         zero_mask_by_one: dict[int, int] = {}
         for i in one_pos:
-            for j in range(dom.n):
-                if xm >> j & 1:
-                    continue
-                if f.evaluate(xm ^ (1 << i) ^ (1 << j)) != fx:
-                    zero_mask_by_one[i] = zero_mask_by_one.get(i, 0) | 1 << j
-        size, pairs = max_bipartite_matching(one_pos, zero_mask_by_one)
-        w = {"input": mask_to_string(xm, dom.n), "swaps": [[i, j] for i, j in pairs]}
-        return size, w
+            xi = xm ^ (1 << i)
+            hits = 0
+            for b in zero_bits:
+                if table[ranks[xi | b]] != fx:
+                    hits |= b
+            if hits:
+                zero_mask_by_one[i] = hits
+        return max_bipartite_matching(one_pos, zero_mask_by_one)
     positions = []
     for p in range(dom.n):
+        # explicit domains skip flips that leave the domain
         y = xm ^ (1 << p)
-        if dom.kind == "explicit" and y not in dom:
-            continue
-        if f.evaluate(y) != fx:
+        if y in ranks and table[ranks[y]] != fx:
             positions.append(p)
-    return len(positions), {"input": mask_to_string(xm, dom.n), "positions": positions}
+    return len(positions), positions
+
+
+def _sensitivity_witness(dom, xm, found):
+    w = {"input": mask_to_string(xm, dom.n)}
+    if dom.kind == "slice":
+        w["swaps"] = [[i, j] for i, j in found]
+    else:
+        w["positions"] = found
+    return w
 
 
 def block_sensitivity(
@@ -73,20 +92,19 @@ def block_sensitivity(
     transposition-only variant).  Witness: {"input", "blocks": [[pos...]]}.
     """
     dom = f.domain
-    ranks = range(dom.size) if x is None else [dom.rank(x)]
+    scan = range(dom.size) if x is None else [dom.rank(x)]
     members, table = member_masks(dom), f.table
     best = -1
-    witness = None
-    for r in ranks:
-        v, w = _block_sensitivity_at(
-            dom.n, members, table, r, max_block_size, block_cap
-        )
+    arg = chosen_best = None
+    for r in scan:
+        v, chosen = _block_sensitivity_at(members, table, r, max_block_size, block_cap)
         if v > best:
-            best, witness = v, w
-    return best, witness
+            best, arg, chosen_best = v, members[r], chosen
+    blocks = [mask_positions(m) for m in chosen_best]
+    return best, {"input": mask_to_string(arg, dom.n), "blocks": blocks}
 
 
-def _block_sensitivity_at(n, members, table, r, max_block_size, block_cap):
+def _block_sensitivity_at(members, table, r, max_block_size, block_cap):
     xm = members[r]
     fx = table[r]
     masks = []
@@ -101,6 +119,4 @@ def _block_sensitivity_at(n, members, table, r, max_block_size, block_cap):
         raise ResourceCapError(
             f"{len(minimal)} minimal blocks exceed the packing cap {block_cap}"
         )
-    count, chosen = max_disjoint_packing(minimal)
-    blocks = [[p for p in range(n) if m >> p & 1] for m in chosen]
-    return count, {"input": mask_to_string(xm, n), "blocks": blocks}
+    return max_disjoint_packing(minimal)

@@ -7,8 +7,11 @@ slices, numeric for the cube, list order for explicit domains) and expose
 rank/unrank between members and table indices.
 
 Small domains are enumerated once per domain value: equal domains share one
-member tuple and one set of position bitsets (member_masks,
-position_rank_bitsets), and only the last few are kept.
+view holding the member tuple (member_masks), the per-position rank bitsets
+(position_rank_bitsets) and the mask-to-rank index (member_ranks), and only
+the last few views are kept.  Neighbour loops read a label as
+table[ranks[y]] through that index; cubes index by range(size), explicit
+domains by their own member dict, and larger slices by colex_rank.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -178,11 +181,7 @@ class Domain:
             raise MembershipError(
                 f"{mask_to_string(mask, self.n)} not in {self.describe()}"
             )
-        if self.kind == "slice":
-            return colex_rank(mask)
-        if self.kind == "cube":
-            return mask
-        return self._explicit_index[mask]
+        return member_ranks(self)[mask]
 
     def unrank(self, r: int) -> int:
         if not 0 <= r < self.size:
@@ -335,7 +334,7 @@ class LabeledFunction:
         return self.alphabet[self.label_index(r)]
 
     def evaluate(self, mask: int) -> Label:
-        return self.label(self.domain.rank(mask))
+        return self.alphabet[self.table[self.domain.rank(mask)]]
 
     @cached_property
     def table(self) -> tuple[int, ...]:
@@ -374,11 +373,16 @@ class LabeledFunction:
 
 class _DomainView:
     """A domain's members in rank order, and its per-position rank bitsets
-    built on first use.  Equal small domains share one view."""
+    and mask-to-rank dict built on first use.  Equal small domains share
+    one view."""
 
     def __init__(self, dom: Domain):
         self.n = dom.n
         self.members = tuple(dom._enumerate())
+
+    @cached_property
+    def ranks(self) -> dict[int, int]:
+        return {x: r for r, x in enumerate(self.members)}
 
     @cached_property
     def position_bitsets(self) -> tuple[int, ...]:
@@ -408,6 +412,29 @@ def member_masks(dom: Domain) -> tuple[int, ...]:
 def position_rank_bitsets(dom: Domain) -> tuple[int, ...]:
     """Per position p, the bitset of member ranks whose bit p is set."""
     return _view(dom).position_bitsets
+
+
+class _ColexRanks:
+    """colex_rank as a read-only mapping, for slices too large to index."""
+
+    def __getitem__(self, mask: int) -> int:
+        return colex_rank(mask)
+
+
+def member_ranks(dom: Domain) -> Mapping[int, int]:
+    """The rank of each member of dom, looked up by mask.
+
+    Only members may be looked up: a non-member raises KeyError or
+    IndexError, or gets a meaningless rank from a large slice.  The cube
+    and explicit indexes also answer `in` for any mask of n bits.
+    """
+    if dom.kind == "cube":
+        return range(dom.size)
+    if dom.kind == "explicit":
+        return dom._explicit_index
+    if dom.size <= _VIEW_MAX_SIZE:
+        return _cached_view(dom).ranks
+    return _ColexRanks()
 
 
 def label_rank_bitsets(f: LabeledFunction) -> tuple[int, ...]:
@@ -526,9 +553,8 @@ def restrict(f: LabeledFunction, a: Assignment) -> LabeledFunction:
         return f
     sub = _residual_domain(dom, a)
     rp = residual_positions(dom.n, a)
-    idx = [
-        f.label_index(dom.rank(expand_member(y, rp, a))) for y in sub.members()
-    ]
+    ranks, table = member_ranks(dom), f.table
+    idx = [table[ranks[expand_member(y, rp, a)]] for y in sub.members()]
     return LabeledFunction.from_indices(sub, f.alphabet, idx)
 
 
@@ -539,7 +565,8 @@ def complement_domain(f: LabeledFunction) -> LabeledFunction:
         raise DomainError("complement_domain needs a slice domain")
     full = (1 << dom.n) - 1
     sub = Domain.slice(dom.n, dom.n - dom.k)
-    idx = [f.label_index(dom.rank(x ^ full)) for x in sub.members()]
+    ranks, table = member_ranks(dom), f.table
+    idx = [table[ranks[x ^ full]] for x in sub.members()]
     return LabeledFunction.from_indices(sub, f.alphabet, idx)
 
 

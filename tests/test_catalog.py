@@ -7,6 +7,7 @@ import pytest
 from oracles import minimax_depth, sensitivity_max
 from slicebench.catalog import (
     REGISTRY,
+    build,
     compose_symmetric,
     graham_sloane,
     kml_cardinality,
@@ -235,3 +236,23 @@ def test_construction_build_errors_name_the_keys():
     with pytest.raises(DomainError) as err:
         parse_construction("nope").build()
     assert str(err.value).endswith(", ".join(REGISTRY))
+
+
+def test_build_passes_lists_only_to_list_parameters():
+    f = parse_construction("compose:fsym=0-1-1,gsym=0-0-1,k=2").build()
+    direct = compose_symmetric((0, 1, 1), (0, 0, 1), 2)
+    assert canonical_function_bytes(f) == canonical_function_bytes(direct)
+    with pytest.raises(DomainError, match="symmetric specs need at least 2 entries"):
+        parse_construction("compose:fsym=1,gsym=0-1,k=1").build()
+    three = parse_construction("random:n=4,k=2,seed=1,alphabet=0-1-2").build()
+    assert three.alphabet == (0, 1, 2)
+    with pytest.raises(DomainError, match="parameter 'seed' takes one int, not 1-2"):
+        parse_construction("random:n=4,k=2,seed=1-2").build()
+
+
+def test_a_type_error_inside_a_builder_is_not_an_input_error():
+    def broken(k):
+        return len(k)
+
+    with pytest.raises(TypeError):
+        build({"broken": broken}, "construction", "broken", {"k": 1})

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import slicebench
+import slicebench.cli.experiments as experiments
 import slicebench.cli.main as cli_main
+from slicebench.catalog import graham_sloane
 from slicebench.cli.main import main
 from slicebench.errors import AdversaryExhaustedError, EmptyRestrictionError
 
@@ -309,6 +311,22 @@ def test_experiment_override_validation(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("extra", ["repeat", "outsider"])
+def test_johnson_independent_fails_classes_that_are_not_a_partition(monkeypatch, extra):
+    def broken(n, k):
+        classes, best, f = graham_sloane(n, k)
+        lost = classes[0].pop()
+        # keep the count equal: one member twice, or a string off the slice
+        classes[1].append(classes[1][0] if extra == "repeat" else lost | 1 << n)
+        return classes, best, f
+
+    monkeypatch.setattr(experiments, "graham_sloane", broken)
+    case = experiments.JohnsonIndependent().run_case({}, "n=06,k=02")
+    assert case["pass"] is False
+    monkeypatch.undo()
+    assert experiments.JohnsonIndependent().run_case({}, "n=06,k=02")["pass"] is True
+
+
 def test_experiment_spec_flag_is_exclusive(capsys, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"name": "kml-count", "params": {"rs": [3]}}))
@@ -406,6 +424,8 @@ _MATCH = ("match", "--construct", "eq:k=1")
         ("construct", "eq:k=x"),
         ("construct", "eq:k=1-x"),
         ("construct", "eq:k=1-2"),
+        ("construct", "gs:n=1-2,k=1"),
+        ("construct", "rubinstein-variant:n=-1"),
         ("construct", "eq:z=1"),
         ("construct", "gs:n=6"),
         ("construct", "nope:k=1"),
@@ -445,6 +465,31 @@ def test_malformed_specs_exit_with_the_input_code(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "input"
     assert "Traceback" not in err and "<lambda>" not in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "spec, key", [("eq:k=1-2", "k"), ("gs:n=1-2,k=1", "n"), ("gs:n=6,k=2-3", "k")]
+)
+def test_a_list_for_a_one_int_parameter_names_the_key(capsys, spec, key):
+    code, out, err = run(capsys, "construct", spec)
+    assert (code, out) == (4, "")
+    message = json.loads(err)["message"]
+    assert f"parameter {key!r} takes one int" in message
+
+
+def test_a_bad_adversary_is_reported_before_the_optimal_algorithm_solves(
+    capsys, monkeypatch
+):
+    from slicebench.measures.depth import DepthSolver
+
+    def refuse(self):
+        raise AssertionError("the algorithm was built before the adversary")
+
+    monkeypatch.setattr(DepthSolver, "solve", refuse)
+    argv = ("match", "--construct", "ed:k=4,l=3", "--algorithm", "optimal")
+    code, out, err = run(capsys, *argv, "--adversary", "nope")
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "input"
 
 
 @pytest.mark.parametrize(

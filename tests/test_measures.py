@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    block_sensitivity_at,
     block_sensitivity_max,
+    certificate_at,
     certificate_max,
     degree_oracle,
     minimax_depth,
     mono_number_oracle,
+    sensitivity_at,
     sensitivity_max,
 )
 from slicebench.catalog import (
@@ -57,6 +60,7 @@ from slicebench.slicecore import (
     LabeledFunction,
     SliceGraph,
     from_graph,
+    mask_to_string,
     string_to_mask,
 )
 
@@ -381,3 +385,31 @@ def small_functions(draw):
 @given(small_functions())
 def test_exact_depth_matches_minimax_oracle(f):
     assert exact_depth(f) == minimax_depth(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions())
+def test_sensitivity_matches_oracle_and_verifies(f):
+    value, witness = sensitivity(f)
+    assert value == sensitivity_max(f)
+    verify_entry(f, "s", {"value": value, "witness": witness})
+    # the witness is the lowest-rank input attaining the maximum
+    first = next(x for x in f.domain.members() if sensitivity_at(f, x) == value)
+    assert witness["input"] == mask_to_string(first, f.domain.n)
+    for x in f.domain.members():
+        vx, wx = sensitivity(f, x)
+        assert vx == sensitivity_at(f, x)
+        verify_entry(f, "s", {"value": vx, "witness": wx})
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_functions())
+def test_max_mode_witnesses_name_the_lowest_rank_maximizer(f):
+    for name, fn, at in (
+        ("C", certificate_complexity, certificate_at),
+        ("bs", block_sensitivity, block_sensitivity_at),
+    ):
+        value, witness = fn(f)
+        verify_entry(f, name, {"value": value, "witness": witness})
+        first = next(x for x in f.domain.members() if at(f, x) == value)
+        assert witness["input"] == mask_to_string(first, f.domain.n)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from slicebench import slicecore
 from slicebench.errors import DomainError, EmptyRestrictionError, MembershipError
+from slicebench.measures.sensitivity import sensitivity
 from slicebench.slicecore import (
     BOOLEAN,
     Assignment,
@@ -25,6 +26,7 @@ from slicebench.slicecore import (
     lift_assignment,
     mask_to_string,
     member_masks,
+    member_ranks,
     position_rank_bitsets,
     residual_positions,
     restrict,
@@ -239,6 +241,55 @@ def test_single_label_check_matches_a_label_scan(drawn, data):
     labels = {table[r] for r in range(dom.size) if S >> r & 1}
     assert f.is_single_label(S) == (len(labels) == 1)
     assert label_rank_bitsets(f) is f.label_bitsets
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_domains(), st.data())
+def test_rank_index_matches_enumeration_order(drawn, data):
+    dom, expected = drawn
+    for _ in range(2):  # the second pass reads the cached index
+        ranks = member_ranks(dom)
+        for r, x in enumerate(member_masks(dom)):
+            assert ranks[x] == dom.rank(x) == r == expected.index(x)
+            if dom.kind == "slice":
+                assert r == colex_rank(x)
+    outside = data.draw(
+        st.integers(-1, 1 << (dom.n + 1)).filter(lambda x: x not in expected)
+    )
+    with pytest.raises(MembershipError):
+        dom.rank(outside)
+    f = LabeledFunction.from_indices(dom, BOOLEAN, [r & 1 for r in range(dom.size)])
+    with pytest.raises(MembershipError):
+        sensitivity(f, outside)
+
+
+def test_slice_above_view_limit_ranks_through_colex_rank(monkeypatch):
+    dom = Domain.slice(40, 4)
+    assert dom.size > slicecore._VIEW_MAX_SIZE
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return colex_rank(mask)
+
+    monkeypatch.setattr(slicecore, "colex_rank", counted)
+    before = slicecore._cached_view.cache_info()
+    for r in (0, 1, 12345, dom.size - 1):
+        x = colex_unrank(r, 40, 4)
+        assert dom.rank(x) == member_ranks(dom)[x] == r
+    assert len(calls) == 8
+    with pytest.raises(MembershipError):
+        dom.rank(0b111)
+    after = slicecore._cached_view.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_rank_index_of_cubes_and_explicit_domains_adds_no_table():
+    cube = Domain.cube(5)
+    assert member_ranks(cube) == range(32)
+    dom = Domain.explicit(3, [0b101, 0b000, 0b011])
+    assert member_ranks(dom) is dom._explicit_index
+    assert member_ranks(Domain.slice(6, 3)) is member_ranks(Domain.slice(6, 3))
 
 
 def test_equal_domains_share_one_view():
