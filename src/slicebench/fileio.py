@@ -150,10 +150,3 @@ def graph_from_text(text: str) -> SliceGraph:
         raise FormatError('graph file must start with "n <vertices>"')
     return SliceGraph.from_edges(n, edges)
 
-
-def write_graph(g: SliceGraph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_text(g))
-
-
-def read_graph(path: str | Path) -> SliceGraph:
-    return graph_from_text(Path(path).read_text())

@@ -1,11 +1,13 @@
 """Exact decision-tree depth.
 
 The solver runs memoized alpha-beta over game states (sets of still-possible
-inputs, keyed by the masks of answered positions).  Iterative deepening with
-unit windows keeps most probes cheap; the transposition table stores [lo, hi]
-bounds per state and survives across probes.  Fail-soft convention: a return
-value v means the true value is exactly v when alpha < v < beta, at most v
-when v <= alpha, and at least v when v >= beta.
+inputs, fixed by the positions answered 0 and those answered 1).  Iterative
+deepening with unit windows keeps most probes cheap; the transposition table
+survives across probes.  It maps a state's key, the one int
+``zeros | ones << n`` of its answer masks, to its proven bounds packed into
+one int, ``hi << width | lo``.  Fail-soft convention: a return value v means
+the true value is exactly v when alpha < v < beta, at most v when
+v <= alpha, and at least v when v >= beta.
 
 A state being expanded checks each child it tries for a single label and
 probes the child's TT entry (creating it on a miss) before recursing, so
@@ -59,9 +61,13 @@ class DepthSolver:
                 self.free_hi[3:] = range(1, self.n - 1)
         else:
             self.free_hi = list(range(self.n + 1))
-        # state key: (zeros mask, ones mask) of answered positions; the live
-        # set is a function of the key, so the table is sound
-        self.tt: dict[tuple[int, int], list[int]] = {}
+        # state key: zeros | ones << n over the masks of positions answered 0
+        # and 1; the live set is a function of the key, so the table is
+        # sound.  Value: hi << width | lo.  No depth exceeds n, so width =
+        # n.bit_length() keeps lo out of hi.
+        self.width = self.n.bit_length()
+        self.lo_mask = (1 << self.width) - 1
+        self.tt: dict[int, int] = {}
         self.nodes = 0
 
     # -- state helpers -----------------------------------------------------
@@ -79,43 +85,49 @@ class DepthSolver:
         lo = (cnt - 1).bit_length()
         return lo if lo > 1 else 1
 
-    def _entry(self, S: int, zeros: int, ones: int) -> list[int]:
-        key = (zeros, ones)
-        ent = self.tt.get(key)
-        if ent is None:
+    def bounds(self, key: int) -> tuple[int, int]:
+        """Proven (lo, hi) of the state stored under key."""
+        packed = self.tt[key]
+        return packed & self.lo_mask, packed >> self.width
+
+    def _entry(self, S: int, key: int, nf: int) -> tuple[int, int]:
+        """Bounds of a state with nf free positions, made on a miss."""
+        if key not in self.tt:
             # a non-constant Boolean state has two labels, so lo = 1
             lo = 1 if self.is_boolean else self._label_lo(S)
-            hi = self.free_hi[self.n - (zeros | ones).bit_count()]
-            ent = self.tt[key] = [lo, min(hi, S.bit_count() - 1)]
-        return ent
+            hi = min(self.free_hi[nf], S.bit_count() - 1)
+            self.tt[key] = hi << self.width | lo
+        return self.bounds(key)
 
     # -- alpha-beta ---------------------------------------------------------
 
     def _expand(
         self,
         S: int,
-        zeros: int,
-        ones: int,
-        ent: list[int],
+        key: int,
+        lo: int,
+        hi: int,
         alpha: int,
         beta: int,
         c: int,
         nf: int,
     ) -> int:
-        """Search a state that its TT entry ent = [lo, hi] could not cut off.
+        """Search a state that its TT bounds lo and hi could not cut off.
 
-        c = |S| and nf is the number of free positions.  Each child is
-        checked for a single label and probed in the TT here, in the
-        parent, so only children that survive the cutoffs are expanded;
-        the two probes are written out in full because a call per child
-        is the cost this saves.
+        key is the state's TT key, c = |S| and nf is the number of free
+        positions; each tightened bound is written back to tt[key].  Each
+        child is checked for a single label and probed in the TT here, in
+        the parent, so only children that survive the cutoffs are
+        expanded; the two probes are written out in full because a call
+        per child is the cost this saves.
         """
         self.nodes += 1
+        n = self.n
         ones_at = self.ones_at
         # moves as (larger side's size, position bit, S1, |S1|): small
         # larger sides first, then low positions
         moves = []
-        free = ~(zeros | ones) & self.all_positions
+        free = ~(key | key >> n) & self.all_positions
         while free:
             bit = free & -free
             free ^= bit
@@ -125,15 +137,17 @@ class DepthSolver:
                 c0 = c - c1
                 moves.append((c0 if c0 > c1 else c1, bit, S1, c1))
         moves.sort()
-        lo, hi = ent
+        tt = self.tt
+        W = self.width
         if len(moves) < hi:
-            hi = ent[1] = len(moves)
+            hi = len(moves)
+            tt[key] = hi << W | lo
             if hi <= alpha:
                 return hi
             if lo == hi:
                 return lo
-        tt = self.tt
         tt_get = tt.get
+        M = self.lo_mask
         lbs = self.label_bitsets
         table = self.table
         boolean = self.is_boolean
@@ -149,11 +163,11 @@ class DepthSolver:
             c0 = c - c1
             # the larger side goes first
             if c0 >= c1:
-                X, xz, xo, xc = S0, zeros | bit, ones, c0
-                Y, yz, yo, yc = S1, zeros, ones | bit, c1
+                X, xk, xc = S0, key | bit, c0
+                Y, yk, yc = S1, key | bit << n, c1
             else:
-                X, xz, xo, xc = S1, zeros, ones | bit, c1
-                Y, yz, yo, yc = S0, zeros | bit, ones, c0
+                X, xk, xc = S1, key | bit << n, c1
+                Y, yk, yc = S0, key | bit, c0
             if boolean:
                 T = X & lb1
                 leaf = not T or T == X
@@ -162,14 +176,14 @@ class DepthSolver:
             if leaf:
                 v1 = 0
             else:
-                key = (xz, xo)
-                e = tt_get(key)
+                e = tt_get(xk)
                 if e is None:
-                    e = tt[key] = [
-                        1 if boolean else self._label_lo(X),
-                        hi_free if hi_free < xc else xc - 1,
-                    ]
-                elo, ehi = e
+                    elo = 1 if boolean else self._label_lo(X)
+                    ehi = hi_free if hi_free < xc else xc - 1
+                    tt[xk] = ehi << W | elo
+                else:
+                    elo = e & M
+                    ehi = e >> W
                 if elo >= cb:
                     v1 = elo
                 elif ehi <= ca:
@@ -177,7 +191,7 @@ class DepthSolver:
                 elif elo == ehi:
                     v1 = elo
                 else:
-                    v1 = self._expand(X, xz, xo, e, ca, cb, xc, nf)
+                    v1 = self._expand(X, xk, elo, ehi, ca, cb, xc, nf)
             if v1 >= cb:
                 if v1 + 1 < pruned:
                     pruned = v1 + 1
@@ -191,14 +205,14 @@ class DepthSolver:
             if leaf:
                 v2 = 0
             else:
-                key = (yz, yo)
-                e = tt_get(key)
+                e = tt_get(yk)
                 if e is None:
-                    e = tt[key] = [
-                        1 if boolean else self._label_lo(Y),
-                        hi_free if hi_free < yc else yc - 1,
-                    ]
-                elo, ehi = e
+                    elo = 1 if boolean else self._label_lo(Y)
+                    ehi = hi_free if hi_free < yc else yc - 1
+                    tt[yk] = ehi << W | elo
+                else:
+                    elo = e & M
+                    ehi = e >> W
                 if elo >= cb:
                     v2 = elo
                 elif ehi <= ya:
@@ -206,43 +220,46 @@ class DepthSolver:
                 elif elo == ehi:
                     v2 = elo
                 else:
-                    v2 = self._expand(Y, yz, yo, e, ya, cb, yc, nf)
+                    v2 = self._expand(Y, yk, elo, ehi, ya, cb, yc, nf)
             cost = 1 + (v2 if v2 > v1 else v1)
             if cost <= alpha:
-                if cost < ent[1]:
-                    ent[1] = cost
+                if cost < hi:
+                    tt[key] = cost << W | lo
                 return cost
             if cost < bcut:
                 best = cost
             elif cost < pruned:
                 pruned = cost
         if best < beta:
-            ent[0] = ent[1] = best
+            tt[key] = best << W | best
             return best
         v = best if best < pruned else pruned
-        if v > ent[1]:
+        if v > hi:
             raise AssertionError("state value crossed its proven upper bound")
-        if v > ent[0]:
-            ent[0] = v
+        if v > lo:
+            tt[key] = hi << W | v
         return v
 
     def _resolve(self, S: int, zeros: int, ones: int) -> int:
         """Exact value of a state via unit-window deepening."""
         if self.f.is_single_label(S):
             return 0
-        ent = self._entry(S, zeros, ones)
-        c = S.bit_count()
+        key = zeros | ones << self.n
         nf = self.n - (zeros | ones).bit_count()
+        d, hi = self._entry(S, key, nf)
+        c = S.bit_count()
         while True:
-            d, hi = ent
             if hi <= d:
                 v = hi
             else:
-                v = self._expand(S, zeros, ones, ent, d - 1, d + 1, c, nf)
+                v = self._expand(S, key, d, hi, d - 1, d + 1, c, nf)
             if v == d:
                 return v
             if v < d:
                 raise AssertionError("search fell below an admissible bound")
+            d, hi = self.bounds(key)
+            if d < v:
+                raise AssertionError("a proven lower bound was lost")
 
     # -- packing hint at the root -------------------------------------------
 
@@ -293,11 +310,12 @@ class DepthSolver:
         S = self.full
         if self.f.is_single_label(S):
             return 0
-        if (0, 0) not in self.tt:
-            ent = self._entry(S, 0, 0)
-            ent[0] = max(ent[0], self._packing_hint())
-            if ent[0] > ent[1]:
+        if 0 not in self.tt:
+            lo, hi = self._entry(S, 0, self.n)
+            lo = max(lo, self._packing_hint())
+            if lo > hi:
                 raise AssertionError("root bounds crossed")
+            self.tt[0] = hi << self.width | lo
         return self._resolve(S, 0, 0)
 
     def build_tree(self) -> Tree:

@@ -242,11 +242,6 @@ class Assignment:
     def consistent_with(self, mask: int) -> bool:
         return (mask & self.ones) == self.ones and not (mask & self.zeros)
 
-    def union(self, other: "Assignment") -> "Assignment":
-        if (self.zeros & other.ones) or (self.ones & other.zeros):
-            raise DomainError("assignments conflict on a fixed position")
-        return Assignment(self.zeros | other.zeros, self.ones | other.ones)
-
     def positions(self) -> tuple[list[int], list[int]]:
         return (mask_positions(self.zeros), mask_positions(self.ones))
 
@@ -494,17 +489,6 @@ def expand_member(residual_mask: int, residual: Sequence[int], a: Assignment) ->
         if residual_mask >> j & 1:
             x |= 1 << p
     return x
-
-
-def lift_assignment(b: Assignment, residual: Sequence[int]) -> Assignment:
-    """Map an assignment on residual positions back to original positions."""
-    z = o = 0
-    for j, p in enumerate(residual):
-        if b.zeros >> j & 1:
-            z |= 1 << p
-        if b.ones >> j & 1:
-            o |= 1 << p
-    return Assignment(z, o)
 
 
 def _residual_domain(dom: Domain, a: Assignment) -> Domain:

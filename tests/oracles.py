@@ -8,8 +8,10 @@ from fractions import Fraction
 from itertools import combinations
 
 
-def minimax_depth(f):
-    """Worst-case optimal query count by plain game-tree recursion."""
+def minimax_depth(f, zeros=0, ones=0):
+    """Worst-case optimal query count by plain game-tree recursion, from the
+    state where the positions in the mask zeros were answered 0 and those in
+    ones were answered 1."""
     members = list(f.domain.members())
     labels = [f.evaluate(x) for x in members]
 
@@ -27,7 +29,10 @@ def minimax_depth(f):
                 best = cost
         return best
 
-    return solve(list(range(len(members))), frozenset(range(f.domain.n)))
+    live = [i for i, x in enumerate(members) if not x & zeros and x & ones == ones]
+    answered = zeros | ones
+    free = frozenset(p for p in range(f.domain.n) if not answered >> p & 1)
+    return solve(live, free)
 
 
 def certificate_at(f, x):

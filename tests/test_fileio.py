@@ -15,9 +15,7 @@ from slicebench.fileio import (
     graph_from_text,
     graph_to_text,
     read_function,
-    read_graph,
     write_function,
-    write_graph,
 )
 from slicebench.slicecore import BOOLEAN, Domain, LabeledFunction, SliceGraph
 
@@ -97,14 +95,11 @@ def test_padding_bits_rejected():
         function_from_json_obj({**good, "table": bytes(raw).hex()})
 
 
-def test_graph_text_round_trip(tmp_path):
+def test_graph_text_round_trip():
     g = SliceGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     text = graph_to_text(g)
     assert text.splitlines()[0] == "n 5"
     assert graph_from_text(text) == g
-    path = tmp_path / "g.txt"
-    write_graph(g, path)
-    assert read_graph(path) == g
     lonely = SliceGraph.empty(3)
     assert graph_from_text(graph_to_text(lonely)) == lonely
 

@@ -387,6 +387,31 @@ def test_exact_depth_matches_minimax_oracle(f):
     assert exact_depth(f) == minimax_depth(f)
 
 
+def _assert_tt_sound(f, solver):
+    """Each TT key splits into disjoint zeros/ones masks inside n bits, and
+    its packed bounds bracket that state's true depth, which is at least 1
+    because no single-label state is stored."""
+    n = f.domain.n
+    for key in solver.tt:
+        zeros, ones = key & ((1 << n) - 1), key >> n
+        assert ones >> n == 0 and not zeros & ones
+        lo, hi = solver.bounds(key)
+        assert 1 <= lo <= minimax_depth(f, zeros, ones) <= hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions())
+def test_tt_keys_decode_and_bounds_bracket_the_true_depth(f):
+    solver = DepthSolver(f)
+    value = solver.solve()
+    if value:
+        # the root, keyed 0, is solved exactly
+        assert solver.bounds(0) == (value, value)
+    _assert_tt_sound(f, solver)
+    solver.build_tree()
+    _assert_tt_sound(f, solver)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_functions())
 def test_sensitivity_matches_oracle_and_verifies(f):

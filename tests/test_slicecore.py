@@ -23,7 +23,6 @@ from slicebench.slicecore import (
     from_graph,
     iter_colex_masks,
     label_rank_bitsets,
-    lift_assignment,
     mask_to_string,
     member_masks,
     member_ranks,
@@ -119,14 +118,6 @@ def test_assignment_basics():
     assert Assignment.of(zeros=[2], ones=[4]).is_balanced
     with pytest.raises(DomainError):
         Assignment.of(zeros=[1], ones=[1])
-
-
-def test_assignment_union():
-    a = Assignment.of(zeros=[0])
-    b = Assignment.of(ones=[2])
-    assert a.union(b) == Assignment.of(zeros=[0], ones=[2])
-    with pytest.raises(DomainError):
-        a.union(Assignment.of(ones=[0]))
 
 
 def test_labeled_function_constructors_agree():
@@ -364,14 +355,6 @@ def test_restrict_empty_raises():
     f = LabeledFunction.from_callable(Domain.slice(4, 2), lambda x: 0, BOOLEAN)
     with pytest.raises(EmptyRestrictionError):
         restrict(f, Assignment.of(ones=[0, 1, 2]))
-
-
-def test_lift_assignment_round_trip():
-    a = Assignment.of(zeros=[1], ones=[4])
-    residual = residual_positions(5, a)
-    b = Assignment.of(zeros=[0], ones=[2])
-    lifted = lift_assignment(b, residual)
-    assert lifted.positions() == ([0], [3])
 
 
 def test_complement_domain_flips_members():
