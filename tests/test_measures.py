@@ -412,6 +412,34 @@ def test_tt_keys_decode_and_bounds_bracket_the_true_depth(f):
     _assert_tt_sound(f, solver)
 
 
+def _parity(n):
+    return LabeledFunction.from_callable(
+        Domain.cube(n), lambda x: x.bit_count() & 1, BOOLEAN
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8])
+def test_tt_width_holds_a_depth_of_n(n):
+    """Parity on the n-cube has depth n, the largest bound the table stores;
+    n = 3, 7 fill n.bit_length() bits and n = 4, 8 need a fresh one."""
+    solver = DepthSolver(_parity(n))
+    assert solver.solve() == n
+    assert solver.bounds(0) == (n, n)
+    assert all(1 <= lo <= hi <= n for lo, hi in map(solver.bounds, solver.tt))
+
+
+def test_resolve_raises_when_a_lower_bound_is_lost():
+    solver = DepthSolver(_parity(4))
+
+    def expand_without_storing(S, key, lo, hi, alpha, beta, c, nf):
+        # reports a value above the window but never raises tt[key]
+        return lo + 1
+
+    solver._expand = expand_without_storing
+    with pytest.raises(AssertionError, match="lower bound was lost"):
+        solver._resolve(solver.full, 0, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_functions())
 def test_sensitivity_matches_oracle_and_verifies(f):
