@@ -1,4 +1,4 @@
-"""On-disk formats: function files (JSON) and graph files (plain text).
+"""On-disk format of function files (JSON).
 
 Function file keys: "n", "kind" ("slice" | "cube" | "explicit"), "k" for
 slices, "members" (bit strings, rank order) for explicit domains,
@@ -6,8 +6,6 @@ slices, "members" (bit strings, rank order) for explicit domains,
 tables are bit-packed, low bit of each byte first).  An optional
 "construction" object carries provenance and never affects identity: cache
 keys hash only the core fields.
-
-Graph file: first line "n <vertices>", then one "u v" edge per line.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .errors import FormatError
 from .slicecore import (
     Domain,
     LabeledFunction,
-    SliceGraph,
     mask_to_string,
     string_to_mask,
 )
@@ -113,40 +110,4 @@ def canonical_function_bytes(f: LabeledFunction) -> bytes:
     """Identity bytes for caching: core fields only, canonical JSON."""
     obj = function_to_json_obj(f)
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-
-
-# -- graphs -----------------------------------------------------------------------
-
-
-def graph_to_text(g: SliceGraph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> SliceGraph:
-    n = None
-    edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
-                raise FormatError('graph file must start with "n <vertices>"', lineno)
-            n = int(parts[1])
-            continue
-        if len(parts) != 2:
-            raise FormatError(f"expected an edge line, got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"edge endpoints must be integers: {line!r}", lineno) from None
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise FormatError(f"edge {u} {v} invalid on {n} vertices", lineno)
-        edges.append((u, v))
-    if n is None:
-        raise FormatError('graph file must start with "n <vertices>"')
-    return SliceGraph.from_edges(n, edges)
 

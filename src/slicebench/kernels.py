@@ -25,10 +25,12 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def min_hitting_set(masks: Sequence[int], n: int) -> tuple[int, int]:
+def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int, int]:
     """Smallest set of positions meeting every mask.
 
-    Returns (size, chosen_positions_mask).  Masks must be nonzero.
+    Returns (size, chosen_positions_mask).  Masks must be nonzero.  When the
+    greedy hitting set has at most cutoff positions it is returned as is:
+    the minimum is then at most cutoff too, but may be smaller.
     """
     # hitting a subset hits the superset, so only minimal masks matter
     minimal = minimal_masks(masks)
@@ -38,6 +40,8 @@ def min_hitting_set(masks: Sequence[int], n: int) -> tuple[int, int]:
         raise ValueError("empty mask cannot be hit")
 
     best_size, best_mask = _greedy_hitting(minimal, n)
+    if best_size <= cutoff:
+        return best_size, best_mask
     state = {"size": best_size, "mask": best_mask}
 
     def packing_bound(rem: list[int]) -> int:
@@ -93,19 +97,22 @@ def max_disjoint_packing(masks: Sequence[int]) -> tuple[int, list[int]]:
     if work and work[0] == 0:
         raise ValueError("zero mask in packing instance")
     best: list[int] = []
+    # tail[j] is the union of work[j:]; the masks there have at least
+    # |work[j]| positions each, so at most |tail[j] & ~used| // |work[j]| fit
+    tail = [0] * (len(work) + 1)
+    for j in range(len(work) - 1, -1, -1):
+        tail[j] = tail[j + 1] | work[j]
 
     def go(idx: int, used: int, chosen: list[int]) -> None:
         nonlocal best
         if len(chosen) > len(best):
             best = list(chosen)
-        rem = len(work) - idx
-        if len(chosen) + rem <= len(best):
-            return
         for j in range(idx, len(work)):
             m = work[j]
             if m & used:
                 continue
-            if len(chosen) + 1 + (len(work) - j - 1) <= len(best):
+            room = (tail[j] & ~used).bit_count() // m.bit_count()
+            if len(chosen) + min(room, len(work) - j) <= len(best):
                 break
             chosen.append(m)
             go(j + 1, used | m, chosen)

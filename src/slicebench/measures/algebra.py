@@ -1,10 +1,15 @@
-"""Polynomial degree of Boolean functions over the rationals.
+"""Polynomial degree of Boolean functions over the rationals, by domain kind.
 
-On a cube the multilinear representation is unique, so the degree falls out
-of a subset Mobius transform.  On slices and explicit domains many
-polynomials agree with f, so the degree is the least d for which the value
-vector lies in the span of the monomial indicator vectors of degree at most
-d; span membership runs fraction-free over the integers.
+- Cube: the multilinear representation is unique, so the degree falls out
+  of a subset Mobius transform, which also names a top monomial.
+- Slice(n, k): the functions of degree <= d are exactly the first d + 1
+  eigenspaces V_0, ..., V_d of the Johnson graph J(n, k), on which the
+  adjacency operator A acts as lambda_d = (k - d)(n - k - d) - d, and
+  d <= min(k, n - k).  These eigenvalues are distinct, so f has degree <= d
+  iff (A - lambda_0)...(A - lambda_d) f = 0: a few integer mat-vecs.
+- Explicit domains: the least d for which the value vector lies in the span
+  of the monomial indicator vectors of degree at most d; span membership
+  runs fraction-free over the integers.
 """
 
 from __future__ import annotations
@@ -13,7 +18,13 @@ from itertools import combinations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import SpanBasis
-from ..slicecore import Domain, LabeledFunction, member_masks
+from ..slicecore import (
+    Domain,
+    LabeledFunction,
+    mask_positions,
+    member_masks,
+    member_ranks,
+)
 
 _DEG_MAX_SIZE = 1 << 14
 
@@ -33,6 +44,8 @@ def degree(f: LabeledFunction):
         raise ResourceCapError(f"degree capped at domain size <= {_DEG_MAX_SIZE}")
     if f.domain.kind == "cube":
         return _degree_cube(f)
+    if f.domain.kind == "slice":
+        return _degree_slice(f)
     return _degree_span(f)
 
 
@@ -51,6 +64,25 @@ def _degree_cube(f: LabeledFunction):
             deg = m.bit_count()
             mono = m
     return deg, {"monomial": [p for p in range(n) if mono >> p & 1]}
+
+
+def _degree_slice(f: LabeledFunction):
+    dom = f.domain
+    n, k = dom.n, dom.k
+    ranks = member_ranks(dom)
+    # Johnson neighbours of x: swap one of its 1s with one of its 0s
+    near = []
+    for x in member_masks(dom):
+        ones = [x ^ 1 << p for p in mask_positions(x)]
+        zeros = [1 << p for p in range(n) if not x >> p & 1]
+        near.append([ranks[y | b] for y in ones for b in zeros])
+    h = list(f.table)
+    for d in range(min(k, n - k) + 1):
+        lam = (k - d) * (n - k - d) - d
+        h = [sum(map(h.__getitem__, adj)) - lam * v for adj, v in zip(near, h)]
+        if not any(h):
+            return d, None
+    raise AssertionError("V_0, ..., V_min(k, n-k) span every function on the slice")
 
 
 def _degree_span(f: LabeledFunction):

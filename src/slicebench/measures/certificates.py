@@ -38,7 +38,7 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     scan = range(len(members)) if x is None else [dom.rank(x)]
     best = -1
     for r in scan:
-        v, mask = _certificate_at(dom.n, members, table, r)
+        v, mask = _certificate_at(dom.n, members, table, r, best)
         if v > best:
             best, arg, arg_mask = v, members[r], mask
     a = Assignment(zeros=arg_mask & ~arg, ones=arg_mask & arg)
@@ -47,13 +47,15 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     return best, w
 
 
-def _certificate_at(n, members, table, r):
-    """(C(f, x), the mask of x's certificate positions) for x = members[r]."""
+def _certificate_at(n, members, table, r, beat):
+    """(C(f, x), the mask of x's certificate positions) for x = members[r].
+    A value at most beat may be the size of a larger certificate than x's
+    least, which the caller's max never needs."""
     xm = members[r]
     diffs = [xm ^ members[j] for j in range(len(members)) if table[j] != table[r]]
     if not diffs:
         return 0, 0
-    return min_hitting_set(diffs, n)
+    return min_hitting_set(diffs, n, beat)
 
 
 # -- unambiguous certificates --------------------------------------------------

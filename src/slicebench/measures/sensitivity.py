@@ -97,23 +97,31 @@ def block_sensitivity(
     best = -1
     arg = chosen_best = None
     for r in scan:
-        v, chosen = _block_sensitivity_at(members, table, r, max_block_size, block_cap)
-        if v > best:
-            best, arg, chosen_best = v, members[r], chosen
+        found = _block_sensitivity_at(members, table, r, max_block_size, block_cap, best)
+        if found is not None and found[0] > best:
+            best, arg, chosen_best = found[0], members[r], found[1]
     blocks = [mask_positions(m) for m in chosen_best]
     return best, {"input": mask_to_string(arg, dom.n), "blocks": blocks}
 
 
-def _block_sensitivity_at(members, table, r, max_block_size, block_cap):
+def _block_sensitivity_at(members, table, r, max_block_size, block_cap, beat):
+    """(bs(f, x), its blocks) for x = members[r], or None when bs(f, x) <= beat
+    is plain from the blocks' union and smallest size without packing them."""
     xm = members[r]
     fx = table[r]
     masks = []
+    union = 0
     for ym, label in zip(members, table):
         if label == fx:
             continue
         m = xm ^ ym
         if max_block_size is None or m.bit_count() <= max_block_size:
             masks.append(m)
+            union |= m
+    least = min(map(int.bit_count, masks), default=1)
+    # the cap counts minimal blocks, so a skip under this raw count hides no cap
+    if len(masks) <= block_cap and union.bit_count() // least <= beat:
+        return None
     minimal = minimal_masks(masks)
     if len(minimal) > block_cap:
         raise ResourceCapError(

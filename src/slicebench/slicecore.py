@@ -599,14 +599,6 @@ class SliceGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in mask_positions(row):
-                out.append((u, v))
-        return out
-
     def complement(self) -> "SliceGraph":
         full = (1 << self.n) - 1
         return SliceGraph(

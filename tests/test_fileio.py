@@ -1,4 +1,4 @@
-"""Function and graph files, canonical bytes, and the result cache."""
+"""Function files, canonical bytes, and the result cache."""
 
 import json
 
@@ -12,12 +12,10 @@ from slicebench.fileio import (
     canonical_function_bytes,
     function_from_json_obj,
     function_to_json_obj,
-    graph_from_text,
-    graph_to_text,
     read_function,
     write_function,
 )
-from slicebench.slicecore import BOOLEAN, Domain, LabeledFunction, SliceGraph
+from slicebench.slicecore import BOOLEAN, Domain, LabeledFunction
 
 
 @pytest.mark.parametrize(
@@ -93,26 +91,6 @@ def test_padding_bits_rejected():
     raw[-1] |= 0x80
     with pytest.raises(FormatError):
         function_from_json_obj({**good, "table": bytes(raw).hex()})
-
-
-def test_graph_text_round_trip():
-    g = SliceGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    text = graph_to_text(g)
-    assert text.splitlines()[0] == "n 5"
-    assert graph_from_text(text) == g
-    lonely = SliceGraph.empty(3)
-    assert graph_from_text(graph_to_text(lonely)) == lonely
-
-
-def test_graph_text_errors_carry_line_numbers():
-    with pytest.raises(FormatError) as err:
-        graph_from_text("n 5\n0 1\n0 not\n")
-    assert err.value.line == 3
-    with pytest.raises(FormatError):
-        graph_from_text("5\n0 1\n")
-    with pytest.raises(FormatError) as err:
-        graph_from_text("n 3\n0 3\n")
-    assert err.value.line == 2
 
 
 def test_cache_round_trip(tmp_path):

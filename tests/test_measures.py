@@ -27,8 +27,8 @@ from slicebench.catalog import (
     random_slice_function,
 )
 from slicebench.errors import DomainError, ResourceCapError, VerificationError
-from slicebench.kernels import minimal_masks
-from slicebench.measures.algebra import degree
+from slicebench.kernels import max_disjoint_packing, min_hitting_set, minimal_masks
+from slicebench.measures.algebra import _degree_slice, _degree_span, degree
 from slicebench.measures.bounds import (
     max_one_subcube_intersection,
     monochromatic_number,
@@ -57,9 +57,11 @@ from slicebench.measures.trees import (
 from slicebench.slicecore import (
     BOOLEAN,
     Domain,
+    Assignment,
     LabeledFunction,
     SliceGraph,
     from_graph,
+    mask_positions,
     mask_to_string,
     string_to_mask,
 )
@@ -466,3 +468,125 @@ def test_max_mode_witnesses_name_the_lowest_rank_maximizer(f):
         verify_entry(f, name, {"value": value, "witness": witness})
         first = next(x for x in f.domain.members() if at(f, x) == value)
         assert witness["input"] == mask_to_string(first, f.domain.n)
+
+
+@st.composite
+def slice_boolean_functions(draw):
+    """A Boolean function on slice(n, k), 2 <= n <= 8: constant, a single
+    point, or random."""
+    n = draw(st.integers(2, 8))
+    dom = Domain.slice(n, draw(st.integers(1, n - 1)))
+    shape = draw(st.sampled_from(["constant", "point", "random"]))
+    if shape == "constant":
+        table = [draw(st.integers(0, 1))] * dom.size
+    elif shape == "point":
+        table = [0] * dom.size
+        table[draw(st.integers(0, dom.size - 1))] = 1
+    else:
+        table = draw(st.lists(st.integers(0, 1), min_size=dom.size, max_size=dom.size))
+    return LabeledFunction.from_indices(dom, BOOLEAN, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slice_boolean_functions())
+def test_slice_degree_matches_oracle(f):
+    assert degree(f) == (degree_oracle(f), None)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        make_eq(2),
+        make_ed(3, 2),
+        from_graph(paley_weight2(13)),
+        random_slice_function(8, 3, 1),
+        random_slice_function(9, 4, 2),
+    ],
+)
+def test_slice_degree_agrees_with_monomial_span(f):
+    assert _degree_slice(f) == _degree_span(f)
+
+
+# -- pruned max loops against unpruned references -------------------------------
+
+
+def _packing_unpruned(masks):
+    """max_disjoint_packing without its union bound: the same search order
+    and the same first maximum."""
+    work = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    best = []
+
+    def go(idx, used, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        for j in range(idx, len(work)):
+            if not work[j] & used:
+                go(j + 1, used | work[j], chosen + [work[j]])
+
+    go(0, 0, [])
+    return len(best), best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, (1 << 7) - 1), max_size=14))
+def test_packing_union_bound_keeps_count_and_choice(masks):
+    assert max_disjoint_packing(masks) == _packing_unpruned(masks)
+
+
+def _label_changing_diffs(f, r, max_block_size=None):
+    members, table = list(f.domain.members()), f.table
+    return [
+        members[r] ^ y
+        for y, label in zip(members, table)
+        if label != table[r]
+        and (max_block_size is None or (members[r] ^ y).bit_count() <= max_block_size)
+    ]
+
+
+def _bs_unpruned(f, max_block_size=None):
+    best, arg, chosen = -1, None, None
+    for r, x in enumerate(f.domain.members()):
+        v, blocks = _packing_unpruned(minimal_masks(_label_changing_diffs(f, r, max_block_size)))
+        if v > best:
+            best, arg, chosen = v, x, blocks
+    return best, {
+        "input": mask_to_string(arg, f.domain.n),
+        "blocks": [mask_positions(m) for m in chosen],
+    }
+
+
+def _c_unpruned(f):
+    best = -1
+    for r, x in enumerate(f.domain.members()):
+        diffs = _label_changing_diffs(f, r)
+        v, mask = min_hitting_set(diffs, f.domain.n) if diffs else (0, 0)
+        if v > best:
+            best, arg, arg_mask = v, x, mask
+    w = {"input": mask_to_string(arg, f.domain.n)}
+    w.update(Assignment(zeros=arg_mask & ~arg, ones=arg_mask & arg).to_json_obj())
+    return best, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions())
+def test_pruned_max_loops_keep_value_and_witness(f):
+    assert block_sensitivity(f) == _bs_unpruned(f)
+    assert block_sensitivity(f, max_block_size=2) == _bs_unpruned(f, 2)
+    assert certificate_complexity(f) == _c_unpruned(f)
+
+
+def test_block_cap_raises_even_where_the_bound_would_skip():
+    # f = 1 on weights 1 and 2 of the 4-cube.  Input 0000 has four singleton
+    # blocks, so bs = 4 from the first input on.  Input 1111 has six minimal
+    # blocks (the weight-2 masks), the only input with more than five, and
+    # their union of 4 positions over size 2 bounds it by 2 <= 4.
+    f = LabeledFunction.from_callable(
+        Domain.cube(4), lambda x: int(x.bit_count() in (1, 2)), BOOLEAN
+    )
+    assert block_sensitivity(f, block_cap=6)[0] == 4
+    assert block_sensitivity(f, 0b1111, block_cap=6)[0] == 2
+    with pytest.raises(ResourceCapError, match="6 minimal blocks exceed the packing cap 5"):
+        block_sensitivity(f, 0b1111, block_cap=5)
+    with pytest.raises(ResourceCapError, match="6 minimal blocks exceed the packing cap 5"):
+        block_sensitivity(f, block_cap=5)
