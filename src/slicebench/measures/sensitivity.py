@@ -97,7 +97,9 @@ def block_sensitivity(
     best = -1
     arg = chosen_best = None
     for r in scan:
-        found = _block_sensitivity_at(members, table, r, max_block_size, block_cap, best)
+        found = _block_sensitivity_at(
+            members, table, r, max_block_size, block_cap, best
+        )
         if found is not None and found[0] > best:
             best, arg, chosen_best = found[0], members[r], found[1]
     blocks = [mask_positions(m) for m in chosen_best]

@@ -487,7 +487,7 @@ def slice_boolean_functions(draw):
     return LabeledFunction.from_indices(dom, BOOLEAN, table)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(slice_boolean_functions())
 def test_slice_degree_matches_oracle(f):
     assert degree(f) == (degree_oracle(f), None)
@@ -547,7 +547,8 @@ def _label_changing_diffs(f, r, max_block_size=None):
 def _bs_unpruned(f, max_block_size=None):
     best, arg, chosen = -1, None, None
     for r, x in enumerate(f.domain.members()):
-        v, blocks = _packing_unpruned(minimal_masks(_label_changing_diffs(f, r, max_block_size)))
+        diffs = _label_changing_diffs(f, r, max_block_size)
+        v, blocks = _packing_unpruned(minimal_masks(diffs))
         if v > best:
             best, arg, chosen = v, x, blocks
     return best, {
@@ -586,7 +587,8 @@ def test_block_cap_raises_even_where_the_bound_would_skip():
     )
     assert block_sensitivity(f, block_cap=6)[0] == 4
     assert block_sensitivity(f, 0b1111, block_cap=6)[0] == 2
-    with pytest.raises(ResourceCapError, match="6 minimal blocks exceed the packing cap 5"):
+    too_many = "6 minimal blocks exceed the packing cap 5"
+    with pytest.raises(ResourceCapError, match=too_many):
         block_sensitivity(f, 0b1111, block_cap=5)
-    with pytest.raises(ResourceCapError, match="6 minimal blocks exceed the packing cap 5"):
+    with pytest.raises(ResourceCapError, match=too_many):
         block_sensitivity(f, block_cap=5)
