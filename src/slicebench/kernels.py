@@ -3,6 +3,11 @@
 Everything here works on int bitmasks and is deterministic: ties break toward
 lower bit positions or earlier list order, so repeated runs give identical
 witnesses.
+
+greedy_cover is the one greedy hitting set: items are bit indices, and each
+position is given as the bitset of the items it hits, so a round is one
+popcount per position.  min_hitting_set starts its search from it, and the
+C and bs max loops use it as an upper bound on C(f, x) to skip inputs.
 """
 
 from __future__ import annotations
@@ -71,17 +76,35 @@ def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int
 
 
 def _greedy_hitting(masks: list[int], n: int) -> tuple[int, int]:
-    rem = list(masks)
-    chosen = 0
-    while rem:
-        counts = [0] * n
-        for m in rem:
-            for p in mask_positions(m):
-                counts[p] += 1
-        p = max(range(n), key=lambda q: (counts[q], -q))
-        chosen |= 1 << p
-        rem = [m for m in rem if not m >> p & 1]
+    # cols[p] holds the indices of the masks that position p hits
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        for p in mask_positions(m):
+            cols[p] |= 1 << i
+    chosen = greedy_cover(cols, (1 << len(masks)) - 1, n)
     return chosen.bit_count(), chosen
+
+
+def greedy_cover(cols: Sequence[int], alive: int, limit: int) -> int:
+    """Greedy hitting set over bitsets: cols[p] is the set of items position
+    p hits.  Each round picks the position hitting the most alive items, the
+    lowest p on ties.  Returns the mask of the picked positions once every
+    alive item is hit, or -1 as soon as that needs more than limit picks (or
+    some alive item is hit by no position)."""
+    if limit < 0:
+        return -1
+    chosen = 0
+    for _ in range(limit):
+        if not alive:
+            break
+        counts = [(col & alive).bit_count() for col in cols]
+        top = max(counts, default=0)
+        if not top:
+            return -1
+        p = counts.index(top)
+        chosen |= 1 << p
+        alive &= ~cols[p]
+    return -1 if alive else chosen
 
 
 # -- maximum disjoint packing ------------------------------------------------

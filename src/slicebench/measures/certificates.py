@@ -4,6 +4,11 @@ A certificate for an input is a partial assignment consistent with it whose
 consistent domain members all carry the input's label.  The variants differ
 in what collection structure is demanded (none / exact cover of the domain /
 partition of the whole cube / balanced assignments only).
+
+In the C max loop, certificate_skip drops x before its difference masks are
+built when a greedy hitting set of them, taken on the position rank bitsets,
+is no larger than the running maximum; every input that may set a new
+maximum still gets the exact minimum hitting set, in rank order.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..errors import DomainError, ResourceCapError
-from ..kernels import exact_cover, min_hitting_set
+from ..kernels import exact_cover, greedy_cover, min_hitting_set
 from ..slicecore import (
     Assignment,
     LabeledFunction,
@@ -36,8 +41,11 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     members = member_masks(dom)
     table = f.table
     scan = range(len(members)) if x is None else [dom.rank(x)]
+    skip = certificate_skip(f) if x is None else None
     best = -1
     for r in scan:
+        if skip and skip(r, best):
+            continue
         v, mask = _certificate_at(dom.n, members, table, r, best)
         if v > best:
             best, arg, arg_mask = v, members[r], mask
@@ -45,6 +53,36 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     w = {"input": mask_to_string(arg, dom.n)}
     w.update(a.to_json_obj())
     return best, w
+
+
+def certificate_skip(f: LabeledFunction, max_others: int | None = None):
+    """skip(r, beat) for the C and bs max loops: True when x = members[r]
+    cannot raise a running maximum beat.
+
+    That holds when a greedy hitting set of x's difference masks has at most
+    beat positions, since bs(f, x) <= C(f, x) <= any such hitting set
+    (Buhrman and de Wolf, TCS 2002).  The items are the ranks of the members
+    labelled unlike x, and position p hits the ranks whose bit p differs
+    from x_p, so the greedy runs on the position rank bitsets without
+    building a difference list.  No x with more than max_others such
+    members is skipped.
+    """
+    dom = f.domain
+    members, table = member_masks(dom), f.table
+    full = (1 << dom.size) - 1
+    # pairs[p][b]: the ranks whose bit p differs from b
+    pairs = [(ones, full ^ ones) for ones in position_rank_bitsets(dom)]
+    others_by_label = [full ^ lb for lb in f.label_bitsets]
+
+    def skip(r: int, beat: int) -> bool:
+        others = others_by_label[table[r]]
+        if beat < 0 or max_others is not None and others.bit_count() > max_others:
+            return False
+        xm = members[r]
+        cols = [pair[xm >> p & 1] for p, pair in enumerate(pairs)]
+        return greedy_cover(cols, others, beat) >= 0
+
+    return skip
 
 
 def _certificate_at(n, members, table, r, beat):

@@ -288,7 +288,8 @@ class DepthSolver:
         for side in (1, 0):
             lb = self.label_bitsets[side]
             cnt = lb.bit_count()
-            if not 2 <= cnt <= _HINT_MAX_SIDE:
+            # this side can raise the hint to cnt.bit_length() at most
+            if not 2 <= cnt <= _HINT_MAX_SIDE or cnt.bit_length() <= best:
                 continue
             sides = [x for r, x in enumerate(members) if lb >> r & 1]
             packed = True

@@ -5,6 +5,14 @@ pointwise sensitivity is a maximum matching between swap partners.  On a cube
 it is the usual count of label-changing bit flips; explicit domains count
 only flips that land back inside the domain.  Block sensitivity packs
 disjoint label-changing flip sets and is domain-generic.
+
+The max modes spend no exact work on inputs that cannot set the maximum.  On
+a cube, s(f) counts every input's sensitive flips at once in bit-sliced
+counters over the label bitsets, then checks only the first input with the
+top count.  The bs loop skips x when a greedy hitting set of x's difference masks, taken on
+the position rank bitsets, has at most the running maximum's size, since
+bs(f, x) <= C(f, x); inputs with more unlike members than block_cap are
+never skipped, so the cap still fires.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from ..slicecore import (
     member_masks,
     member_ranks,
 )
+from .certificates import certificate_skip
 
 _DEFAULT_BLOCK_CAP = 20000
 
@@ -35,6 +44,10 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
         dom.rank(x)
         v, found = _sensitivity_at(dom, ranks, table, x)
         return v, _sensitivity_witness(dom, x, found)
+    if dom.kind == "cube":
+        arg = _most_sensitive_cube_input(dom.n, f.label_bitsets)
+        v, found = _sensitivity_at(dom, ranks, table, arg)
+        return v, _sensitivity_witness(dom, arg, found)
     best = -1
     arg = found_best = None
     for xm in dom.members():
@@ -42,6 +55,39 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
         if v > best:
             best, arg, found_best = v, xm, found
     return best, _sensitivity_witness(dom, arg, found_best)
+
+
+def _most_sensitive_cube_input(n, labels):
+    """The lowest input of the n-cube with the most label-changing flips.
+
+    On the cube rank = mask, so flipping bit p moves rank r to r ^ 2^p.  For
+    each p the set of inputs whose flip changes the label is formed from the
+    label bitsets, and added into bit-sliced counters: planes[i] holds bit i
+    of every input's count.  The inputs with the top count are then narrowed
+    plane by plane from the highest."""
+    size = 1 << n
+    full = (1 << size) - 1
+    planes: list[int] = []
+    for p in range(n):
+        half = 1 << p
+        # ranks with bit p clear: runs of half ones, every 2 * half bits
+        low = full // ((1 << 2 * half) - 1) * ((1 << half) - 1)
+        flips = 0
+        for lb in labels:
+            flips |= lb & ~((lb >> half & low) | (lb & low) << half)
+        carry = flips
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    top = full
+    for plane in reversed(planes):
+        if top & plane:
+            top &= plane
+    return (top & -top).bit_length() - 1
 
 
 def _sensitivity_at(dom, ranks, table, xm):
@@ -94,9 +140,12 @@ def block_sensitivity(
     dom = f.domain
     scan = range(dom.size) if x is None else [dom.rank(x)]
     members, table = member_masks(dom), f.table
+    skip = certificate_skip(f, block_cap) if x is None else None
     best = -1
     arg = chosen_best = None
     for r in scan:
+        if skip and skip(r, best):
+            continue
         found = _block_sensitivity_at(
             members, table, r, max_block_size, block_cap, best
         )

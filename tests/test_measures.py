@@ -27,7 +27,13 @@ from slicebench.catalog import (
     random_slice_function,
 )
 from slicebench.errors import DomainError, ResourceCapError, VerificationError
-from slicebench.kernels import max_disjoint_packing, min_hitting_set, minimal_masks
+from slicebench.kernels import (
+    _greedy_hitting,
+    greedy_cover,
+    max_disjoint_packing,
+    min_hitting_set,
+    minimal_masks,
+)
 from slicebench.measures.algebra import _degree_slice, _degree_span, degree
 from slicebench.measures.bounds import (
     max_one_subcube_intersection,
@@ -37,6 +43,7 @@ from slicebench.measures.bounds import (
 from slicebench.measures.certificates import (
     balanced_certificate,
     certificate_complexity,
+    certificate_skip,
     subcube_partition_complexity,
     unambiguous_certificate_complexity,
 )
@@ -569,12 +576,99 @@ def _c_unpruned(f):
     return best, w
 
 
+def _s_unpruned(f):
+    """s(f) by a scan of every input in rank order, first maximum kept."""
+    best = (-1, None)
+    for x in f.domain.members():
+        at = sensitivity(f, x)
+        if at[0] > best[0]:
+            best = at
+    return best
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_functions())
 def test_pruned_max_loops_keep_value_and_witness(f):
     assert block_sensitivity(f) == _bs_unpruned(f)
     assert block_sensitivity(f, max_block_size=2) == _bs_unpruned(f, 2)
     assert certificate_complexity(f) == _c_unpruned(f)
+    assert sensitivity(f) == _s_unpruned(f)
+
+
+@st.composite
+def cube_functions(draw):
+    """A function on the n-cube, 1 <= n <= 6, over two or three labels."""
+    dom = Domain.cube(draw(st.integers(1, 6)))
+    alphabet = draw(st.sampled_from([BOOLEAN, (0, 1, 2)]))
+    table = draw(
+        st.lists(
+            st.integers(0, len(alphabet) - 1), min_size=dom.size, max_size=dom.size
+        )
+    )
+    return LabeledFunction.from_indices(dom, alphabet, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cube_functions())
+def test_cube_sensitivity_by_bit_sliced_counts(f):
+    value, witness = sensitivity(f)
+    assert value == sensitivity_max(f)
+    assert (value, witness) == _s_unpruned(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions())
+def test_certificate_skip_is_admissible(f):
+    # a skip at beat promises C(f, x) <= beat, so x cannot raise the max
+    skip = certificate_skip(f)
+    for r, x in enumerate(f.domain.members()):
+        for beat in range(-1, f.domain.n + 1):
+            if skip(r, beat):
+                assert certificate_at(f, x) <= beat
+
+
+def _greedy_by_counts(masks, n):
+    """The greedy hitting set by per-round position counts over mask lists."""
+    rem = list(masks)
+    chosen = 0
+    while rem:
+        counts = [0] * n
+        for m in rem:
+            for p in mask_positions(m):
+                counts[p] += 1
+        p = max(range(n), key=lambda q: (counts[q], -q))
+        chosen |= 1 << p
+        rem = [m for m in rem if not m >> p & 1]
+    return chosen.bit_count(), chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, (1 << 8) - 1), max_size=16))
+def test_bitset_greedy_hitting_matches_counting_greedy(masks):
+    minimal = minimal_masks(masks)
+    assert _greedy_hitting(minimal, 8) == _greedy_by_counts(minimal, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 12) - 1), min_size=1, max_size=6),
+    st.integers(0, (1 << 12) - 1),
+)
+def test_greedy_cover_fails_exactly_past_its_limit(cols, alive):
+    coverable = not alive & ~_union(cols)
+    unlimited = greedy_cover(cols, alive, len(cols))
+    assert (unlimited >= 0) == coverable
+    needed = unlimited.bit_count() if coverable else len(cols) + 1
+    for limit in range(-1, len(cols) + 2):
+        got = greedy_cover(cols, alive, limit)
+        assert got == (unlimited if needed <= limit else -1)
+
+
+def _union(masks):
+    out = 0
+    for m in masks:
+        out |= m
+    return out
 
 
 def test_block_cap_raises_even_where_the_bound_would_skip():
@@ -592,3 +686,19 @@ def test_block_cap_raises_even_where_the_bound_would_skip():
         block_sensitivity(f, 0b1111, block_cap=5)
     with pytest.raises(ResourceCapError, match=too_many):
         block_sensitivity(f, block_cap=5)
+
+
+@pytest.mark.parametrize("x", [None, 0b1111])
+def test_block_cap_raises_for_pair_blocks_where_the_bound_would_skip(x):
+    # The same f with blocks of at most 2 positions.  Input 1111 has six
+    # pair blocks (bs_2 = 2) and C = 3, so the greedy bound would skip it
+    # once 0000's four singletons set the maximum; its ten unlike members
+    # exceed the cap, so it is not skipped and the cap still fires.
+    f = LabeledFunction.from_callable(
+        Domain.cube(4), lambda x: int(x.bit_count() in (1, 2)), BOOLEAN
+    )
+    assert certificate_complexity(f, 0b1111)[0] == 3
+    want = 4 if x is None else 2
+    assert block_sensitivity(f, x, max_block_size=2, block_cap=6)[0] == want
+    with pytest.raises(ResourceCapError, match="6 minimal blocks exceed"):
+        block_sensitivity(f, x, max_block_size=2, block_cap=5)
