@@ -1,13 +1,15 @@
-"""Query algorithms and adversary strategies as interacting state machines.
+"""Query algorithms and adversary strategies, and the referee between them.
 
-An AlgorithmPlayer decides what to query next from the answers it has seen;
-an AdversaryPlayer invents answers on the fly while keeping at least one
-domain member consistent.  run_match plays one against the other under a
-referee that tracks the consistent set online, and forced_query_count
-certifies lower bounds by exhaustive minimax over an adversary's answers.
+An algorithm is a generator: it yields the positions it queries, is sent
+each answer, and returns its claim.  An AdversaryPlayer invents answers on
+the fly while keeping at least one domain member consistent.  run_match
+plays one against the other under a referee that tracks the consistent set
+online, and forced_query_count certifies lower bounds by exhaustive minimax
+over an adversary's answers.
 """
 
 from collections import Counter
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from itertools import combinations, product
 import random
@@ -31,57 +33,8 @@ from .slicecore import (
     to_graph,
 )
 
-_UNSET = object()
-
-
-# -- player interfaces ------------------------------------------------------------
-
-
-class AlgorithmPlayer:
-    """Single-use query strategy driven by an internal generator script.
-
-    Subclasses implement _script as a generator that yields positions,
-    receives the answers back through send, and returns the final label.
-    """
-
-    strategy: str = ""
-
-    def __init__(self):
-        self.params: dict = getattr(self, "params", {})
-        self._gen = self._script()
-        self._label = _UNSET
-        self._pending: int | None = None
-        self._queried: set[int] = set()
-        self._step(None, first=True)
-
-    def _script(self):
-        raise NotImplementedError
-
-    def _step(self, bit, first=False):
-        try:
-            pos = next(self._gen) if first else self._gen.send(bit)
-        except StopIteration as stop:
-            self._label = stop.value
-            self._pending = None
-            return
-        if not isinstance(pos, int) or pos < 0:
-            raise MatchProtocolError(f"script produced a bad position: {pos!r}")
-        if pos in self._queried:
-            raise MatchProtocolError(f"position {pos} queried twice")
-        self._queried.add(pos)
-        self._pending = pos
-
-    def next_action(self) -> tuple[str, object]:
-        """("query", position) while querying, then ("claim", label)."""
-        if self._label is not _UNSET:
-            return ("claim", self._label)
-        return ("query", self._pending)
-
-    def feed(self, position: int, bit: int) -> None:
-        """Deliver the answer to the pending query."""
-        if self._pending is None or position != self._pending:
-            raise MatchProtocolError("feed does not match the pending query")
-        self._step(bit)
+# yields query positions, is sent each answer bit, returns the claimed label
+Algorithm = Generator[int, int, object]
 
 
 class AdversaryPlayer:
@@ -91,7 +44,6 @@ class AdversaryPlayer:
     were queried and what was answered, so minimax may memoize on those.
     """
 
-    strategy: str = ""
     memo_safe: bool = True
 
     def answer(self, position: int) -> int:
@@ -101,35 +53,29 @@ class AdversaryPlayer:
         raise NotImplementedError
 
 
-# -- algorithm players ------------------------------------------------------------
+# -- algorithms -------------------------------------------------------------------
+#
+# Each builder checks its parameters when called and returns a fresh generator.
 
 
-class TreePlayer(AlgorithmPlayer):
-    """Follows a fixed decision tree and claims the leaf's label."""
-
-    strategy = "tree"
-
-    def __init__(self, tree, alphabet):
-        self.tree = tree
-        self.alphabet = tuple(alphabet)
-        self.params = {"depth": None}
-        super().__init__()
-
-    def _script(self):
-        node = self.tree
-        while isinstance(node, Node):
-            bit = yield node.position
-            node = node.on_one if bit else node.on_zero
-        return self.alphabet[node.label_index]
+def _tree_walk(tree, alphabet, positions=None) -> Algorithm:
+    """Follows a decision tree and claims the leaf's label; a node's position
+    p is queried as positions[p] when a position map is given."""
+    node = tree
+    while isinstance(node, Node):
+        p = node.position
+        bit = yield p if positions is None else positions[p]
+        node = node.on_one if bit else node.on_zero
+    return alphabet[node.label_index]
 
 
-def optimal_tree_player(f: LabeledFunction) -> TreePlayer:
-    """TreePlayer for one optimal decision tree of f."""
+def optimal_tree_player(f: LabeledFunction) -> Algorithm:
+    """Follows one optimal decision tree of f."""
     _, tree = exact_depth_with_tree(f)
-    return TreePlayer(tree, f.alphabet)
+    return _tree_walk(tree, f.alphabet)
 
 
-class EqAlgorithm(AlgorithmPlayer):
+def eq_algorithm(k: int) -> Algorithm:
     """Decides equality of the two halves on slice(4k, 2k) in 3k-1 queries.
 
     Reads the first 2k-1 bits of the left half; unless the majority bit b
@@ -137,65 +83,53 @@ class EqAlgorithm(AlgorithmPlayer):
     left positions holding b are compared against the same positions on
     the right, and any mismatch rejects.
     """
+    if k < 1:
+        raise DomainError("eq_algorithm needs k >= 1")
 
-    strategy = "eq"
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise DomainError("eq_algorithm needs k >= 1")
-        self.k = k
-        self.params = {"k": k}
-        super().__init__()
-
-    def _script(self):
-        half = 2 * self.k
+    def script():
+        half = 2 * k
         answers = []
         for p in range(half - 1):
             answers.append((yield p))
         ones = sum(answers)
         b = 1 if 2 * ones > half - 1 else 0
-        if max(ones, half - 1 - ones) != self.k:
+        if max(ones, half - 1 - ones) != k:
             return 0
         for i in (i for i, bit in enumerate(answers) if bit == b):
             if (yield half + i) != b:
                 return 0
         return 1
 
+    return script()
 
-class Weight1Algorithm(AlgorithmPlayer):
+
+def weight1_algorithm(f: LabeledFunction) -> Algorithm:
     """Evaluates a Boolean function on slice(n, 1) via its smaller side.
 
     Probes the positions of the smaller preimage class in increasing
     order; a hit settles the label, and a clean miss means the single one
     sits in the other class.
     """
+    dom = f.domain
+    if dom.kind != "slice" or dom.k != 1:
+        raise DomainError("weight1_algorithm needs a slice(n, 1) function")
+    if not f.is_boolean:
+        raise DomainError("weight1_algorithm needs Boolean labels")
+    sides: tuple[list[int], list[int]] = ([], [])
+    for p in range(dom.n):
+        sides[f.label(dom.rank(1 << p))].append(p)
+    probe = 0 if len(sides[0]) <= len(sides[1]) else 1
 
-    strategy = "weight1"
-
-    def __init__(self, f: LabeledFunction):
-        dom = f.domain
-        if dom.kind != "slice" or dom.k != 1:
-            raise DomainError("weight1_algorithm needs a slice(n, 1) function")
-        if not f.is_boolean:
-            raise DomainError("weight1_algorithm needs Boolean labels")
-        self.f = f
-        self.params = {"n": dom.n}
-        super().__init__()
-
-    def _script(self):
-        f = self.f
-        dom = f.domain
-        sides: tuple[list[int], list[int]] = ([], [])
-        for p in range(dom.n):
-            sides[f.label(dom.rank(1 << p))].append(p)
-        probe = 0 if len(sides[0]) <= len(sides[1]) else 1
+    def script():
         for p in sides[probe]:
             if (yield p):
                 return probe
         return 1 - probe
 
+    return script()
 
-class Weight2Algorithm(AlgorithmPlayer):
+
+def weight2_algorithm(f: LabeledFunction) -> Algorithm:
     """Evaluates a Boolean function on slice(n, 2) around a monochromatic set.
 
     Scans the positions outside a maximum monochromatic set T of the
@@ -203,42 +137,26 @@ class Weight2Algorithm(AlgorithmPlayer):
     T, so the answer is T's color; otherwise the leftover weight-1
     restriction is finished with an optimal subtree.
     """
+    dom = f.domain
+    if dom.kind != "slice" or dom.k != 2:
+        raise DomainError("weight2_algorithm needs a slice(n, 2) function")
+    if not f.is_boolean:
+        raise DomainError("weight2_algorithm needs Boolean labels")
+    _, wit = monochromatic_number(to_graph(f))
+    inside = set(wit["vertices"])
 
-    strategy = "weight2"
-
-    def __init__(self, f: LabeledFunction):
-        dom = f.domain
-        if dom.kind != "slice" or dom.k != 2:
-            raise DomainError("weight2_algorithm needs a slice(n, 2) function")
-        if not f.is_boolean:
-            raise DomainError("weight2_algorithm needs Boolean labels")
-        self.f = f
-        self.params = {"n": dom.n}
-        super().__init__()
-
-    def _script(self):
-        f = self.f
-        n = f.domain.n
-        _, wit = monochromatic_number(to_graph(f))
-        inside = set(wit["vertices"])
+    def script():
         zeros: list[int] = []
-        hit = None
-        for p in (p for p in range(n) if p not in inside):
+        for p in (p for p in range(dom.n) if p not in inside):
             if (yield p):
-                hit = p
-                break
+                a = Assignment.of(zeros=zeros, ones=[p])
+                _, tree = exact_depth_with_tree(restrict(f, a))
+                back = residual_positions(dom.n, a)
+                return (yield from _tree_walk(tree, f.alphabet, back))
             zeros.append(p)
-        if hit is None:
-            return 1 if wit["kind"] == "clique" else 0
-        a = Assignment.of(zeros=zeros, ones=[hit])
-        sub = restrict(f, a)
-        back = residual_positions(n, a)
-        _, tree = exact_depth_with_tree(sub)
-        node = tree
-        while isinstance(node, Node):
-            bit = yield back[node.position]
-            node = node.on_one if bit else node.on_zero
-        return f.alphabet[node.label_index]
+        return 1 if wit["kind"] == "clique" else 0
+
+    return script()
 
 
 def _check_weights_params(n: int, m: int, k: int) -> None:
@@ -248,34 +166,28 @@ def _check_weights_params(n: int, m: int, k: int) -> None:
         raise DomainError(f"total weight {k} out of range for {n} blocks of {m}")
 
 
-class WeightsAlgA(AlgorithmPlayer):
+def weights_alg_A(n: int, m: int, k: int) -> Algorithm:
     """Finds the block-weight multiset by reading all blocks but the last.
 
     Always exactly (n-1)m queries; the last block's weight is whatever
     remains of the known total.
     """
+    _check_weights_params(n, m, k)
 
-    strategy = "weights-A"
-
-    def __init__(self, n: int, m: int, k: int):
-        _check_weights_params(n, m, k)
-        self.n, self.m, self.k = n, m, k
-        self.params = {"n": n, "m": m, "k": k}
-        super().__init__()
-
-    def _script(self):
-        n, m = self.n, self.m
+    def script():
         weights = []
         for i in range(n - 1):
             w = 0
             for j in range(m):
                 w += yield i * m + j
             weights.append(w)
-        weights.append(self.k - sum(weights))
+        weights.append(k - sum(weights))
         return tuple(sorted(weights, reverse=True))
 
+    return script()
 
-class WeightsAlgB(AlgorithmPlayer):
+
+def weights_alg_B(n: int, m: int, k: int) -> Algorithm:
     """Finds the block-weight multiset, skipping a plurality of last bits.
 
     Reads m-1 bits of every block, groups blocks by partial weight, and
@@ -284,17 +196,9 @@ class WeightsAlgB(AlgorithmPlayer):
     blocks of the plurality group round up.  At most nm - ceil(n/m)
     queries.
     """
+    _check_weights_params(n, m, k)
 
-    strategy = "weights-B"
-
-    def __init__(self, n: int, m: int, k: int):
-        _check_weights_params(n, m, k)
-        self.n, self.m, self.k = n, m, k
-        self.params = {"n": n, "m": m, "k": k}
-        super().__init__()
-
-    def _script(self):
-        n, m = self.n, self.m
+    def script():
         partial = []
         for i in range(n):
             w = 0
@@ -307,31 +211,25 @@ class WeightsAlgB(AlgorithmPlayer):
         for i in range(n):
             if partial[i] != plural:
                 weights.append(partial[i] + (yield i * m + m - 1))
-        ups = self.k - sum(weights) - plural * counts[plural]
+        ups = k - sum(weights) - plural * counts[plural]
         weights += [plural + 1] * ups + [plural] * (counts[plural] - ups)
         return tuple(sorted(weights, reverse=True))
 
+    return script()
 
-class WeightsM2Algorithm(AlgorithmPlayer):
+
+def weights_m2_algorithm(n: int, k: int) -> Algorithm:
     """Block-weight multiset for m = 2 within n + k - 1 queries.
 
     Reads every block's first bit.  Seeing k ones or none at all already
     forces the multiset 1^k 0^(n-k); otherwise the second bits of the
     one-first blocks pin down the rest.
     """
+    _check_weights_params(n, 2, k)
+    if not 2 <= k <= n // 2:
+        raise DomainError("weights_m2_algorithm needs 2 <= k <= n/2")
 
-    strategy = "weights-m2"
-
-    def __init__(self, n: int, k: int):
-        _check_weights_params(n, 2, k)
-        if not 2 <= k <= n // 2:
-            raise DomainError("weights_m2_algorithm needs 2 <= k <= n/2")
-        self.n, self.k = n, k
-        self.params = {"n": n, "k": k}
-        super().__init__()
-
-    def _script(self):
-        n, k = self.n, self.k
+    def script():
         first = []
         for i in range(n):
             first.append((yield 2 * i))
@@ -346,6 +244,8 @@ class WeightsM2Algorithm(AlgorithmPlayer):
         weights += [1] * ones_left + [0] * (n - c - ones_left)
         return tuple(sorted(weights, reverse=True))
 
+    return script()
+
 
 # -- adversary players ------------------------------------------------------------
 
@@ -353,7 +253,6 @@ class WeightsM2Algorithm(AlgorithmPlayer):
 class FixedInputAdversary(AdversaryPlayer):
     """Answers from one concrete member; the honest oracle used in replays."""
 
-    strategy = "fixed-input"
     memo_safe = True
 
     def __init__(self, member: int):
@@ -379,7 +278,6 @@ class EqAdversary(AdversaryPlayer):
     long as possible.
     """
 
-    strategy = "eq"
     memo_safe = True
 
     def __init__(self, k: int):
@@ -406,6 +304,9 @@ class EqAdversary(AdversaryPlayer):
         return c
 
 
+eq_adversary = EqAdversary
+
+
 class _BasicWeightsAdversary(AdversaryPlayer):
     """Keeps two ones and two zeros unrevealed for as long as possible.
 
@@ -413,8 +314,6 @@ class _BasicWeightsAdversary(AdversaryPlayer):
     two is illegal; once both answers are illegal the strategy's validity
     horizon has ended and it raises AdversaryExhaustedError.
     """
-
-    strategy = "weights-basic"
 
     def __init__(self, n: int, m: int, k: int, seed: int | None = None):
         self.n, self.m, self.k = n, m, k
@@ -424,24 +323,34 @@ class _BasicWeightsAdversary(AdversaryPlayer):
         self.rng = random.Random(seed) if seed is not None else None
         self.memo_safe = seed is None
 
-    def _legal(self, bit: int) -> bool:
-        ones = self.ones + (bit == 1)
-        zeros = self.zeros + (bit == 0)
-        return self.k - ones >= 2 and (self.total - self.k) - zeros >= 2
+    def _pick(self, legal) -> int:
+        """The first legal bit, or a seeded-random one."""
+        return legal[0] if self.rng is None else self.rng.choice(legal)
+
+    def _rng_copy(self) -> random.Random | None:
+        if self.rng is None:
+            return None
+        rng = random.Random()
+        rng.setstate(self.rng.getstate())
+        return rng
 
     def answer(self, position: int) -> int:
         if not 0 <= position < self.total:
             raise DomainError(f"position {position} out of range")
-        legal = [b for b in (0, 1) if self._legal(b)]
+        ones_left = self.k - self.ones
+        zeros_left = (self.total - self.k) - self.zeros
+        legal = []
+        if zeros_left - 1 >= 2 and ones_left >= 2:
+            legal.append(0)
+        if ones_left - 1 >= 2 and zeros_left >= 2:
+            legal.append(1)
         if not legal:
             raise AdversaryExhaustedError(
                 "no answer keeps two ones and two zeros unrevealed"
             )
-        bit = legal[0] if self.rng is None else self.rng.choice(legal)
-        if bit:
-            self.ones += 1
-        else:
-            self.zeros += 1
+        bit = self._pick(legal)
+        self.ones += bit
+        self.zeros += 1 - bit
         return bit
 
     def clone(self) -> "_BasicWeightsAdversary":
@@ -449,11 +358,7 @@ class _BasicWeightsAdversary(AdversaryPlayer):
         c.n, c.m, c.k, c.total = self.n, self.m, self.k, self.total
         c.ones, c.zeros = self.ones, self.zeros
         c.memo_safe = self.memo_safe
-        if self.rng is None:
-            c.rng = None
-        else:
-            c.rng = random.Random()
-            c.rng.setstate(self.rng.getstate())
+        c.rng = self._rng_copy()
         return c
 
 
@@ -491,88 +396,58 @@ def _balanced_assignment(n: int, m: int) -> tuple[int, ...]:
     raise DomainError("no near-equal class assignment meets the weight sum")
 
 
-class _BalancedWeightsAdversary(AdversaryPlayer):
+class _BalancedWeightsAdversary(_BasicWeightsAdversary):
     """Balanced-slice strategy: scripted block weights plus a reserve pool.
 
     Each block's first m-1 answers sum to a scripted per-block weight a(i);
     the final answer of a block comes out of a reserve multiset S that
     starts with floor(n/2) ones and keeps two of each bit while larger
     than four.  When S is down to four bits and another final bit is
-    queried, the strategy abandons the script and falls back to keeping
-    two ones and two zeros unrevealed overall, eventually exhausting.
+    queried, the strategy abandons the script and falls back to the basic
+    rule, keeping two ones and two zeros unrevealed overall, eventually
+    exhausting.
     """
 
-    strategy = "weights-balanced"
-
     def __init__(self, n: int, m: int, k: int, seed: int | None = None):
-        self.n, self.m, self.k = n, m, k
-        self.total = n * m
+        super().__init__(n, m, k, seed)
         self.assignment = _balanced_assignment(n, m)
         self.s_ones = n // 2
         self.s_zeros = n - n // 2
         self.block_seen = [0] * n
         self.block_ones = [0] * n
-        self.ones = 0
-        self.zeros = 0
         self.abandoned = False
-        self.rng = random.Random(seed) if seed is not None else None
-        self.memo_safe = seed is None
-
-    def _record(self, i: int, bit: int) -> None:
-        self.block_seen[i] += 1
-        self.block_ones[i] += bit
-        if bit:
-            self.ones += 1
-        else:
-            self.zeros += 1
-
-    def _fallback(self, i: int) -> int:
-        ones_left = self.k - self.ones
-        zeros_left = (self.total - self.k) - self.zeros
-        legal = []
-        if zeros_left - 1 >= 2 and ones_left >= 2:
-            legal.append(0)
-        if ones_left - 1 >= 2 and zeros_left >= 2:
-            legal.append(1)
-        if not legal:
-            raise AdversaryExhaustedError(
-                "no answer keeps two ones and two zeros unrevealed"
-            )
-        bit = legal[0] if self.rng is None else self.rng.choice(legal)
-        self._record(i, bit)
-        return bit
 
     def answer(self, position: int) -> int:
+        if self.abandoned:
+            return super().answer(position)
         if not 0 <= position < self.total:
             raise DomainError(f"position {position} out of range")
         i = position // self.m
-        if self.abandoned:
-            return self._fallback(i)
         if self.block_seen[i] == self.m - 1:
             if self.s_ones + self.s_zeros == 4:
+                # the block counters are never read again
                 self.abandoned = True
-                return self._fallback(i)
-            legal = []
-            if self.s_zeros - 1 >= 2:
-                legal.append(0)
-            if self.s_ones - 1 >= 2:
-                legal.append(1)
-            bit = legal[0] if self.rng is None else self.rng.choice(legal)
+                return super().answer(position)
+            bit = self._pick(
+                [b for b, s in ((0, self.s_zeros), (1, self.s_ones)) if s - 1 >= 2]
+            )
             if bit:
                 self.s_ones -= 1
             else:
                 self.s_zeros -= 1
-            self._record(i, bit)
-            return bit
-        slots_left = (self.m - 1) - self.block_seen[i]
-        need = self.assignment[i] - self.block_ones[i]
-        if need == slots_left:
-            bit = 1
-        elif need == 0:
-            bit = 0
         else:
-            bit = 0 if self.rng is None else self.rng.choice((0, 1))
-        self._record(i, bit)
+            slots_left = (self.m - 1) - self.block_seen[i]
+            need = self.assignment[i] - self.block_ones[i]
+            if need == slots_left:
+                bit = 1
+            elif need == 0:
+                bit = 0
+            else:
+                bit = self._pick((0, 1))
+        self.block_seen[i] += 1
+        self.block_ones[i] += bit
+        self.ones += bit
+        self.zeros += 1 - bit
         return bit
 
     def clone(self) -> "_BalancedWeightsAdversary":
@@ -585,11 +460,7 @@ class _BalancedWeightsAdversary(AdversaryPlayer):
         c.ones, c.zeros = self.ones, self.zeros
         c.abandoned = self.abandoned
         c.memo_safe = self.memo_safe
-        if self.rng is None:
-            c.rng = None
-        else:
-            c.rng = random.Random()
-            c.rng.setstate(self.rng.getstate())
+        c.rng = self._rng_copy()
         return c
 
 
@@ -603,7 +474,6 @@ class _M2WeightsAdversary(AdversaryPlayer):
     already been pinned to 00.  Never exhausts.
     """
 
-    strategy = "weights-m2"
     memo_safe = True
 
     def __init__(self, n: int, k: int, high: bool):
@@ -645,15 +515,7 @@ class _M2WeightsAdversary(AdversaryPlayer):
         return c
 
 
-# -- public names and the spec tables ---------------------------------------------
-
-eq_algorithm = EqAlgorithm
-eq_adversary = EqAdversary
-weights_alg_A = WeightsAlgA
-weights_alg_B = WeightsAlgB
-weights_m2_algorithm = WeightsM2Algorithm
-weight1_algorithm = Weight1Algorithm
-weight2_algorithm = Weight2Algorithm
+# -- spec tables ----------------------------------------------------------------
 
 
 def weights_adversary(
@@ -698,12 +560,12 @@ def _fixed_input(f: LabeledFunction, x: str) -> FixedInputAdversary:
 # Spec-string tables for catalog.build.  A builder parameter named f gets the
 # function under play, and seed the caller's default seed.
 ALGORITHMS = {
-    "eq": EqAlgorithm,
-    "weights-a": WeightsAlgA,
-    "weights-b": WeightsAlgB,
-    "weights-m2": WeightsM2Algorithm,
-    "weight1": Weight1Algorithm,
-    "weight2": Weight2Algorithm,
+    "eq": eq_algorithm,
+    "weights-a": weights_alg_A,
+    "weights-b": weights_alg_B,
+    "weights-m2": weights_m2_algorithm,
+    "weight1": weight1_algorithm,
+    "weight2": weight2_algorithm,
     "optimal": optimal_tree_player,
 }
 
@@ -760,18 +622,18 @@ class MatchTranscript:
 
 
 def run_match(
-    alg: AlgorithmPlayer,
+    alg: Algorithm,
     adv: AdversaryPlayer,
     f: LabeledFunction,
     budget: int | None = None,
 ) -> MatchTranscript:
     """Referee one algorithm-versus-adversary match over f's domain.
 
-    Alternates queries and answers while tracking the consistent member
-    set; an answer that empties it raises AdversaryInvalidError.  The
-    final claim is correct only if every still-consistent member carries
-    it; claiming while two labels remain is a forced guess, the
-    adversary's win.
+    Sends the algorithm None to start and then each answer, while tracking
+    the consistent member set; an answer that empties it raises
+    AdversaryInvalidError.  The final claim is correct only if every
+    still-consistent member carries it; claiming while two labels remain
+    is a forced guess, the adversary's win.
     """
     dom = f.domain
     ones_at = position_rank_bitsets(dom)
@@ -780,14 +642,13 @@ def run_match(
     queried: set[int] = set()
     status = "claimed"
     claimed = None
+    bit = None
     while True:
-        kind, payload = alg.next_action()
-        if kind == "claim":
-            claimed = payload
+        try:
+            p = alg.send(bit)
+        except StopIteration as stop:
+            claimed = stop.value
             break
-        if kind != "query":
-            raise MatchProtocolError(f"unknown action kind: {kind!r}")
-        p = payload
         if not isinstance(p, int) or not 0 <= p < dom.n:
             raise MatchProtocolError(f"query position {p!r} out of range")
         if p in queried:
@@ -809,10 +670,7 @@ def run_match(
             raise AdversaryInvalidError(
                 "no domain member is consistent with the answers"
             )
-        alg.feed(p, bit)
     determined = f.is_single_label(live)
-    if status != "claimed":
-        claimed = None
     correct = (
         status == "claimed"
         and determined

@@ -164,8 +164,10 @@ def slice_restriction(g: LabeledFunction, k: int | None = None) -> LabeledFuncti
         if n % 2:
             raise DomainError("default balanced slice needs n even")
         k = n // 2
-    return LabeledFunction.from_callable(
-        Domain.slice(n, k), g.evaluate, g.alphabet
+    # on a cube rank = mask, so g's table is read by mask
+    dom, table = Domain.slice(n, k), g.table
+    return LabeledFunction.from_indices(
+        dom, g.alphabet, [table[x] for x in dom.members()]
     )
 
 
@@ -177,8 +179,9 @@ def lift(g: LabeledFunction) -> LabeledFunction:
         raise DomainError("lift needs a Boolean function")
     n = g.domain.n
     low = (1 << n) - 1
-    return LabeledFunction.from_callable(
-        Domain.slice(2 * n, n), lambda z: g.evaluate(z & low), BOOLEAN
+    dom, table = Domain.slice(2 * n, n), g.table
+    return LabeledFunction.from_indices(
+        dom, BOOLEAN, [table[z & low] for z in dom.members()]
     )
 
 

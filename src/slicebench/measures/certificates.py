@@ -20,7 +20,6 @@ from ..kernels import exact_cover, greedy_cover, min_hitting_set
 from ..slicecore import (
     Assignment,
     LabeledFunction,
-    label_rank_bitsets,
     mask_to_string,
     member_masks,
     position_rank_bitsets,
@@ -229,7 +228,7 @@ def balanced_certificate(
     if not f.is_boolean:
         raise DomainError("balanced certificates need a Boolean function")
     ones_at = position_rank_bitsets(dom)
-    labels = label_rank_bitsets(f)
+    labels = f.label_bitsets
     table = f.table
     full = (1 << dom.size) - 1
     if x is not None:

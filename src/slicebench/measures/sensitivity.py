@@ -9,10 +9,11 @@ disjoint label-changing flip sets and is domain-generic.
 The max modes spend no exact work on inputs that cannot set the maximum.  On
 a cube, s(f) counts every input's sensitive flips at once in bit-sliced
 counters over the label bitsets, then checks only the first input with the
-top count.  The bs loop skips x when a greedy hitting set of x's difference masks, taken on
-the position rank bitsets, has at most the running maximum's size, since
-bs(f, x) <= C(f, x); inputs with more unlike members than block_cap are
-never skipped, so the cap still fires.
+top count.  The s loop on slices and explicit domains and the bs loop skip
+x when a greedy hitting set of x's difference masks, taken on the position
+rank bitsets, has at most the running maximum's size, since
+s(f, x) <= bs(f, x) <= C(f, x); bs never skips an input with more unlike
+members than block_cap, so the cap still fires.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
         arg = _most_sensitive_cube_input(dom.n, f.label_bitsets)
         v, found = _sensitivity_at(dom, ranks, table, arg)
         return v, _sensitivity_witness(dom, arg, found)
+    skip = certificate_skip(f)
     best = -1
     arg = found_best = None
-    for xm in dom.members():
+    for r, xm in enumerate(dom.members()):
+        if skip(r, best):
+            continue
         v, found = _sensitivity_at(dom, ranks, table, xm)
         if v > best:
             best, arg, found_best = v, xm, found

@@ -432,11 +432,6 @@ def member_ranks(dom: Domain) -> Mapping[int, int]:
     return _ColexRanks()
 
 
-def label_rank_bitsets(f: LabeledFunction) -> tuple[int, ...]:
-    """Per alphabet index, the bitset of member ranks carrying that label."""
-    return f.label_bitsets
-
-
 def _label_sort_key(lab: Label):
     # ints sort before tuples so mixed alphabets stay deterministic
     if isinstance(lab, tuple):

@@ -4,7 +4,6 @@ import pytest
 
 from slicebench.adversary import (
     AdversaryPlayer,
-    AlgorithmPlayer,
     FixedInputAdversary,
     MatchTranscript,
     eq_adversary,
@@ -37,24 +36,16 @@ from slicebench.measures.depth import exact_depth
 from slicebench.slicecore import from_graph
 
 
-class ScriptedAlgorithm(AlgorithmPlayer):
-    strategy = "scripted"
-
-    def __init__(self, positions, claim):
-        self._positions = list(positions)
-        self._claim = claim
-        super().__init__()
-
-    def _script(self):
-        for p in self._positions:
-            yield p
-        return self._claim
+def ScriptedAlgorithm(positions, claim):
+    # a for loop, not yield from: a list iterator has no send
+    for p in positions:
+        yield p
+    return claim
 
 
 class StuckAdversary(AdversaryPlayer):
     """Always answers 1; quickly contradicts any slice's weight."""
 
-    strategy = "stuck"
     memo_safe = True
 
     def answer(self, position):
@@ -169,6 +160,20 @@ def test_run_match_protocol_violations():
         run_match(ScriptedAlgorithm([0, 0], 1), eq_adversary(1), f)
     with pytest.raises(MatchProtocolError):
         run_match(ScriptedAlgorithm([9], 1), eq_adversary(1), f)
+    with pytest.raises(MatchProtocolError):
+        run_match(ScriptedAlgorithm([0, "1"], 1), eq_adversary(1), f)
+
+
+def test_algorithm_builders_check_parameters_before_any_query():
+    """A bad parameter raises at the builder call, not at the first send."""
+    with pytest.raises(DomainError):
+        eq_algorithm(0)
+    with pytest.raises(DomainError):
+        weights_m2_algorithm(4, 3)
+    with pytest.raises(DomainError):
+        weight1_algorithm(make_eq(1))
+    with pytest.raises(DomainError):
+        weight2_algorithm(make_eq(2))
 
 
 def test_run_match_rejects_inconsistent_adversary():
@@ -236,6 +241,31 @@ def test_seeded_adversaries_are_reproducible_not_memo_safe():
         twin = weights_adversary(4, 2, 4, mode=mode, seed=11)
         assert _probe(adv, range(6)) == _probe(twin, range(6))
         assert weights_adversary(4, 2, 4, mode=mode).memo_safe
+
+
+def test_weights_adversary_answers_are_pinned():
+    """Basic and balanced answers up to where each exhausts, on fixed orders."""
+    interleaved = (0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6)
+    cases = [
+        ("basic", 4, 2, 4, None, range(8), [0, 0, 1, 1]),
+        ("basic", 4, 2, 4, 11, range(8), [1, 1, 0, 0]),
+        ("basic", 3, 3, 4, None, range(8, -1, -1), [0, 0, 0, 1, 1]),
+        ("basic", 3, 3, 4, 5, range(8, -1, -1), [1, 1, 0, 0, 0]),
+        ("basic", 4, 3, 5, None, interleaved, [0, 0, 0, 0, 0, 1, 1, 1]),
+        ("basic", 4, 3, 5, 4, interleaved, [0, 1, 0, 1, 1, 0, 0, 0]),
+        ("balanced", 4, 2, 4, None, range(8), [0, 0, 1, 1]),
+        ("balanced", 4, 2, 4, 11, range(8), [0, 1, 1, 0]),
+        ("balanced", 4, 2, 4, 3, (1, 0, 3, 2, 5, 4, 7, 6), [0, 0, 1, 1]),
+        ("balanced", 6, 2, 6, None, range(12), [0, 0, 1, 1, 0, 0, 1, 1]),
+        ("balanced", 6, 2, 6, 7, range(12), [0, 1, 1, 0, 0, 1, 0, 1]),
+        ("balanced", 4, 3, 6, None, range(12), [0, 1, 0, 0, 0, 1, 1, 1]),
+        ("balanced", 4, 3, 6, 2, range(11, -1, -1), [0, 0, 0, 0, 1, 1, 1, 1]),
+        ("balanced", 8, 2, 8, None, range(16), [0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1]),
+        ("balanced", 8, 2, 8, 4, range(16), [0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1]),
+    ]
+    for mode, n, m, k, seed, order, want in cases:
+        adv = weights_adversary(n, m, k, mode=mode, seed=seed)
+        assert _probe(adv, order) == want + ["end"], (mode, n, m, k, seed)
 
 
 def test_adversary_replay_consistency_with_match():

@@ -133,6 +133,20 @@ def test_slice_restriction_agrees_on_slice():
         assert f.evaluate(x) == g.evaluate(x)
     narrow = slice_restriction(g, k=1)
     assert narrow.domain.k == 1
+    # both read the cube table by mask; compare with evaluation per member
+    three = LabeledFunction.from_callable(Domain.cube(5), lambda x: x % 3, (0, 1, 2))
+    for h, k in ((g, 2), (g, 1), (three, 2), (three, 3)):
+        dom = Domain.slice(h.domain.n, k)
+        want = LabeledFunction.from_callable(dom, h.evaluate, h.alphabet)
+        assert slice_restriction(h, k) == want
+    for h in (g, LabeledFunction.from_callable(Domain.cube(3), lambda x: x >> 1 & 1)):
+        n = h.domain.n
+        low = (1 << n) - 1
+        dom = Domain.slice(2 * n, n)
+        want = LabeledFunction.from_callable(
+            dom, lambda z: h.evaluate(z & low), BOOLEAN
+        )
+        assert lift(h) == want
 
 
 def test_lift_reads_only_first_half():

@@ -22,7 +22,6 @@ from slicebench.slicecore import (
     expand_member,
     from_graph,
     iter_colex_masks,
-    label_rank_bitsets,
     mask_to_string,
     member_masks,
     member_ranks,
@@ -165,7 +164,7 @@ def test_position_and_label_bitsets():
         LabeledFunction.from_callable(dom, lambda x: x & 1, BOOLEAN),
         LabeledFunction.from_callable(dom, lambda x: x % 3, (0, 1, 2)),
     ):
-        by_label = label_rank_bitsets(f)
+        by_label = f.label_bitsets
         assert len(by_label) == len(f.alphabet)
         for r in range(dom.size):
             assert [b >> r & 1 for b in by_label] == [
@@ -231,7 +230,6 @@ def test_single_label_check_matches_a_label_scan(drawn, data):
     S = data.draw(st.integers(0, (1 << dom.size) - 1))
     labels = {table[r] for r in range(dom.size) if S >> r & 1}
     assert f.is_single_label(S) == (len(labels) == 1)
-    assert label_rank_bitsets(f) is f.label_bitsets
 
 
 @settings(max_examples=100, deadline=None)
