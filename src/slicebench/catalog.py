@@ -125,7 +125,10 @@ def random_graph(n: int, seed: int) -> SliceGraph:
     return SliceGraph.from_edges(n, edges)
 
 
-def _rubinstein(n: int, patterns: Callable[[int], list[str]]) -> LabeledFunction:
+def _rubinstein(
+    n: int, patterns: Callable[[int], list[str]], k: int | None = None
+) -> LabeledFunction:
+    """The block-pattern OR on slice(n, k), or on the cube when k is None."""
     root = math.isqrt(max(n, 0))
     if n < 4 or root * root != n or root % 2:
         raise DomainError("needs n a perfect square with sqrt(n) even")
@@ -138,7 +141,8 @@ def _rubinstein(n: int, patterns: Callable[[int], list[str]]) -> LabeledFunction
                 return 1
         return 0
 
-    return LabeledFunction.from_callable(Domain.cube(n), g, BOOLEAN)
+    dom = Domain.cube(n) if k is None else Domain.slice(n, k)
+    return LabeledFunction.from_callable(dom, g, BOOLEAN)
 
 
 def rubinstein_variant(n: int) -> LabeledFunction:
@@ -148,11 +152,18 @@ def rubinstein_variant(n: int) -> LabeledFunction:
     )
 
 
+def _adjacent_ones(k: int) -> list[str]:
+    return ["00" * i + "11" + "00" * (k - i - 1) for i in range(k)]
+
+
 def rubinstein_original(n: int) -> LabeledFunction:
     """OR over sqrt(n) blocks of the adjacent-ones pattern predicate."""
-    return _rubinstein(
-        n, lambda k: ["00" * i + "11" + "00" * (k - i - 1) for i in range(k)]
-    )
+    return _rubinstein(n, _adjacent_ones)
+
+
+def rubinstein_slice(n: int) -> LabeledFunction:
+    """rubinstein_original on the balanced slice, built on the slice alone."""
+    return _rubinstein(n, _adjacent_ones, n // 2)
 
 
 def slice_restriction(g: LabeledFunction, k: int | None = None) -> LabeledFunction:
@@ -372,7 +383,7 @@ REGISTRY: dict[str, Callable[..., LabeledFunction]] = {
     "random": random_slice_function,
     "random-graph": lambda n, seed: from_graph(random_graph(n, seed)),
     "rubinstein-original": rubinstein_original,
-    "rubinstein-slice": lambda n: slice_restriction(rubinstein_original(n)),
+    "rubinstein-slice": rubinstein_slice,
     "rubinstein-variant": rubinstein_variant,
     "weights": weights_task,
 }

@@ -26,9 +26,8 @@ from ..catalog import (
     make_eq,
     random_graph,
     random_slice_function,
-    rubinstein_original,
+    rubinstein_slice,
     rubinstein_variant,
-    slice_restriction,
     weights_task,
 )
 from ..errors import DomainError
@@ -454,7 +453,7 @@ class RubinsteinGap(Experiment):
         if key == "s-variant":
             got, _ = sensitivity(rubinstein_variant(n))
             return _case(key, {"s": got}, {"s": root}, got == root)
-        f = slice_restriction(rubinstein_original(n))
+        f = rubinstein_slice(n)
         dom = f.domain
         witness = string_to_mask("01" * (root // 2) * root)
         bs_wit, _ = block_sensitivity(f, witness)

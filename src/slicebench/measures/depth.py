@@ -13,6 +13,17 @@ A state being expanded checks each child it tries for a single label and
 probes the child's TT entry (creating it on a miss) before recursing, so
 leaves and TT cutoffs cost no call.  Only states that survive the cutoffs
 are expanded, and only those are counted in ``nodes``.
+
+A state's live set S is a function of its key: it holds exactly the members
+that agree with the answers so far.  On a slice with nf free positions and
+r ones left to place, |S| = C(nf, r) and every free position splits S into
+C(nf-1, r-1) ones and C(nf-1, r) zeros; on a cube every free position
+halves S.  Moves are tried by the size of their larger side, smallest
+first, then by position; on these domains all sizes tie, so that order is
+plain ascending position order, read as it stands from the domain's shared
+position move tables with nothing counted or sorted.  On explicit domains
+the sizes differ from position to position, so each split is counted and
+the moves are sorted.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from ..slicecore import (
     LabeledFunction,
     mask_positions,
     member_masks,
+    position_move_tables,
     position_rank_bitsets,
 )
 from .trees import Leaf, Node, Tree
@@ -36,8 +48,12 @@ class DepthSolver:
     """Reusable exact-depth engine for one function.
 
     States are bitsets over member ranks; per-position rank bitsets make the
-    child split two big-int ANDs.  Only splitting positions are searched:
-    querying a position constant on the live set never helps.
+    child split one big-int AND and the other side one XOR, made only when
+    it is searched.  Only splitting positions are searched: querying a
+    position constant on the live set never helps.  On slices and cubes
+    the live set is every member consistent with the key, so every free
+    position splits it, all into the same two sizes: which side goes first
+    is fixed per state, and the move order needs no sort.
     """
 
     def __init__(self, f: LabeledFunction):
@@ -48,7 +64,12 @@ class DepthSolver:
         self.kind = dom.kind
         self.is_boolean = f.is_boolean
         self.table = f.table
+        self.k = dom.k
         self.ones_at = position_rank_bitsets(dom)
+        self.low_moves, self.high_moves = position_move_tables(dom)
+        # on slices and cubes every free position splits the live set into
+        # sizes known from the key; on explicit domains each is counted
+        self.counted = self.kind == "explicit"
         self.label_bitsets = f.label_bitsets
         self.full = (1 << self.size) - 1
         self.all_positions = (1 << self.n) - 1
@@ -101,6 +122,18 @@ class DepthSolver:
 
     # -- alpha-beta ---------------------------------------------------------
 
+    @staticmethod
+    def _counted_moves(S: int, c: int, moves) -> list[tuple[int, int]]:
+        """The moves that split S, by the size of their larger side, then
+        by position."""
+        split = []
+        for bit, P in moves:
+            c1 = (S & P).bit_count()
+            if c1 and c1 != c:
+                split.append((c - c1 if c1 + c1 < c else c1, bit, P))
+        split.sort()
+        return [(bit, P) for _, bit, P in split]
+
     def _expand(
         self,
         S: int,
@@ -123,29 +156,31 @@ class DepthSolver:
         """
         self.nodes += 1
         n = self.n
-        ones_at = self.ones_at
-        # moves as (larger side's size, position bit, S1, |S1|): small
-        # larger sides first, then low positions
-        moves = []
-        free = ~(key | key >> n) & self.all_positions
-        while free:
-            bit = free & -free
-            free ^= bit
-            S1 = S & ones_at[bit.bit_length() - 1]
-            c1 = S1.bit_count()
-            if c1 and c1 != c:
-                c0 = c - c1
-                moves.append((c0 if c0 > c1 else c1, bit, S1, c1))
-        moves.sort()
         tt = self.tt
         W = self.width
-        if len(moves) < hi:
-            hi = len(moves)
-            tt[key] = hi << W | lo
-            if hi <= alpha:
-                return hi
-            if lo == hi:
-                return lo
+        free = ~(key | key >> n) & self.all_positions
+        moves = self.low_moves[free & 255] + self.high_moves[free >> 8]
+        counted = self.counted
+        if counted:
+            moves = self._counted_moves(S, c, moves)
+            if len(moves) < hi:
+                hi = len(moves)
+                tt[key] = hi << W | lo
+                if hi <= alpha:
+                    return hi
+                if lo == hi:
+                    return lo
+        else:
+            # S is every member consistent with key, so each of the nf >= hi
+            # free positions splits it into the same sizes: C(nf-1, r-1) =
+            # c * r / nf ones on a slice with r ones left to place, and half
+            # on a cube
+            if self.k is None:
+                c1 = c >> 1
+            else:
+                c1 = c * (self.k - (key >> n).bit_count()) // nf
+            zeros_first = c1 + c1 <= c
+            xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
         tt_get = tt.get
         M = self.lo_mask
         lbs = self.label_bitsets
@@ -156,18 +191,20 @@ class DepthSolver:
         hi_free = self.free_hi[nf]
         best = hi + 1  # min over exact move costs found so far
         pruned = hi + 1  # min over lower bounds of pruned moves
-        for _, bit, S1, c1 in moves:
-            bcut = beta if beta < best else best
-            ca, cb = alpha - 1, bcut - 1
-            S0 = S ^ S1
-            c0 = c - c1
-            # the larger side goes first
-            if c0 >= c1:
-                X, xk, xc = S0, key | bit, c0
-                Y, yk, yc = S1, key | bit << n, c1
+        ca = alpha - 1
+        cb = (beta if beta < best else best) - 1  # a move must cost <= cb
+        for bit, P in moves:
+            S1 = S & P
+            if counted:
+                c1 = S1.bit_count()
+                zeros_first = c1 + c1 <= c
+                xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
+            # the larger side goes first; the other side's set is made only
+            # when the first side does not cut the move off
+            if zeros_first:
+                X, xk, yk = S ^ S1, key | bit, key | bit << n
             else:
-                X, xk, xc = S1, key | bit << n, c1
-                Y, yk, yc = S0, key | bit, c0
+                X, xk, yk = S1, key | bit << n, key | bit
             if boolean:
                 T = X & lb1
                 leaf = not T or T == X
@@ -197,6 +234,7 @@ class DepthSolver:
                     pruned = v1 + 1
                 continue
             ya = v1 if v1 > ca else ca
+            Y = S1 if zeros_first else S ^ S1
             if boolean:
                 T = Y & lb1
                 leaf = not T or T == Y
@@ -226,8 +264,9 @@ class DepthSolver:
                 if cost < hi:
                     tt[key] = cost << W | lo
                 return cost
-            if cost < bcut:
+            if cost <= cb:
                 best = cost
+                cb = cost - 1
             elif cost < pruned:
                 pruned = cost
         if best < beta:

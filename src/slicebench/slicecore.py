@@ -8,10 +8,11 @@ rank/unrank between members and table indices.
 
 Small domains are enumerated once per domain value: equal domains share one
 view holding the member tuple (member_masks), the per-position rank bitsets
-(position_rank_bitsets) and the mask-to-rank index (member_ranks), and only
-the last few views are kept.  Neighbour loops read a label as
-table[ranks[y]] through that index; cubes index by range(size), explicit
-domains by their own member dict, and larger slices by colex_rank.
+(position_rank_bitsets), the mask-to-rank index (member_ranks) and the
+position move tables (position_move_tables), and only the last few views
+are kept.  Neighbour loops read a label as table[ranks[y]] through that
+index; cubes index by range(size), explicit domains by their own member
+dict, and larger slices by colex_rank.
 """
 
 from __future__ import annotations
@@ -366,10 +367,27 @@ class LabeledFunction:
         return low >= 0 and not S & ~self.label_bitsets[self.table[low]]
 
 
+class _MoveTable(dict):
+    """Per mask m, the pairs[p] = (1 << p, bitsets[p]) of the positions p set
+    in m << shift, in ascending p, each tuple built on first lookup."""
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], shift: int):
+        super().__init__()
+        self.pairs = pairs
+        self.shift = shift
+
+    def __missing__(self, m: int) -> tuple[tuple[int, int], ...]:
+        self[m] = out = tuple(
+            self.pairs[p] for p in range(self.shift, len(self.pairs))
+            if m >> (p - self.shift) & 1
+        )
+        return out
+
+
 class _DomainView:
-    """A domain's members in rank order, and its per-position rank bitsets
-    and mask-to-rank dict built on first use.  Equal small domains share
-    one view."""
+    """A domain's members in rank order, and its per-position rank bitsets,
+    mask-to-rank dict and position move tables built on first use.  Equal
+    small domains share one view."""
 
     def __init__(self, dom: Domain):
         self.n = dom.n
@@ -389,6 +407,11 @@ class _DomainView:
                 x ^= low
         return tuple(out)
 
+    @cached_property
+    def position_moves(self) -> tuple[_MoveTable, _MoveTable]:
+        pairs = tuple((1 << p, P) for p, P in enumerate(self.position_bitsets))
+        return _MoveTable(pairs, 0), _MoveTable(pairs, 8)
+
 
 @lru_cache(maxsize=_VIEW_SLOTS)
 def _cached_view(dom: Domain) -> _DomainView:
@@ -407,6 +430,15 @@ def member_masks(dom: Domain) -> tuple[int, ...]:
 def position_rank_bitsets(dom: Domain) -> tuple[int, ...]:
     """Per position p, the bitset of member ranks whose bit p is set."""
     return _view(dom).position_bitsets
+
+
+def position_move_tables(dom: Domain) -> tuple[Mapping, Mapping]:
+    """Two lazily filled tables of (1 << p, position_rank_bitsets(dom)[p])
+    pairs: the first keyed by the low byte of a position mask, the second
+    by the rest of it (mask >> 8).  low[m & 255] + high[m >> 8] lists the
+    positions of m in ascending order.  Keying by the two parts, not the
+    whole mask, keeps the tables small; equal small domains share them."""
+    return _view(dom).position_moves
 
 
 class _ColexRanks:

@@ -21,6 +21,7 @@ from slicebench.catalog import (
     random_graph,
     random_slice_function,
     rubinstein_original,
+    rubinstein_slice,
     rubinstein_variant,
     slice_restriction,
     weights_task,
@@ -123,6 +124,15 @@ def test_rubinstein_original_small():
     assert g.evaluate(string_to_mask("0011")) == 1
     with pytest.raises(DomainError):
         rubinstein_original(9)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_rubinstein_slice_is_the_restricted_original(n):
+    f = rubinstein_slice(n)
+    assert f.domain == Domain.slice(n, n // 2)
+    assert f.table == slice_restriction(rubinstein_original(n)).table
+    with pytest.raises(DomainError, match="perfect square"):
+        rubinstein_slice(n + 1)
 
 
 def test_slice_restriction_agrees_on_slice():

@@ -1,9 +1,10 @@
 """Measure engines against the naive oracles, witness checks, and caps."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -70,6 +71,9 @@ from slicebench.slicecore import (
     from_graph,
     mask_positions,
     mask_to_string,
+    member_masks,
+    position_move_tables,
+    position_rank_bitsets,
     string_to_mask,
 )
 
@@ -351,9 +355,7 @@ SEARCH_SHAPE_PINS = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(SEARCH_SHAPE_PINS))
-def test_depth_search_shape_is_pinned(spec):
-    f = parse_construction(spec).build()
+def _search_shape(f):
     solver = DepthSolver(f)
     value = solver.solve()
     after_solve = (value, solver.nodes, len(solver.tt))
@@ -361,7 +363,97 @@ def test_depth_search_shape_is_pinned(spec):
     validate_tree(tree, f)
     assert tree_depth(tree) == value
     after_tree = (value, solver.nodes, len(solver.tt))
-    assert (after_solve, after_tree) == SEARCH_SHAPE_PINS[spec]
+    return after_solve, after_tree
+
+
+@pytest.mark.parametrize("spec", sorted(SEARCH_SHAPE_PINS))
+def test_depth_search_shape_is_pinned(spec):
+    f = parse_construction(spec).build()
+    assert _search_shape(f) == SEARCH_SHAPE_PINS[spec]
+
+
+def _random_cube_function(n, seed):
+    rng = random.Random(seed)
+    table = [rng.randrange(2) for _ in range(1 << n)]
+    return LabeledFunction.from_indices(Domain.cube(n), BOOLEAN, table)
+
+
+def _random_explicit_function(n, size, seed):
+    rng = random.Random(seed)
+    members = sorted(rng.sample(range(1 << n), size))
+    table = [rng.randrange(2) for _ in members]
+    return LabeledFunction.from_indices(Domain.explicit(n, members), BOOLEAN, table)
+
+
+# The same pins off the slice: the cube path orders moves without counting,
+# and the explicit path counts and sorts them.
+OFF_SLICE_SHAPE_PINS = {
+    "cube:n=7,seed=1": (
+        lambda: _random_cube_function(7, 1),
+        ((7, 508, 381), (7, 839, 632)),
+    ),
+    "explicit:n=9,size=100,seed=1": (
+        lambda: _random_explicit_function(9, 100, 1),
+        ((6, 1157, 1945), (6, 1557, 2507)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SLICE_SHAPE_PINS))
+def test_depth_search_shape_is_pinned_off_slices(name):
+    build, pinned = OFF_SLICE_SHAPE_PINS[name]
+    assert _search_shape(build()) == pinned
+
+
+@st.composite
+def consistent_keys(draw):
+    """A slice or cube domain and answer masks (zeros, ones) that one of its
+    members, and so at least one, agrees with."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 12))
+        dom = Domain.slice(n, draw(st.integers(1, n - 1)))
+    else:
+        dom = Domain.cube(draw(st.integers(1, 11)))
+    x = member_masks(dom)[draw(st.integers(0, dom.size - 1))]
+    fixed = draw(st.integers(0, (1 << dom.n) - 1))
+    return dom, fixed & ~x, fixed & x
+
+
+@settings(max_examples=150, deadline=None)
+@given(consistent_keys())
+def test_free_positions_split_slices_and_cubes_evenly(case):
+    """The live set is a function of the key: on a slice or cube every free
+    position splits it into sizes that depend only on the number of free
+    positions and ones left, so the solver needs neither count nor sort,
+    and its shared move tables list the free positions in ascending order."""
+    dom, zeros, ones = case
+    n = dom.n
+    ones_at = position_rank_bitsets(dom)
+    S = sum(
+        1 << r
+        for r, x in enumerate(member_masks(dom))
+        if not x & zeros and x & ones == ones
+    )
+    c = S.bit_count()
+    assume(c >= 2)
+    free = ~(zeros | ones) & ((1 << n) - 1)
+    nf = free.bit_count()
+    if dom.kind == "slice":
+        r = dom.k - ones.bit_count()
+        assert c == math.comb(nf, r)
+        c1 = math.comb(nf - 1, r - 1)
+    else:
+        assert c == 1 << nf
+        c1 = c >> 1
+    positions = mask_positions(free)
+    for p in positions:
+        assert (S & ones_at[p]).bit_count() == c1
+    low, high = position_move_tables(dom)
+    assert low[free & 255] + high[free >> 8] == tuple(
+        (1 << p, ones_at[p]) for p in positions
+    )
+    solver = DepthSolver(LabeledFunction.from_indices(dom, BOOLEAN, [0] * dom.size))
+    assert solver.low_moves is low and solver.high_moves is high
 
 
 @st.composite
