@@ -117,7 +117,7 @@ def weight1_algorithm(f: LabeledFunction) -> Algorithm:
         raise DomainError("weight1_algorithm needs Boolean labels")
     sides: tuple[list[int], list[int]] = ([], [])
     for p in range(dom.n):
-        sides[f.label(dom.rank(1 << p))].append(p)
+        sides[f.evaluate(1 << p)].append(p)
     probe = 0 if len(sides[0]) <= len(sides[1]) else 1
 
     def script():
@@ -674,7 +674,7 @@ def run_match(
     correct = (
         status == "claimed"
         and determined
-        and claimed == f.label((live & -live).bit_length() - 1)
+        and claimed == f.alphabet[f.table[(live & -live).bit_length() - 1]]
     )
     forced_guess = status == "claimed" and not determined
     return MatchTranscript(

@@ -7,6 +7,7 @@ with no verdict.  Reports never include timing.
 """
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -215,7 +216,7 @@ class KmlCount(Experiment):
     def run_case(self, params, key):
         _, f = parse_key(key)
         r = f["r"]
-        counted = kml_set(r).ones_bitset().bit_count()
+        counted = kml_set(r).label_bitsets[1].bit_count()
         formula = kml_cardinality(r)
         pinned = {3: 14, 4: 870}.get(r)
         ok = counted == formula and (pinned is None or counted == pinned)
@@ -243,7 +244,7 @@ class EdStructure(Experiment):
         k, l = f["k"], f["l"]
         ed = make_ed(k, l)
         n = ed.domain.n
-        ones = ed.ones_bitset().bit_count()
+        ones = ed.label_bitsets[1].bit_count()
         subcube_max, _ = max_one_subcube_intersection(ed)
         nonadaptive, _ = nonadaptive_positions(ed)
         packing, _ = packing_lower_bound(ed)
@@ -746,11 +747,18 @@ def _case_job(name: str, params: dict, key: str) -> dict:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    """Run every case of the experiment and assemble its report."""
+    """Run every case of the experiment and assemble its report.
+
+    Cases run in min(jobs, CPU count, case count) worker processes, or in
+    this process when that is 1.
+    """
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs}")
     exp = get_experiment(spec.name)
     keys = sorted(exp.case_keys(spec.params))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(keys))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 key: pool.submit(_case_job, spec.name, spec.params, key)
                 for key in keys

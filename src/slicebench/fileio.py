@@ -2,10 +2,12 @@
 
 Function file keys: "n", "kind" ("slice" | "cube" | "explicit"), "k" for
 slices, "members" (bit strings, rank order) for explicit domains,
-"alphabet", and "table" (hex of the packed rank-order value bytes; Boolean
-tables are bit-packed, low bit of each byte first).  An optional
-"construction" object carries provenance and never affects identity: cache
-keys hash only the core fields.
+"alphabet", and "table": the rank-order alphabet indices packed into bytes,
+as hex.  Boolean tables are bit-packed, rank r at bit r % 8 of byte r // 8
+(low bit first, padding bits zero); other alphabets take one byte per
+member.  This module is the only place that packs or unpacks tables.  An
+optional "construction" object carries provenance and never affects
+identity: cache keys hash only the core fields.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .slicecore import (
 )
 
 _KINDS = ("slice", "cube", "explicit")
+# turns a binary numeral into one 0 or 1 byte per digit
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def function_to_json_obj(
@@ -35,7 +39,7 @@ def function_to_json_obj(
     elif dom.kind == "explicit":
         obj["members"] = [mask_to_string(x, dom.n) for x in dom.explicit_members]
     obj["alphabet"] = [list(lab) if isinstance(lab, tuple) else lab for lab in f.alphabet]
-    obj["table"] = f.packed.hex()
+    obj["table"] = _pack(f).hex()
     if construction is not None:
         obj["construction"] = construction
     return obj
@@ -77,17 +81,25 @@ def function_from_json_obj(obj: Any) -> LabeledFunction:
     return LabeledFunction.from_indices(dom, labs, indices)
 
 
-def _unpack(alphabet: list, raw: bytes, size: int) -> list[int]:
+def _pack(f: LabeledFunction) -> bytes:
+    if f.is_boolean:
+        return f.label_bitsets[1].to_bytes((f.domain.size + 7) // 8, "little")
+    return bytes(f.table)
+
+
+def _unpack(alphabet: list, raw: bytes, size: int) -> bytes:
+    """The alphabet indices packed in raw, one byte each."""
     if set(alphabet) == {0, 1}:
         want = (size + 7) // 8
         if len(raw) != want:
             raise FormatError(f"table holds {len(raw)} bytes, expected {want}")
-        if size % 8 and raw[-1] >> (size % 8):
+        bits = int.from_bytes(raw, "little")
+        if bits >> size:
             raise FormatError("table sets padding bits past the domain size")
-        return [raw[r >> 3] >> (r & 7) & 1 for r in range(size)]
+        return format(bits, f"0{size}b")[::-1].encode().translate(_FROM_DIGITS)
     if len(raw) != size:
         raise FormatError(f"table holds {len(raw)} bytes, expected {size}")
-    return list(raw)
+    return raw
 
 
 def write_function(

@@ -328,11 +328,3 @@ class SpanBasis:
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self._reduce([int(v) for v in vec]))
-
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.width)
-        dup.rows = [(pc, list(row)) for pc, row in self.rows]
-        return dup

@@ -19,7 +19,6 @@ from itertools import combinations
 from ..errors import DomainError, ResourceCapError
 from ..kernels import SpanBasis
 from ..slicecore import (
-    Domain,
     LabeledFunction,
     mask_positions,
     member_masks,
@@ -27,8 +26,6 @@ from ..slicecore import (
 )
 
 _DEG_MAX_SIZE = 1 << 14
-
-_BASIS_CACHE: dict[tuple[Domain, int], SpanBasis] = {}
 
 
 def degree(f: LabeledFunction):
@@ -51,7 +48,7 @@ def degree(f: LabeledFunction):
 
 def _degree_cube(f: LabeledFunction):
     n = f.domain.n
-    coef = f.indices()
+    coef = list(f.table)
     for p in range(n):
         bit = 1 << p
         for m in range(1 << n):
@@ -88,23 +85,13 @@ def _degree_slice(f: LabeledFunction):
 def _degree_span(f: LabeledFunction):
     dom = f.domain
     vec = f.table
+    members = member_masks(dom)
+    # after step d the basis spans the monomial indicators of degree <= d
+    basis = SpanBasis(dom.size)
     for d in range(dom.n + 1):
-        if _monomial_basis(dom, d).contains(vec):
+        for subset in combinations(range(dom.n), d):
+            mask = sum(1 << p for p in subset)
+            basis.add([1 if mem & mask == mask else 0 for mem in members])
+        if basis.contains(vec):
             return d, None
     raise AssertionError("degree-n monomials span every function on the domain")
-
-
-def _monomial_basis(dom: Domain, d: int) -> SpanBasis:
-    """Span of all monomial indicators of degree <= d, cached per domain."""
-    key = (dom, d)
-    basis = _BASIS_CACHE.get(key)
-    if basis is None:
-        basis = SpanBasis(dom.size) if d == 0 else _monomial_basis(dom, d - 1).copy()
-        members = member_masks(dom)
-        for subset in combinations(range(dom.n), d):
-            mask = 0
-            for p in subset:
-                mask |= 1 << p
-            basis.add([1 if mem & mask == mask else 0 for mem in members])
-        _BASIS_CACHE[key] = basis
-    return basis

@@ -25,7 +25,7 @@ def max_one_subcube_intersection(f: LabeledFunction):
         raise DomainError("1-subcube scan needs a Boolean function")
     if dom.n > _SUBCUBE_MAX_N:
         raise ResourceCapError(f"subcube scan capped at n <= {_SUBCUBE_MAX_N}")
-    ones_set = f.ones_bitset()
+    ones_set = f.label_bitsets[1]
     if not ones_set:
         return 0, None
     ones_at = position_rank_bitsets(dom)
@@ -60,7 +60,7 @@ def max_one_subcube_intersection(f: LabeledFunction):
 def packing_lower_bound(f: LabeledFunction):
     """ceil(log2(ones / m)) with m as above; returns (value, witness)."""
     m, _ = max_one_subcube_intersection(f)
-    ones = f.ones_bitset().bit_count()
+    ones = f.label_bitsets[1].bit_count()
     if ones == 0:
         return 0, {"ones": 0, "subcube_max": m}
     value = ((ones + m - 1) // m - 1).bit_length()

@@ -4,15 +4,19 @@ Strings of length n are stored as machine-word bitmasks: bit i of the mask is
 the character at position i, so the textual form "1100" has positions {0, 1}
 set.  Domains enumerate their members in a fixed order (colexicographic for
 slices, numeric for the cube, list order for explicit domains) and expose
-rank/unrank between members and table indices.
+rank/unrank between members and table indices.  A labeled function is its
+domain, its alphabet and its table: the tuple of each member's alphabet
+index in rank order.  Its per-label rank bitsets are derived from the table
+on first use; packing a table into bytes belongs to the file format
+(fileio).
 
 Small domains are enumerated once per domain value: equal domains share one
-view holding the member tuple (member_masks), the per-position rank bitsets
-(position_rank_bitsets), the mask-to-rank index (member_ranks) and the
-position move tables (position_move_tables), and only the last few views
-are kept.  Neighbour loops read a label as table[ranks[y]] through that
-index; cubes index by range(size), explicit domains by their own member
-dict, and larger slices by colex_rank.
+view holding the members (member_masks: a range for cubes, else a tuple),
+the per-position rank bitsets (position_rank_bitsets), the mask-to-rank
+index (member_ranks) and the position move tables (position_move_tables),
+and only the last few views are kept.  Neighbour loops read a label as
+table[ranks[y]] through that index; cubes index by range(size), explicit
+domains by their own member dict, and larger slices by colex_rank.
 """
 
 from __future__ import annotations
@@ -272,27 +276,29 @@ BOOLEAN: tuple[Label, ...] = (0, 1)
 class LabeledFunction:
     """A total function from a domain to a finite label alphabet.
 
-    Tables are dense arrays of alphabet indices in rank order, bit-packed when
-    the function is Boolean.  Labels are ints or int tuples.
+    table holds each member's alphabet index, in rank order.  Labels are ints
+    or int tuples; a Boolean alphabet is always stored as (0, 1).
     """
 
     domain: Domain
     alphabet: tuple[Label, ...]
-    packed: bytes
+    table: tuple[int, ...]
 
     @classmethod
     def from_indices(
         cls, domain: Domain, alphabet: Sequence[Label], indices: Iterable[int]
     ) -> "LabeledFunction":
         alphabet = _normalize_alphabet(alphabet)
-        idx = list(indices)
-        if len(idx) != domain.size:
+        table = tuple(indices)
+        if len(table) != domain.size:
             raise DomainError(
-                f"table length {len(idx)} != domain size {domain.size}"
+                f"table length {len(table)} != domain size {domain.size}"
             )
-        if idx and (min(idx) < 0 or max(idx) >= len(alphabet)):
+        if table and (min(table) < 0 or max(table) >= len(alphabet)):
             raise DomainError("table index outside alphabet")
-        return cls(domain=domain, alphabet=alphabet, packed=_pack(alphabet, idx))
+        if alphabet == (1, 0):
+            alphabet, table = BOOLEAN, tuple(1 - v for v in table)
+        return cls(domain=domain, alphabet=alphabet, table=table)
 
     @classmethod
     def from_callable(
@@ -308,12 +314,14 @@ class LabeledFunction:
                 distinct = [0, 1]
             alphabet = distinct
         alphabet = _normalize_alphabet(alphabet)
+        if alphabet == (1, 0):
+            alphabet = BOOLEAN
         pos = {lab: i for i, lab in enumerate(alphabet)}
         try:
-            idx = [pos[v] for v in values]
+            table = tuple(map(pos.__getitem__, values))
         except KeyError as e:
             raise DomainError(f"value {e.args[0]!r} not in alphabet") from None
-        return cls(domain=domain, alphabet=alphabet, packed=_pack(alphabet, idx))
+        return cls(domain=domain, alphabet=alphabet, table=table)
 
     # -- access ----------------------------------------------------------
 
@@ -321,50 +329,29 @@ class LabeledFunction:
     def is_boolean(self) -> bool:
         return self.alphabet == BOOLEAN
 
-    def label_index(self, r: int) -> int:
-        if self.is_boolean:
-            return self.packed[r >> 3] >> (r & 7) & 1
-        return self.packed[r]
-
-    def label(self, r: int) -> Label:
-        return self.alphabet[self.label_index(r)]
-
     def evaluate(self, mask: int) -> Label:
         return self.alphabet[self.table[self.domain.rank(mask)]]
 
     @cached_property
-    def table(self) -> tuple[int, ...]:
-        """The full table as a tuple of alphabet indices, rank order."""
-        if self.is_boolean:
-            p = self.packed
-            return tuple([p[r >> 3] >> (r & 7) & 1 for r in range(self.domain.size)])
-        return tuple(self.packed)
-
-    def indices(self) -> list[int]:
-        """The full table as a fresh list of alphabet indices, rank order."""
-        return list(self.table)
-
-    def ones_bitset(self) -> int:
-        """Big-int bitset of ranks labeled 1 (Boolean functions)."""
-        if not self.is_boolean:
-            raise DomainError("ones_bitset needs a Boolean function")
-        return int.from_bytes(self.packed, "little") & ((1 << self.domain.size) - 1)
-
-    @cached_property
     def label_bitsets(self) -> tuple[int, ...]:
         """Per alphabet index, the bitset of member ranks carrying that label."""
-        if self.is_boolean:
-            ones = self.ones_bitset()
-            return (((1 << self.domain.size) - 1) ^ ones, ones)
-        out = [0] * len(self.alphabet)
-        for r, li in enumerate(self.table):
-            out[li] |= 1 << r
-        return tuple(out)
+        # the table as bytes, highest rank first, read as a binary numeral
+        # with a 1 digit where the label sits
+        raw = bytes(self.table)[::-1]
+        return tuple(
+            int(raw.translate(_bit_digits(i)), 2) for i in range(len(self.alphabet))
+        )
 
     def is_single_label(self, S: int) -> bool:
         """True when the rank set S is nonempty and carries one label."""
         low = (S & -S).bit_length() - 1
         return low >= 0 and not S & ~self.label_bitsets[self.table[low]]
+
+
+@lru_cache(maxsize=None)
+def _bit_digits(i: int) -> bytes:
+    """A bytes.translate table sending byte i to "1" and every other to "0"."""
+    return b"0" * i + b"1" + b"0" * (255 - i)
 
 
 class _MoveTable(dict):
@@ -391,7 +378,9 @@ class _DomainView:
 
     def __init__(self, dom: Domain):
         self.n = dom.n
-        self.members = tuple(dom._enumerate())
+        self.members = (
+            range(dom.size) if dom.kind == "cube" else tuple(dom._enumerate())
+        )
 
     @cached_property
     def ranks(self) -> dict[int, int]:
@@ -422,8 +411,8 @@ def _view(dom: Domain) -> _DomainView:
     return _cached_view(dom) if dom.size <= _VIEW_MAX_SIZE else _DomainView(dom)
 
 
-def member_masks(dom: Domain) -> tuple[int, ...]:
-    """All members of dom in rank order."""
+def member_masks(dom: Domain) -> Sequence[int]:
+    """All members of dom in rank order: a range for cubes, else a tuple."""
     return _view(dom).members
 
 
@@ -485,19 +474,7 @@ def _normalize_alphabet(alphabet: Sequence[Label]) -> tuple[Label, ...]:
         raise DomainError("alphabet labels must be distinct")
     if len(labs) > MAX_ALPHABET:
         raise ResourceCapError(f"alphabet size {len(labs)} exceeds {MAX_ALPHABET}")
-    if set(labs) == {0, 1} and tuple(labs) != BOOLEAN:
-        labs = [0, 1]
     return tuple(labs)
-
-
-def _pack(alphabet: Sequence[Label], indices: list[int]) -> bytes:
-    if tuple(alphabet) == BOOLEAN:
-        out = bytearray((len(indices) + 7) // 8)
-        for r, v in enumerate(indices):
-            if v:
-                out[r >> 3] |= 1 << (r & 7)
-        return bytes(out)
-    return bytes(indices)
 
 
 # -- restriction -------------------------------------------------------------
@@ -569,18 +546,6 @@ def restrict(f: LabeledFunction, a: Assignment) -> LabeledFunction:
     return LabeledFunction.from_indices(sub, f.alphabet, idx)
 
 
-def complement_domain(f: LabeledFunction) -> LabeledFunction:
-    """Carry f across the complement involution slice(n,k) -> slice(n,n-k)."""
-    dom = f.domain
-    if dom.kind != "slice":
-        raise DomainError("complement_domain needs a slice domain")
-    full = (1 << dom.n) - 1
-    sub = Domain.slice(dom.n, dom.n - dom.k)
-    ranks, table = member_ranks(dom), f.table
-    idx = [table[ranks[x ^ full]] for x in sub.members()]
-    return LabeledFunction.from_indices(sub, f.alphabet, idx)
-
-
 # -- weight-2 slice <-> graph correspondence ---------------------------------
 
 
@@ -619,10 +584,6 @@ class SliceGraph:
         full = (1 << n) - 1
         return cls(n=n, adj=tuple(full ^ (1 << u) for u in range(n)))
 
-    @classmethod
-    def empty(cls, n: int) -> "SliceGraph":
-        return cls(n=n, adj=(0,) * n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -658,7 +619,7 @@ def to_graph(f: LabeledFunction) -> SliceGraph:
         raise DomainError("to_graph needs a Boolean function")
     edges = []
     for r, mask in enumerate(dom.members()):
-        if f.label_index(r):
+        if f.table[r]:
             u = (mask & -mask).bit_length() - 1
             v = (mask ^ (1 << u)).bit_length() - 1
             edges.append((u, v))

@@ -54,7 +54,7 @@ def test_eq_depth_frozen():
 def test_ed_shape_and_ones():
     f = make_ed(4, 2)
     assert (f.domain.n, f.domain.k) == (8, 4)
-    assert f.ones_bitset().bit_count() == 24
+    assert f.label_bitsets[1].bit_count() == 24
     assert f.evaluate(string_to_mask("00101101")) == 1
     assert f.evaluate(string_to_mask("11000011")) == 0
     with pytest.raises(DomainError):
@@ -87,7 +87,7 @@ def test_kml_counts_frozen():
     assert kml_cardinality(4) == 870
     f = kml_set(3)
     assert (f.domain.n, f.domain.k) == (8, 4)
-    assert f.ones_bitset().bit_count() == 14
+    assert f.label_bitsets[1].bit_count() == 14
     assert f.evaluate(string_to_mask("11110000")) == 1
 
 
@@ -104,8 +104,8 @@ def test_random_generators_reproducible():
     assert random_graph(6, 9).adj == random_graph(6, 9).adj
     assert random_graph(6, 9).adj != random_graph(6, 10).adj
     f = random_slice_function(5, 2, 42)
-    assert f.indices() == random_slice_function(5, 2, 42).indices()
-    assert f.indices() != random_slice_function(5, 2, 43).indices()
+    assert f.table == random_slice_function(5, 2, 42).table
+    assert f.table != random_slice_function(5, 2, 43).table
 
 
 def test_rubinstein_variant_sensitivity_small():
@@ -176,7 +176,7 @@ def test_weights_task_labels():
     assert f.evaluate(string_to_mask("0110")) == (1, 1)
     assert f.evaluate(string_to_mask("1100")) == (2, 0)
     assert f.evaluate(string_to_mask("0011")) == (2, 0)
-    assert sorted(set(f.indices())) == [0, 1]
+    assert sorted(set(f.table)) == [0, 1]
     assert set(f.alphabet) == {(1, 1), (2, 0)}
 
 

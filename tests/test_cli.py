@@ -1,9 +1,12 @@
 """End-to-end command-line behavior, exit codes included."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ import slicebench.cli.main as cli_main
 from slicebench.catalog import graham_sloane
 from slicebench.cli.main import main
 from slicebench.errors import AdversaryExhaustedError, EmptyRestrictionError
+from slicebench.fileio import read_function
+from test_fileio import write_with_reversed_alphabet
 
 
 def run(capsys, *argv):
@@ -35,6 +40,56 @@ def test_construct_out_writes_file(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "eq:k=1", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["construction"]["params"] == {"k": 1}
+
+
+@pytest.mark.parametrize(
+    "spec, sha256",
+    [
+        # a Boolean balanced slice, a cube, a non-Boolean alphabet, a graph
+        ("kml:r=3", "90671bdf1db295f744991e7e5c478ed58a2793bb583b3db871df56ebd5615c2d"),
+        (
+            "rubinstein-variant:n=4",
+            "2dd0eb6c3cc491024ab0e15a18fd3ccdef2249b3fcd9a15ee7ab75f2cc009033",
+        ),
+        (
+            "weights:n=3,m=2,k=3",
+            "a1e3ffa574c0ebd62049c0d97686d41b24811489e9cdd355aadfa30e318843ce",
+        ),
+        (
+            "random-graph:n=7,seed=2",
+            "2fd5dc81570f8328f4cc3f97627a8cfdf3fa80c9481307621c986c029b641859",
+        ),
+    ],
+)
+def test_construct_output_is_pinned(capsys, spec, sha256):
+    code, out, _ = run(capsys, "construct", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_a_reversed_boolean_alphabet_file_measures_and_matches_as_written(
+    capsys, tmp_path
+):
+    plain, reversed_ = tmp_path / "plain.json", tmp_path / "reversed.json"
+    run(capsys, "construct", "kml:r=3", "--out", str(plain))
+    write_with_reversed_alphabet(read_function(plain), reversed_)
+    seen = []
+    for path in (plain, reversed_):
+        code, out, _ = run(
+            capsys, "measure", "--function", str(path),
+            "--measures", "packing,m", "--no-cache",
+        )
+        assert code == 0
+        report = json.loads(out)
+        values = {k: (e["value"], e["witness"]) for k, e in report["measures"].items()}
+        code, transcript, _ = run(
+            capsys, "match", "--function", str(path),
+            "--algorithm", "optimal", "--adversary", "fixed:x=11110000",
+        )
+        assert code == 0
+        seen.append((report["function"], values, transcript))
+    assert seen[1] == seen[0]
+    assert seen[1][1]["packing"][1]["ones"] == 14
 
 
 def test_construct_unknown_name_is_input_error(capsys):
@@ -275,6 +330,54 @@ def test_experiment_jobs_do_not_change_the_report(capsys, tmp_path):
     )
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor and starts no process: it records
+    the pool size it is given and runs each job as it is submitted."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+_FIVE_CASES = ("--set", "n=6", "--set", "k=3", "--set", "samples=5")
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, pool",
+    [("3", 8, 3), ("5000", 4, 4), ("5000", 64, 5), ("5000", None, None), ("2", 1, None)],
+)
+def test_experiment_pool_is_bounded_by_cpus_and_cases(
+    capsys, monkeypatch, jobs, cpus, pool
+):
+    _, serial, _ = run(capsys, "experiment", "random-depth", *_FIVE_CASES)
+    sizes = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", partial(_InlinePool, sizes))
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    code, out, _ = run(
+        capsys, "experiment", "random-depth", *_FIVE_CASES, "--jobs", jobs
+    )
+    assert (code, out) == (0, serial)
+    assert sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_experiment_jobs_below_one_is_input_error(capsys, monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", None)
+    code, out, err = run(capsys, "experiment", "eq-depth", "--jobs", jobs)
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "input"
 
 
 def test_experiment_csv_layout(capsys):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from slicebench import ENGINE_VERSION
-from slicebench.catalog import make_eq, random_slice_function, weights_task
+from slicebench.catalog import kml_set, make_eq, random_slice_function, weights_task
 from slicebench.cli.cache import ResultCache, default_cache_dir
 from slicebench.errors import FormatError
 from slicebench.fileio import (
@@ -75,6 +75,36 @@ def test_function_format_errors():
     del slim["k"]
     with pytest.raises(FormatError):
         function_from_json_obj(slim)
+
+
+def test_explicit_function_bytes_are_pinned():
+    dom = Domain.explicit(4, [0b0011, 0b0101, 0b1001, 0b0110, 0b1010, 0b1100, 15, 0, 1])
+    f = LabeledFunction.from_indices(dom, BOOLEAN, [1, 0, 0, 1, 1, 0, 1, 0, 1])
+    assert canonical_function_bytes(f) == (
+        b'{"alphabet":[0,1],"kind":"explicit","members":["1100","1010","1001",'
+        b'"0110","0101","0011","1111","0000","1000"],"n":4,"table":"5901"}'
+    )
+
+
+def write_with_reversed_alphabet(f, path):
+    """Write Boolean f as a file whose alphabet is [1, 0], so every table
+    bit is the complement of the one in f's own file."""
+    obj = function_to_json_obj(f)
+    raw = bytes.fromhex(obj["table"])
+    bits = int.from_bytes(raw, "little") ^ ((1 << f.domain.size) - 1)
+    obj["alphabet"] = [1, 0]
+    obj["table"] = bits.to_bytes(len(raw), "little").hex()
+    path.write_text(json.dumps(obj))
+
+
+def test_reversed_boolean_alphabet_reads_back_unflipped(tmp_path):
+    f = kml_set(3)
+    path = tmp_path / "kml3.json"
+    write_with_reversed_alphabet(f, path)
+    g = read_function(path)
+    assert g == f
+    assert g.label_bitsets[1].bit_count() == 14
+    assert canonical_function_bytes(g) == canonical_function_bytes(f)
 
 
 def test_read_function_reports_json_line(tmp_path):

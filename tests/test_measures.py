@@ -103,7 +103,7 @@ def test_frozen_oracle_values_random_functions():
     }
     for seed, (table, d, c, s, bs, dg) in expected.items():
         f = random_slice_function(4, 2, seed)
-        assert f.indices() == table
+        assert list(f.table) == table
         assert exact_depth(f) == d
         assert certificate_complexity(f)[0] == c
         assert sensitivity(f)[0] == s
@@ -241,7 +241,7 @@ def test_monochromatic_number_matches_oracle_on_small_graphs():
             assert not any(g.has_edge(u, v) for u, v in pairs)
     assert monochromatic_number(paley_weight2(5))[0] == 2
     assert monochromatic_number(SliceGraph.complete(5))[0] == 5
-    assert monochromatic_number(SliceGraph.empty(5))[0] == 5
+    assert monochromatic_number(SliceGraph.from_edges(5, []))[0] == 5
 
 
 def test_packing_bound_below_depth():

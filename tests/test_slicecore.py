@@ -18,7 +18,6 @@ from slicebench.slicecore import (
     SliceGraph,
     colex_rank,
     colex_unrank,
-    complement_domain,
     expand_member,
     from_graph,
     iter_colex_masks,
@@ -128,9 +127,9 @@ def test_labeled_function_constructors_agree():
         dom, BOOLEAN, [1 if x & 1 else 0 for x in dom.members()]
     )
     assert by_callable == by_indices
-    assert by_callable.indices() == by_indices.indices()
+    assert by_callable.table == by_indices.table
     assert by_callable.is_boolean
-    assert set(by_callable.indices()) == {0, 1}
+    assert set(by_callable.table) == {0, 1}
 
 
 def test_labeled_function_tuple_alphabet():
@@ -142,16 +141,30 @@ def test_labeled_function_tuple_alphabet():
     assert f.evaluate(0b0011) == (2, 0)
     assert f.evaluate(0b1100) == (1, 1)
     assert not f.is_boolean
-    with pytest.raises(DomainError):
-        f.ones_bitset()
 
 
-def test_ones_bitset_matches_table():
+def test_reversed_boolean_alphabet_keeps_each_label():
     dom = Domain.slice(5, 2)
-    f = LabeledFunction.from_callable(dom, lambda x: x & 1, BOOLEAN)
-    bits = f.ones_bitset()
-    for r in range(dom.size):
-        assert (bits >> r & 1) == f.label(r)
+    idx = [r % 3 & 1 for r in range(dom.size)]
+    label = {x: (1, 0)[i] for x, i in zip(dom.members(), idx)}
+    f = LabeledFunction.from_indices(dom, (1, 0), idx)
+    assert f.alphabet == BOOLEAN
+    assert all(f.evaluate(x) == lab for x, lab in label.items())
+    assert f == LabeledFunction.from_callable(dom, label.__getitem__, (1, 0))
+    assert f == LabeledFunction.from_indices(dom, [1, 0], iter(idx))
+
+
+def test_label_bitsets_match_the_table():
+    dom = Domain.slice(9, 4)
+    for f in (
+        LabeledFunction.from_callable(dom, lambda x: x % 3 & 1, BOOLEAN),
+        LabeledFunction.from_callable(dom, lambda x: x % 5, (0, 1, 2, 3, 4)),
+    ):
+        for i, bits in enumerate(f.label_bitsets):
+            assert [bits >> r & 1 for r in range(dom.size)] == [
+                int(v == i) for v in f.table
+            ]
+            assert not bits >> dom.size
 
 
 def test_position_and_label_bitsets():
@@ -168,7 +181,7 @@ def test_position_and_label_bitsets():
         assert len(by_label) == len(f.alphabet)
         for r in range(dom.size):
             assert [b >> r & 1 for b in by_label] == [
-                int(i == f.label_index(r)) for i in range(len(f.alphabet))
+                int(i == f.table[r]) for i in range(len(f.alphabet))
             ]
 
 
@@ -198,7 +211,7 @@ def test_cached_views_match_fresh_enumeration(drawn, data):
     dom, expected = drawn
     for _ in range(2):  # the second pass reads the cached view
         assert list(dom.members()) == expected
-        assert member_masks(dom) == tuple(expected)
+        assert tuple(member_masks(dom)) == tuple(expected)
         assert position_rank_bitsets(dom) == tuple(
             sum(1 << r for r, x in enumerate(expected) if x >> p & 1)
             for p in range(dom.n)
@@ -210,10 +223,7 @@ def test_cached_views_match_fresh_enumeration(drawn, data):
         )
     )
     f = LabeledFunction.from_indices(dom, alphabet, table)
-    for _ in range(2):
-        assert f.indices() == table
-        assert f.table == tuple(table)
-        assert [f.label_index(r) for r in range(dom.size)] == table
+    assert f.table == tuple(table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -298,11 +308,7 @@ def test_shared_views_are_immutable():
     assert isinstance(member_masks(dom), tuple)
     assert isinstance(position_rank_bitsets(dom), tuple)
     assert isinstance(f.table, tuple)
-    want = tuple(x % 3 for x in dom.members())
-    fresh = f.indices()
-    assert type(fresh) is list
-    fresh[0] = (want[0] + 1) % 3
-    assert f.table == want and f.indices() == list(want)
+    assert f.table == tuple(x % 3 for x in dom.members())
 
 
 def test_domain_above_view_limit_is_enumerated_uncached():
@@ -355,17 +361,6 @@ def test_restrict_empty_raises():
         restrict(f, Assignment.of(ones=[0, 1, 2]))
 
 
-def test_complement_domain_flips_members():
-    f = LabeledFunction.from_callable(
-        Domain.slice(5, 2), lambda x: 1 if x & 0b11 else 0, BOOLEAN
-    )
-    g = complement_domain(f)
-    assert (g.domain.n, g.domain.k) == (5, 3)
-    full = (1 << 5) - 1
-    for x in f.domain.members():
-        assert g.evaluate(full ^ x) == f.evaluate(x)
-
-
 def test_graph_round_trip():
     g = SliceGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     f = from_graph(g)
@@ -376,7 +371,7 @@ def test_graph_round_trip():
     assert g.complement().complement() == g
     assert g.edge_count() == 5
     assert SliceGraph.complete(4).edge_count() == 6
-    assert SliceGraph.empty(3).edge_count() == 0
+    assert SliceGraph.from_edges(3, []).edge_count() == 0
 
 
 def test_graph_validation():
