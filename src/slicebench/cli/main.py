@@ -29,7 +29,7 @@ from ..fileio import (
     function_to_json_obj,
     read_function,
 )
-from ..measures.report import MEASURES, compute_measures, verify_entry
+from ..measures.report import MEASURES, compute_measures, verify_report
 from .cache import ResultCache
 from .experiments import ExperimentSpec, experiment_names, run_experiment
 
@@ -212,8 +212,7 @@ def _cmd_verify(args) -> int:
     entries = obj.get("measures", obj)
     if not isinstance(entries, dict) or not entries:
         raise FormatError("report holds no measure entries")
-    for name in sorted(entries):
-        verify_entry(f, name, entries[name])
+    verify_report(f, entries)
     _emit(_json_text({"function": ref, "verified": sorted(entries)}), args.out)
     return _EXIT_OK
 

@@ -13,16 +13,18 @@ maximum still gets the exact minimum hitting set, in rank order.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import exact_cover, greedy_cover, min_hitting_set
 from ..slicecore import (
     Assignment,
     LabeledFunction,
+    consistent_set,
     mask_to_string,
     member_masks,
     position_rank_bitsets,
+    whole_cube,
 )
 
 _UC_MAX_SIZE = 64
@@ -142,19 +144,9 @@ def unambiguous_certificate_complexity(f: LabeledFunction):
     if dom.n > _UC_MAX_N:
         raise ResourceCapError(f"UC capped at n <= {_UC_MAX_N}")
     candidates = _monochromatic_assignments(f)
-    items = sorted(
-        (size, zeros, ones, S) for S, (size, zeros, ones) in candidates.items()
-    )
-    full = (1 << dom.size) - 1
-    for s in range(dom.n + 1):
-        usable = [(S, zeros, ones) for size, zeros, ones, S in items if size <= s]
-        chosen = exact_cover(full, [S for S, _, _ in usable])
-        if chosen is not None:
-            certs = [
-                Assignment(usable[i][1], usable[i][2]).to_json_obj() for i in chosen
-            ]
-            return s, {"certificates": certs}
-    raise AssertionError("full assignments always cover the domain exactly")
+    items = [(size, zeros, ones, S) for S, (size, zeros, ones) in candidates.items()]
+    s, certs = _least_exact_cover((1 << dom.size) - 1, items, dom.n)
+    return s, {"certificates": certs}
 
 
 def subcube_partition_complexity(f: LabeledFunction):
@@ -166,49 +158,33 @@ def subcube_partition_complexity(f: LabeledFunction):
         raise DomainError("subcube partitions need a Boolean function")
     if dom.n > _SC_MAX_N:
         raise ResourceCapError(f"SC capped at n <= {_SC_MAX_N}")
-    n = dom.n
-    points = 1 << n
-    member_label = dict(zip(member_masks(dom), f.table))
+    cube = whole_cube(dom.n)
+    cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
+    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
     cells = []
-    for zeros, ones in _all_assignments(n):
-        seen = set()
-        ok = True
-        cell = 0
-        for pt in range(points):
-            if pt & zeros or (pt & ones) != ones:
-                continue
-            cell |= 1 << pt
-            if pt in member_label:
-                seen.add(member_label[pt])
-                if len(seen) > 1:
-                    ok = False
-                    break
-        if ok:
+    for zeros, ones in product(range(1 << dom.n), repeat=2):
+        if zeros & ones:
+            continue
+        S = consistent_set(ones_at, full, zeros, ones)
+        if not S or f.is_single_label(S):
+            cell = consistent_set(cube_at, points, zeros, ones)
             cells.append(((zeros | ones).bit_count(), zeros, ones, cell))
-    cells.sort()
-    full = (1 << points) - 1
+    s, parts = _least_exact_cover(points, cells, dom.n)
+    return s, {"subcubes": parts}
+
+
+def _least_exact_cover(full: int, items, n: int):
+    """Least s such that the sets of the (size, zeros, ones, set) items of
+    size <= s exactly cover full, with the chosen assignments as JSON."""
+    items = sorted(items)
     for s in range(n + 1):
-        usable = [(cell, zeros, ones) for size, zeros, ones, cell in cells if size <= s]
-        chosen = exact_cover(full, [c for c, _, _ in usable])
+        usable = [item for item in items if item[0] <= s]
+        chosen = exact_cover(full, [item[3] for item in usable])
         if chosen is not None:
-            parts = [
+            return s, [
                 Assignment(usable[i][1], usable[i][2]).to_json_obj() for i in chosen
             ]
-            return s, {"subcubes": parts}
-    raise AssertionError("singleton subcubes always partition the cube")
-
-
-def _all_assignments(n: int):
-    def rec(p: int, zeros: int, ones: int):
-        if p == n:
-            yield zeros, ones
-            return
-        bit = 1 << p
-        yield from rec(p + 1, zeros, ones)
-        yield from rec(p + 1, zeros | bit, ones)
-        yield from rec(p + 1, zeros, ones | bit)
-
-    yield from rec(0, 0, 0)
+    raise AssertionError("full assignments always cover exactly")
 
 
 # -- balanced certificates ------------------------------------------------------

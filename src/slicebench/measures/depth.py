@@ -31,6 +31,7 @@ from __future__ import annotations
 from ..errors import ResourceCapError
 from ..slicecore import (
     LabeledFunction,
+    consistent_set,
     mask_positions,
     member_masks,
     position_move_tables,
@@ -302,21 +303,6 @@ class DepthSolver:
 
     # -- packing hint at the root -------------------------------------------
 
-    def _span_live(self, x: int, y: int) -> int:
-        """Live set after fixing every position where x and y agree."""
-        S = self.full
-        both = x & y
-        while both:
-            low = both & -both
-            S &= self.ones_at[low.bit_length() - 1]
-            both ^= low
-        neither = ~(x | y) & ((1 << self.n) - 1)
-        while neither:
-            low = neither & -neither
-            S &= ~self.ones_at[low.bit_length() - 1]
-            neither ^= low
-        return S
-
     def _packing_hint(self) -> int:
         """Leaf-count bound when no two same-label inputs share a
         monochromatic subcube: depth >= log2(count of that label)."""
@@ -332,9 +318,12 @@ class DepthSolver:
                 continue
             sides = [x for r, x in enumerate(members) if lb >> r & 1]
             packed = True
-            for i in range(len(sides)):
-                for j in range(i + 1, len(sides)):
-                    live = self._span_live(sides[i], sides[j])
+            for i, x in enumerate(sides):
+                for y in sides[i + 1 :]:
+                    # the live set after fixing where the two inputs agree
+                    live = consistent_set(
+                        self.ones_at, self.full, ~(x | y) & self.all_positions, x & y
+                    )
                     if not live & ~lb:
                         packed = False
                         break

@@ -1,25 +1,33 @@
 """Measure registry, report assembly, and witness re-verification.
 
 A report maps measure names to {"value", "witness", "nodes", "millis"}
-entries.  Witnesses are one-sided: a tree certifies its exact depth and
-correctness, assignment witnesses certify achievability of the stated size,
-block and swap families certify the stated count.  Measures whose value has
-no compact witness (deg, packing, m) are re-verified by recomputation.
+entries.  verify_entry checks that an entry's value is an int, that its
+witness is valid for f and names only positions in 0..n-1, and that the
+value equals the witness's size: a tree's depth, an assignment's fixed
+positions, a family's count.  Measures whose value has no compact witness
+(deg, packing, m) are re-verified by recomputation.  verify_report also
+refuses values present together that break s <= bs2 <= bs <= C <= D <=
+nonadaptive or deg <= D.  Witnesses are one-sided: a value above the
+optimum with a valid witness of that size still passes, unless the chain
+catches it.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
+from itertools import combinations
 from typing import Any, Callable
 
 from ..errors import DomainError, MembershipError, VerificationError
 from ..slicecore import (
     Assignment,
     LabeledFunction,
+    consistent_set,
     member_masks,
     position_rank_bitsets,
     string_to_mask,
+    whole_cube,
 )
 from .algebra import degree
 from .bounds import max_one_subcube_intersection, packing_lower_bound
@@ -112,10 +120,9 @@ def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
     checker = _VERIFIERS.get(name)
     if checker is None:
         raise DomainError(f"unknown measure {name!r}")
-    try:
-        value = int(entry["value"])
-    except (KeyError, TypeError, ValueError):
-        raise VerificationError(f"{name}: entry has no integer value") from None
+    value = entry.get("value") if isinstance(entry, dict) else None
+    if type(value) is not int:
+        raise VerificationError(f"{name}: entry has no integer value")
     try:
         checker(f, value, entry.get("witness"))
     except VerificationError:
@@ -124,19 +131,28 @@ def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
         raise VerificationError(f"{name}: witness invalid: {e!r}") from None
 
 
+# value orders that hold for every function: s <= bs2 <= bs <= C <= D <=
+# nonadaptive, and deg <= D for the Boolean functions deg is defined on
+_CHAIN = ("s", "bs2", "bs", "C", "D", "nonadaptive")
+_ORDERS = [*combinations(_CHAIN, 2), ("deg", "D"), ("deg", "nonadaptive")]
+
+
+def verify_report(f: LabeledFunction, entries: dict[str, Entry]) -> None:
+    """Re-check every entry, then the orders between the values present
+    that hold for every function; raises VerificationError on failure."""
+    for name in sorted(entries):
+        verify_entry(f, name, entries[name])
+    values = {name: entry["value"] for name, entry in entries.items()}
+    for lo, hi in _ORDERS:
+        if lo in values and hi in values and values[lo] > values[hi]:
+            raise VerificationError(
+                f"{lo} = {values[lo]} exceeds {hi} = {values[hi]},"
+                f" but {lo} <= {hi} for every function"
+            )
+
+
 def _fail(name: str, msg: str):
     raise VerificationError(f"{name}: {msg}")
-
-
-def _consistent_bitset(f: LabeledFunction, a: Assignment) -> int:
-    ones_at = position_rank_bitsets(f.domain)
-    S = (1 << f.domain.size) - 1
-    zeros, ones = a.positions()
-    for p in zeros:
-        S &= ~ones_at[p]
-    for p in ones:
-        S &= ones_at[p]
-    return S
 
 
 def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
@@ -154,6 +170,22 @@ def _witness_assignment(witness: Any, name: str) -> Assignment:
         _fail(name, f"bad assignment witness: {e}")
 
 
+def _positions_mask(f: LabeledFunction, witness: Any, value: int, name: str) -> int:
+    """The mask of a witness's positions, which must be value distinct
+    positions in 0..n-1."""
+    positions = witness.get("positions") if isinstance(witness, dict) else None
+    if positions is None:
+        _fail(name, "witness lacks positions")
+    mask = 0
+    for p in positions:
+        if type(p) is not int or not 0 <= p < f.domain.n or mask >> p & 1:
+            _fail(name, f"positions are not distinct positions in 0..{f.domain.n - 1}")
+        mask |= 1 << p
+    if len(positions) != value:
+        _fail(name, f"{len(positions)} positions != stated value {value}")
+    return mask
+
+
 def _verify_tree(f: LabeledFunction, value: int, witness: Any) -> None:
     tree = tree_from_json_obj(witness)
     validate_tree(tree, f)
@@ -163,12 +195,7 @@ def _verify_tree(f: LabeledFunction, value: int, witness: Any) -> None:
 
 
 def _verify_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
-    if not isinstance(witness, dict) or "positions" not in witness:
-        _fail("nonadaptive", "witness lacks positions")
-    positions = witness["positions"]
-    if len(set(positions)) != len(positions) or len(positions) != value:
-        _fail("nonadaptive", "positions are not a distinct set of the stated size")
-    mask = sum(1 << p for p in positions)
+    mask = _positions_mask(f, witness, value, "nonadaptive")
     seen: dict[int, int] = {}
     for xm, label in zip(member_masks(f.domain), f.table):
         if seen.setdefault(xm & mask, label) != label:
@@ -186,7 +213,10 @@ def _verify_certificate(name: str, balanced: bool):
         if a.size != value:
             _fail(name, f"assignment size {a.size} != stated value {value}")
         # the consistent set holds xm, so one label there means xm's label
-        if not f.is_single_label(_consistent_bitset(f, a)):
+        S = consistent_set(
+            position_rank_bitsets(f.domain), (1 << f.domain.size) - 1, a.zeros, a.ones
+        )
+        if not f.is_single_label(S):
             _fail(name, "assignment is not label-constant over consistent members")
 
     return check
@@ -195,11 +225,12 @@ def _verify_certificate(name: str, balanced: bool):
 def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
     if not isinstance(witness, dict) or "certificates" not in witness:
         _fail("UC", "witness lacks certificates")
+    ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
     for obj in witness["certificates"]:
         a = _witness_assignment(obj, "UC")
-        S = _consistent_bitset(f, a)
+        S = consistent_set(ones_at, full, a.zeros, a.ones)
         if not S:
             _fail("UC", "certificate consistent with no member")
         if not f.is_single_label(S):
@@ -208,7 +239,7 @@ def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
             _fail("UC", "certificates overlap")
         covered |= S
         worst = max(worst, a.size)
-    if covered != (1 << f.domain.size) - 1:
+    if covered != full:
         _fail("UC", "certificates do not cover the domain")
     if worst != value:
         _fail("UC", f"largest certificate {worst} != stated value {value}")
@@ -217,25 +248,22 @@ def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
 def _verify_sc(f: LabeledFunction, value: int, witness: Any) -> None:
     if not isinstance(witness, dict) or "subcubes" not in witness:
         _fail("SC", "witness lacks subcubes")
-    n = f.domain.n
-    member_label = dict(zip(member_masks(f.domain), f.table))
+    cube = whole_cube(f.domain.n)
+    cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
+    ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
     for obj in witness["subcubes"]:
         a = _witness_assignment(obj, "SC")
         worst = max(worst, a.size)
-        seen: set[int] = set()
-        for pt in range(1 << n):
-            if pt & a.zeros or (pt & a.ones) != a.ones:
-                continue
-            if covered >> pt & 1:
-                _fail("SC", "subcubes overlap")
-            covered |= 1 << pt
-            if pt in member_label:
-                seen.add(member_label[pt])
-        if len(seen) > 1:
+        cell = consistent_set(cube_at, points, a.zeros, a.ones)
+        if covered & cell:
+            _fail("SC", "subcubes overlap")
+        covered |= cell
+        S = consistent_set(ones_at, full, a.zeros, a.ones)
+        if S and not f.is_single_label(S):
             _fail("SC", "a subcube mixes labels on the domain")
-    if covered != (1 << (1 << n)) - 1:
+    if covered != points:
         _fail("SC", "subcubes do not partition the cube")
     if worst != value:
         _fail("SC", f"largest subcube assignment {worst} != stated value {value}")
@@ -260,12 +288,8 @@ def _verify_sensitivity(f: LabeledFunction, value: int, witness: Any) -> None:
         if len(swaps) != value:
             _fail("s", f"{len(swaps)} swaps != stated value {value}")
         return
-    positions = witness.get("positions")
-    if positions is None:
-        _fail("s", "witness lacks positions")
-    if len(set(positions)) != len(positions) or len(positions) != value:
-        _fail("s", "positions are not a distinct set of the stated size")
-    for p in positions:
+    _positions_mask(f, witness, value, "s")
+    for p in witness["positions"]:
         y = xm ^ (1 << p)
         if y not in f.domain or f.evaluate(y) == fx:
             _fail("s", f"flip at {p} is not sensitive")

@@ -62,8 +62,10 @@ def evaluate(t: Tree, mask: int) -> int:
 
 
 def validate(t: Tree, f: LabeledFunction) -> None:
-    """Check the tree computes f on every domain member; raises on mismatch."""
+    """Check the tree queries only positions in 0..n-1 and computes f on
+    every domain member; raises DomainError otherwise."""
     dom = f.domain
+    _check_queries(t, dom.n)
     for x, want in zip(member_masks(dom), f.table):
         got = evaluate(t, x)
         if got != want:
@@ -71,3 +73,11 @@ def validate(t: Tree, f: LabeledFunction) -> None:
                 f"tree disagrees with function at {mask_to_string(x, dom.n)}:"
                 f" tree gives index {got}, table has {want}"
             )
+
+
+def _check_queries(t: Tree, n: int) -> None:
+    if isinstance(t, Node):
+        if not 0 <= t.position < n:
+            raise DomainError(f"tree queries position {t.position} outside 0..{n - 1}")
+        _check_queries(t.on_zero, n)
+        _check_queries(t.on_one, n)

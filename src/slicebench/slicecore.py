@@ -8,7 +8,9 @@ rank/unrank between members and table indices.  A labeled function is its
 domain, its alphabet and its table: the tuple of each member's alphabet
 index in rank order.  Its per-label rank bitsets are derived from the table
 on first use; packing a table into bytes belongs to the file format
-(fileio).
+(fileio).  consistent_set maps a partial assignment to the rank bitset of
+the members consistent with it; restriction and the callers that check or
+build certificates and subcube partitions all go through it.
 
 Small domains are enumerated once per domain value: equal domains share one
 view holding the members (member_masks: a range for cubes, else a tuple),
@@ -486,45 +488,30 @@ def residual_positions(n: int, a: Assignment) -> list[int]:
     return [p for p in range(n) if not a.fixed >> p & 1]
 
 
-def expand_member(residual_mask: int, residual: Sequence[int], a: Assignment) -> int:
-    """Embed a residual-domain member back into the original positions."""
-    x = a.ones
-    for j, p in enumerate(residual):
-        if residual_mask >> j & 1:
-            x |= 1 << p
-    return x
+def consistent_set(ones_at: Sequence[int], full: int, zeros: int, ones: int) -> int:
+    """Rank bitset of the members with 0s at the positions of the mask zeros
+    and 1s at those of ones.  The caller fetches ones_at =
+    position_rank_bitsets(dom) and full = (1 << dom.size) - 1 once, as large
+    domains rebuild them per fetch.  A position outside 0..n-1 raises
+    DomainError."""
+    if (zeros | ones) >> len(ones_at):
+        raise DomainError("assignment fixes a position outside the domain")
+    S = full
+    while ones:
+        low = ones & -ones
+        S &= ones_at[low.bit_length() - 1]
+        ones ^= low
+    while zeros:
+        low = zeros & -zeros
+        S &= ~ones_at[low.bit_length() - 1]
+        zeros ^= low
+    return S
 
 
-def _residual_domain(dom: Domain, a: Assignment) -> Domain:
-    rp = residual_positions(dom.n, a)
-    n2 = len(rp)
-    if dom.kind == "slice":
-        k2 = dom.k - a.ones.bit_count()
-        if k2 < 0 or k2 > n2:
-            raise EmptyRestrictionError(
-                f"assignment incompatible with {dom.describe()}"
-            )
-        if n2 >= 2 and 1 <= k2 <= n2 - 1:
-            return Domain.slice(n2, k2)
-        # degenerate residual: a single forced member
-        single = 0 if k2 == 0 else (1 << n2) - 1
-        return Domain.explicit(n2, (single,))
-    if dom.kind == "cube":
-        if n2 == 0:
-            return Domain.explicit(0, (0,))
-        return Domain.cube(n2)
-    # explicit: filter and compress
-    kept = []
-    for x in dom.explicit_members:
-        if a.consistent_with(x):
-            y = 0
-            for j, p in enumerate(rp):
-                if x >> p & 1:
-                    y |= 1 << j
-            kept.append(y)
-    if not kept:
-        raise EmptyRestrictionError("no explicit member consistent with assignment")
-    return Domain.explicit(n2, kept)
+def whole_cube(n: int) -> Domain:
+    """{0,1}^n as a domain in which each point's rank is the point itself:
+    cube(n), or the one-point explicit domain when n = 0."""
+    return Domain.cube(n) if n else Domain.explicit(0, (0,))
 
 
 def restrict(f: LabeledFunction, a: Assignment) -> LabeledFunction:
@@ -532,18 +519,31 @@ def restrict(f: LabeledFunction, a: Assignment) -> LabeledFunction:
 
     Residual positions are renumbered in increasing original order (see
     residual_positions); the alphabet is kept whole so labels keep their
-    indices.  Raises EmptyRestrictionError when nothing is consistent.
+    indices.  Deleting the fixed positions keeps colex, numeric and list
+    order, so the restricted table is f's labels on the consistent members
+    in rank order.  Raises EmptyRestrictionError when nothing is consistent.
     """
     dom = f.domain
-    if a.fixed >> dom.n:
-        raise DomainError("assignment fixes a position outside the domain")
-    if a.size == 0:
-        return f
-    sub = _residual_domain(dom, a)
+    S = consistent_set(position_rank_bitsets(dom), (1 << dom.size) - 1, a.zeros, a.ones)
+    if not S:
+        raise EmptyRestrictionError(
+            f"no member of {dom.describe()} is consistent with the assignment"
+        )
+    kept = bin(S)[:1:-1]  # character r is bit r of S
+    table = [v for v, b in zip(f.table, kept) if b == "1"]
     rp = residual_positions(dom.n, a)
-    ranks, table = member_ranks(dom), f.table
-    idx = [table[ranks[expand_member(y, rp, a)]] for y in sub.members()]
-    return LabeledFunction.from_indices(sub, f.alphabet, idx)
+    k2 = dom.k - a.ones.bit_count() if dom.kind == "slice" else None
+    if dom.kind == "cube":
+        sub = whole_cube(len(rp))
+    elif k2 is not None and 1 <= k2 < len(rp):
+        sub = Domain.slice(len(rp), k2)
+    else:
+        # explicit domains, and slices left with one forced member
+        sub = Domain.explicit(len(rp), [
+            sum(1 << j for j, p in enumerate(rp) if x >> p & 1)
+            for x, b in zip(member_masks(dom), kept) if b == "1"
+        ])
+    return LabeledFunction.from_indices(sub, f.alphabet, table)
 
 
 # -- weight-2 slice <-> graph correspondence ---------------------------------

@@ -182,3 +182,14 @@ def mono_number_oracle(g):
             ):
                 best = max(best, size)
     return best
+
+
+def expand_member(residual_mask, residual, a):
+    """Embed a member of a restriction's domain back into the original
+    positions: residual position j is original position residual[j], and
+    the positions a fixes to 1 are set."""
+    x = a.ones
+    for j, p in enumerate(residual):
+        if residual_mask >> j & 1:
+            x |= 1 << p
+    return x

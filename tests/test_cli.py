@@ -498,6 +498,95 @@ def test_verify_empty_report_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "format"
 
 
+def _verify_tampered(capsys, tmp_path, measures, tamper):
+    """Exit code and stderr of verify on an eq:k=1 report of measures
+    after tamper(report["measures"])."""
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "measure", "--construct", "eq:k=1", "--measures", measures,
+        "--no-cache", "--out", str(report),
+    )
+    assert code == 0
+    obj = json.loads(report.read_text())
+    tamper(obj["measures"])
+    report.write_text(json.dumps(obj))
+    code, _, err = run(
+        capsys, "verify", "--construct", "eq:k=1", "--report", str(report)
+    )
+    if code:
+        assert json.loads(err)["error"] == "verification"
+    return code, err
+
+
+def _add_position_9_to_c(entries):
+    entries["C"]["witness"]["zeros"].append(9)
+    entries["C"]["value"] += 1
+
+
+def _add_position_9_to_uc(entries):
+    for cert in entries["UC"]["witness"]["certificates"]:
+        cert["zeros"].append(9)
+    entries["UC"]["value"] += 1
+
+
+def _read_position_9_nonadaptively(entries):
+    entries["nonadaptive"]["witness"]["positions"] = [0, 1, 2, 3, 9]
+    entries["nonadaptive"]["value"] = 5
+
+
+def _query_position_9_at_the_root(entries):
+    tree = entries["D"]["witness"]
+    entries["D"]["witness"] = {"query": 9, "0": tree, "1": {"leaf": 0}}
+    entries["D"]["value"] += 1
+
+
+def _make_value(name, value):
+    def tamper(entries):
+        entries[name]["value"] = value
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "measures, tamper",
+    [
+        ("C", _add_position_9_to_c),
+        ("UC", _add_position_9_to_uc),
+        ("nonadaptive", _read_position_9_nonadaptively),
+        ("D", _query_position_9_at_the_root),
+        ("C", _make_value("C", 2.7)),
+        ("D", _make_value("D", "2")),
+    ],
+    ids=[
+        "C-position-9", "UC-position-9", "nonadaptive-position-9",
+        "D-query-9", "C-float-value", "D-string-value",
+    ],
+)
+def test_verify_refuses_foreign_positions_and_non_int_values(
+    capsys, tmp_path, measures, tamper
+):
+    code, _ = _verify_tampered(capsys, tmp_path, measures, tamper)
+    assert code == 2
+
+
+def _full_input_certificate(entries):
+    c = entries["C"]
+    x = c["witness"]["input"]
+    c["witness"]["zeros"] = [p for p, ch in enumerate(x) if ch == "0"]
+    c["witness"]["ones"] = [p for p, ch in enumerate(x) if ch == "1"]
+    c["value"] = len(x)
+
+
+def test_verify_refuses_values_that_break_c_at_most_d(capsys, tmp_path):
+    # the full-input certificate is a valid witness of C <= 4 on its own
+    code, _ = _verify_tampered(capsys, tmp_path, "C", _full_input_certificate)
+    assert code == 0
+    code, err = _verify_tampered(capsys, tmp_path, "D,C", _full_input_certificate)
+    assert code == 2
+    message = json.loads(err)["message"]
+    assert "C = 4" in message and "D = 2" in message
+
+
 # Transcripts recorded before the players moved onto the shared spec tables.
 _TRANSCRIPTS = json.loads(
     (Path(__file__).parent / "data" / "match_transcripts.json").read_text()

@@ -54,7 +54,13 @@ from slicebench.measures.depth import (
     exact_depth_with_tree,
     nonadaptive_positions,
 )
-from slicebench.measures.report import compute_measures, verify_entry
+from slicebench.measures import report
+from slicebench.measures.report import (
+    MEASURES,
+    compute_measures,
+    verify_entry,
+    verify_report,
+)
 from slicebench.measures.sensitivity import block_sensitivity, sensitivity
 from slicebench.measures.trees import depth as tree_depth
 from slicebench.measures.trees import (
@@ -310,6 +316,45 @@ def test_verify_rejects_tampered_entries():
             verify_entry(f, name, entry)
 
 
+def test_every_measure_has_a_verifier():
+    assert sorted(MEASURES) == sorted(report._VERIFIERS)
+
+
+def _overlap(cells):
+    return cells + cells[:1]
+
+
+def _drop_one(cells):
+    return cells[1:]
+
+
+def _one_cell(cells):
+    return [{"zeros": [], "ones": []}]
+
+
+def _add_position_9(cells):
+    return [{"zeros": cells[0]["zeros"] + [9], "ones": cells[0]["ones"]}] + cells[1:]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_overlap, "overlap"),
+        (_drop_one, "do not partition"),
+        (_one_cell, "mixes labels"),
+        (_add_position_9, "outside the domain"),
+    ],
+)
+def test_sc_check_refuses_mutated_partitions(mutate, message):
+    f = make_eq(1)
+    value, witness = subcube_partition_complexity(f)
+    verify_entry(f, "SC", {"value": value, "witness": witness})
+    cells = mutate(witness["subcubes"])
+    worst = max(len(c["zeros"]) + len(c["ones"]) for c in cells)
+    with pytest.raises(VerificationError, match=message):
+        verify_entry(f, "SC", {"value": worst, "witness": {"subcubes": cells}})
+
+
 def test_verify_rejects_foreign_witness():
     f = make_eq(1)
     g = random_slice_function(4, 2, 0)
@@ -480,6 +525,13 @@ def small_functions(draw):
         )
     )
     return LabeledFunction.from_indices(dom, alphabet, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_functions())
+def test_an_untampered_report_of_the_chain_measures_verifies(f):
+    names = ["s", "bs2", "bs", "C", "D", "nonadaptive"] + ["deg"] * f.is_boolean
+    verify_report(f, compute_measures(f, names, None)["measures"])
 
 
 @settings(max_examples=150, deadline=None)

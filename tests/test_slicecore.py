@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import expand_member
 from slicebench import slicecore
 from slicebench.errors import DomainError, EmptyRestrictionError, MembershipError
 from slicebench.measures.sensitivity import sensitivity
@@ -18,7 +19,7 @@ from slicebench.slicecore import (
     SliceGraph,
     colex_rank,
     colex_unrank,
-    expand_member,
+    consistent_set,
     from_graph,
     iter_colex_masks,
     mask_to_string,
@@ -342,6 +343,62 @@ def test_restrict_renumbers_residual_positions():
         assert a.consistent_with(full)
         assert full in dom
         assert sub.evaluate(y) == f.evaluate(full)
+
+
+def _all_assignments(n):
+    for code in range(3 ** n):
+        zeros = ones = 0
+        for p in range(n):
+            code, digit = divmod(code, 3)
+            if digit == 1:
+                zeros |= 1 << p
+            elif digit == 2:
+                ones |= 1 << p
+        yield zeros, ones
+
+
+_SMALL_DOMAINS = [
+    *(Domain.slice(n, k) for n in range(2, 7) for k in range(1, n)),
+    *(Domain.cube(n) for n in range(1, 5)),
+    Domain.explicit(4, [0b1011, 0b0000, 0b0110, 0b1111, 0b0011, 0b1000]),
+]
+
+
+@pytest.mark.parametrize("dom", _SMALL_DOMAINS, ids=Domain.describe)
+def test_consistent_set_matches_a_member_scan(dom):
+    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
+    members = member_masks(dom)
+    for zeros, ones in _all_assignments(dom.n):
+        a = Assignment(zeros, ones)
+        want = sum(1 << r for r, x in enumerate(members) if a.consistent_with(x))
+        assert consistent_set(ones_at, full, zeros, ones) == want
+    for zeros, ones in ((1 << dom.n, 0), (0, 1 << dom.n), (1 << 9 + dom.n, 1)):
+        with pytest.raises(DomainError, match="outside the domain"):
+            consistent_set(ones_at, full, zeros, ones)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [Domain.slice(5, 2), Domain.slice(6, 3), Domain.cube(4), _SMALL_DOMAINS[-1]],
+    ids=Domain.describe,
+)
+def test_restrict_matches_the_expand_member_reference(dom):
+    f = LabeledFunction.from_callable(
+        dom, lambda x: (7 * x + x.bit_count()) % 3, (0, 1, 2)
+    )
+    for zeros, ones in _all_assignments(dom.n):
+        a = Assignment(zeros, ones)
+        consistent = [x for x in dom.members() if a.consistent_with(x)]
+        if not consistent:
+            with pytest.raises(EmptyRestrictionError):
+                restrict(f, a)
+            continue
+        sub = restrict(f, a)
+        residual = residual_positions(dom.n, a)
+        members = list(sub.domain.members())
+        assert [expand_member(y, residual, a) for y in members] == consistent
+        assert [sub.evaluate(y) for y in members] == [f.evaluate(x) for x in consistent]
+        assert sub.alphabet == f.alphabet
 
 
 def test_restrict_slice_stays_slice_and_cube_stays_cube():
