@@ -51,6 +51,13 @@ from ..slicecore import (
 )
 
 
+def _code_function(dom: Domain, code: int) -> LabeledFunction:
+    """The Boolean function on dom whose value at rank r is bit r of code."""
+    return LabeledFunction.from_indices(
+        dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
+    )
+
+
 def _mix(*parts: int) -> int:
     """Fold several small ints into one reproducible seed."""
     out = 0
@@ -319,10 +326,7 @@ class LiftPreservation(Experiment):
         _, f = parse_key(key)
         if "g" in f:
             dom = Domain.cube(params["exhaustive_n"])
-            code = f["g"]
-            g = LabeledFunction.from_indices(
-                dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
-            )
+            g = _code_function(dom, f["g"])
         else:
             dom = Domain.cube(f["n"])
             rng = random.Random(_mix(params["seed"], f["seed"]))
@@ -502,10 +506,7 @@ class MbcExhaustive(Experiment):
     def run_case(self, params, key):
         _, f = parse_key(key)
         if "f" in f:
-            dom = Domain.slice(4, 2)
-            g = LabeledFunction.from_indices(
-                dom, BOOLEAN, [f["f"] >> r & 1 for r in range(dom.size)]
-            )
+            g = _code_function(Domain.slice(4, 2), f["f"])
         else:
             g = random_slice_function(6, 3, _mix(params["sample_seed"], f["seed"]))
         mbc, _ = balanced_certificate(g, min_mode=True)
@@ -606,23 +607,13 @@ class MaxDepthByWeight(Experiment):
         n, k = f["n"], f["k"]
         dom = Domain.slice(n, k)
         count = 1 << dom.size
-        worst = 0
         if count <= params["exhaustive_limit"]:
-            mode = "exhaustive"
-            for code in range(count):
-                g = LabeledFunction.from_indices(
-                    dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
-                )
-                worst = max(worst, exact_depth(g))
+            mode, codes = "exhaustive", range(count)
         else:
-            mode = "sampled"
-            rng = random.Random(_mix(params["seed"], n, k))
-            for _ in range(params["samples"]):
-                code = rng.getrandbits(dom.size)
-                g = LabeledFunction.from_indices(
-                    dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
-                )
-                worst = max(worst, exact_depth(g))
+            mode, rng = "sampled", random.Random(_mix(params["seed"], n, k))
+            codes = (rng.getrandbits(dom.size) for _ in range(params["samples"]))
+        depths = (exact_depth(_code_function(dom, code)) for code in codes)
+        worst = max(depths, default=0)
         return _case(
             key,
             {"max_depth": worst, "mode": mode},

@@ -316,7 +316,7 @@ class DepthSolver:
             # this side can raise the hint to cnt.bit_length() at most
             if not 2 <= cnt <= _HINT_MAX_SIDE or cnt.bit_length() <= best:
                 continue
-            sides = [x for r, x in enumerate(members) if lb >> r & 1]
+            sides = [members[r] for r in mask_positions(lb)]
             packed = True
             for i, x in enumerate(sides):
                 for y in sides[i + 1 :]:

@@ -2,14 +2,17 @@
 
 A report maps measure names to {"value", "witness", "nodes", "millis"}
 entries.  verify_entry checks that an entry's value is an int, that its
-witness is valid for f and names only positions in 0..n-1, and that the
-value equals the witness's size: a tree's depth, an assignment's fixed
-positions, a family's count.  Measures whose value has no compact witness
-(deg, packing, m) are re-verified by recomputation.  verify_report also
-refuses values present together that break s <= bs2 <= bs <= C <= D <=
-nonadaptive or deg <= D.  Witnesses are one-sided: a value above the
-optimum with a valid witness of that size still passes, unless the chain
-catches it.
+witness is valid for f, and that the value equals the witness's size: a
+tree's depth, an assignment's fixed positions, a family's count.  Every
+position a witness names, tree queries aside, is read by one reader that
+accepts only distinct ints (not bools) in 0..n-1; trees.tree_from_json_obj
+holds queries and leaves to the same rule.  s, bs and bs2 witnesses are all
+checked as disjoint sensitive blocks: s's are one flip each, or one swap on
+a slice.  Measures whose value has no compact witness (deg, packing, m) are
+re-verified by recomputation.  verify_report also refuses values present
+together that break s <= bs2 <= bs <= C <= UC <= SC <= D <= nonadaptive or
+deg <= D.  Witnesses are one-sided: a value above the optimum with a valid
+witness of that size still passes, unless the chain catches it.
 """
 
 from __future__ import annotations
@@ -131,9 +134,12 @@ def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
         raise VerificationError(f"{name}: witness invalid: {e!r}") from None
 
 
-# value orders that hold for every function: s <= bs2 <= bs <= C <= D <=
-# nonadaptive, and deg <= D for the Boolean functions deg is defined on
-_CHAIN = ("s", "bs2", "bs", "C", "D", "nonadaptive")
+# value orders that hold for every function: s <= bs2 <= bs <= C <= UC <=
+# SC <= D <= nonadaptive, and deg <= D for the Boolean functions deg is
+# defined on.  The UC cell holding x certifies x, the cells of an SC
+# partition that meet the domain are a UC cover, and the leaves of a depth-D
+# tree are an SC partition.
+_CHAIN = ("s", "bs2", "bs", "C", "UC", "SC", "D", "nonadaptive")
 _ORDERS = [*combinations(_CHAIN, 2), ("deg", "D"), ("deg", "nonadaptive")]
 
 
@@ -155,47 +161,60 @@ def _fail(name: str, msg: str):
     raise VerificationError(f"{name}: {msg}")
 
 
+def _field(witness: Any, key: str, name: str) -> Any:
+    if not isinstance(witness, dict) or key not in witness:
+        _fail(name, f"witness lacks {key}")
+    return witness[key]
+
+
 def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
-    if not isinstance(witness, dict) or "input" not in witness:
-        _fail(name, "witness lacks an input")
-    xm = string_to_mask(witness["input"])
+    xm = string_to_mask(_field(witness, "input", name))
     f.domain.rank(xm)
     return xm
 
 
-def _witness_assignment(witness: Any, name: str) -> Assignment:
-    try:
-        return Assignment.from_json_obj(witness)
-    except Exception as e:
-        _fail(name, f"bad assignment witness: {e}")
-
-
-def _positions_mask(f: LabeledFunction, witness: Any, value: int, name: str) -> int:
-    """The mask of a witness's positions, which must be value distinct
-    positions in 0..n-1."""
-    positions = witness.get("positions") if isinstance(witness, dict) else None
-    if positions is None:
-        _fail(name, "witness lacks positions")
+def _position_mask(f: LabeledFunction, items: Any, name: str) -> int:
+    """The mask of a witness list, which must hold distinct ints (not
+    bools) in 0..n-1; every position a witness names is read here."""
+    if not isinstance(items, list):
+        _fail(name, f"positions {items!r} are not a list")
+    n = f.domain.n
     mask = 0
-    for p in positions:
-        if type(p) is not int or not 0 <= p < f.domain.n or mask >> p & 1:
-            _fail(name, f"positions are not distinct positions in 0..{f.domain.n - 1}")
+    for p in items:
+        if type(p) is not int:
+            _fail(name, f"position {p!r} is not an int")
+        if not 0 <= p < n:
+            _fail(name, f"position {p} is outside the domain's 0..{n - 1}")
+        if mask >> p & 1:
+            _fail(name, f"position {p} is named twice")
         mask |= 1 << p
-    if len(positions) != value:
-        _fail(name, f"{len(positions)} positions != stated value {value}")
     return mask
 
 
+def _assignment(f: LabeledFunction, obj: Any, name: str) -> Assignment:
+    if not isinstance(obj, dict):
+        _fail(name, "assignment is not an object")
+    # Assignment refuses a position fixed both ways
+    return Assignment(
+        zeros=_position_mask(f, obj.get("zeros", []), name),
+        ones=_position_mask(f, obj.get("ones", []), name),
+    )
+
+
+def _check_count(name: str, what: str, count: int, value: int) -> None:
+    if count != value:
+        _fail(name, f"{what} {count} != stated value {value}")
+
+
 def _verify_tree(f: LabeledFunction, value: int, witness: Any) -> None:
-    tree = tree_from_json_obj(witness)
+    tree = tree_from_json_obj(witness, f.domain.n)
     validate_tree(tree, f)
-    d = tree_depth(tree)
-    if d != value:
-        _fail("D", f"tree depth {d} != stated value {value}")
+    _check_count("D", "tree depth", tree_depth(tree), value)
 
 
 def _verify_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
-    mask = _positions_mask(f, witness, value, "nonadaptive")
+    mask = _position_mask(f, _field(witness, "positions", "nonadaptive"), "nonadaptive")
+    _check_count("nonadaptive", "positions", mask.bit_count(), value)
     seen: dict[int, int] = {}
     for xm, label in zip(member_masks(f.domain), f.table):
         if seen.setdefault(xm & mask, label) != label:
@@ -205,13 +224,12 @@ def _verify_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
 def _verify_certificate(name: str, balanced: bool):
     def check(f: LabeledFunction, value: int, witness: Any) -> None:
         xm = _witness_input(f, witness, name)
-        a = _witness_assignment(witness, name)
+        a = _assignment(f, witness, name)
         if balanced and not a.is_balanced:
             _fail(name, "assignment is not balanced")
         if not a.consistent_with(xm):
             _fail(name, "assignment conflicts with its input")
-        if a.size != value:
-            _fail(name, f"assignment size {a.size} != stated value {value}")
+        _check_count(name, "assignment size", a.size, value)
         # the consistent set holds xm, so one label there means xm's label
         S = consistent_set(
             position_rank_bitsets(f.domain), (1 << f.domain.size) - 1, a.zeros, a.ones
@@ -223,13 +241,11 @@ def _verify_certificate(name: str, balanced: bool):
 
 
 def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
-    if not isinstance(witness, dict) or "certificates" not in witness:
-        _fail("UC", "witness lacks certificates")
     ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
-    for obj in witness["certificates"]:
-        a = _witness_assignment(obj, "UC")
+    for obj in _field(witness, "certificates", "UC"):
+        a = _assignment(f, obj, "UC")
         S = consistent_set(ones_at, full, a.zeros, a.ones)
         if not S:
             _fail("UC", "certificate consistent with no member")
@@ -241,20 +257,17 @@ def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
         worst = max(worst, a.size)
     if covered != full:
         _fail("UC", "certificates do not cover the domain")
-    if worst != value:
-        _fail("UC", f"largest certificate {worst} != stated value {value}")
+    _check_count("UC", "largest certificate", worst, value)
 
 
 def _verify_sc(f: LabeledFunction, value: int, witness: Any) -> None:
-    if not isinstance(witness, dict) or "subcubes" not in witness:
-        _fail("SC", "witness lacks subcubes")
     cube = whole_cube(f.domain.n)
     cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
     ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
-    for obj in witness["subcubes"]:
-        a = _witness_assignment(obj, "SC")
+    for obj in _field(witness, "subcubes", "SC"):
+        a = _assignment(f, obj, "SC")
         worst = max(worst, a.size)
         cell = consistent_set(cube_at, points, a.zeros, a.ones)
         if covered & cell:
@@ -265,60 +278,50 @@ def _verify_sc(f: LabeledFunction, value: int, witness: Any) -> None:
             _fail("SC", "a subcube mixes labels on the domain")
     if covered != points:
         _fail("SC", "subcubes do not partition the cube")
-    if worst != value:
-        _fail("SC", f"largest subcube assignment {worst} != stated value {value}")
+    _check_count("SC", "largest subcube", worst, value)
+
+
+def _check_blocks(
+    f: LabeledFunction, name: str, witness: Any, blocks: Any, value: int, cap: int | None
+) -> int:
+    """Check blocks are value disjoint lists of at most cap positions, each
+    moving the witness's input to a member with another label; returns the
+    input."""
+    xm = _witness_input(f, witness, name)
+    if not isinstance(blocks, list):
+        _fail(name, "blocks are not a list")
+    fx = f.evaluate(xm)
+    used = 0
+    for block in blocks:
+        m = _position_mask(f, block, name)
+        if cap is not None and m.bit_count() > cap:
+            _fail(name, f"block {block} is larger than {cap}")
+        if used & m:
+            _fail(name, "blocks are not disjoint")
+        used |= m
+        y = xm ^ m
+        if y not in f.domain or f.evaluate(y) == fx:
+            _fail(name, f"block {block} is not sensitive")
+    _check_count(name, "blocks", len(blocks), value)
+    return xm
 
 
 def _verify_sensitivity(f: LabeledFunction, value: int, witness: Any) -> None:
-    xm = _witness_input(f, witness, "s")
-    fx = f.evaluate(xm)
-    if f.domain.kind == "slice":
-        swaps = witness.get("swaps")
-        if swaps is None:
-            _fail("s", "slice witness lacks swaps")
-        used: set[int] = set()
-        for i, j in swaps:
-            if not (xm >> i & 1) or (xm >> j & 1):
-                _fail("s", f"swap ({i},{j}) is not a 1-to-0 transposition")
-            if i in used or j in used:
-                _fail("s", "swaps are not disjoint")
-            used.update((i, j))
-            if f.evaluate(xm ^ (1 << i) ^ (1 << j)) == fx:
-                _fail("s", f"swap ({i},{j}) is not sensitive")
-        if len(swaps) != value:
-            _fail("s", f"{len(swaps)} swaps != stated value {value}")
+    """s is bs over the domain's single moves: on a slice blocks of one
+    swap, written 1's position first, and elsewhere blocks of one flip."""
+    if f.domain.kind != "slice":
+        flips = _field(witness, "positions", "s")
+        _check_blocks(f, "s", witness, [[p] for p in flips], value, 1)
         return
-    _positions_mask(f, witness, value, "s")
-    for p in witness["positions"]:
-        y = xm ^ (1 << p)
-        if y not in f.domain or f.evaluate(y) == fx:
-            _fail("s", f"flip at {p} is not sensitive")
+    swaps = _field(witness, "swaps", "s")
+    xm = _check_blocks(f, "s", witness, swaps, value, 2)
+    if not all(xm >> i & 1 for i, _ in swaps):
+        _fail("s", "a swap does not name its 1's position first")
 
 
-def _verify_blocks(name: str, size_cap: int | None):
+def _verify_blocks(name: str, cap: int | None):
     def check(f: LabeledFunction, value: int, witness: Any) -> None:
-        xm = _witness_input(f, witness, name)
-        fx = f.evaluate(xm)
-        blocks = witness.get("blocks")
-        if blocks is None:
-            _fail(name, "witness lacks blocks")
-        used = 0
-        for block in blocks:
-            m = 0
-            for p in block:
-                m |= 1 << p
-            if m.bit_count() != len(block):
-                _fail(name, "block repeats a position")
-            if size_cap is not None and len(block) > size_cap:
-                _fail(name, f"block larger than {size_cap}")
-            if used & m:
-                _fail(name, "blocks are not disjoint")
-            used |= m
-            y = xm ^ m
-            if y not in f.domain or f.evaluate(y) == fx:
-                _fail(name, f"block {sorted(block)} is not sensitive")
-        if len(blocks) != value:
-            _fail(name, f"{len(blocks)} blocks != stated value {value}")
+        _check_blocks(f, name, witness, _field(witness, "blocks", name), value, cap)
 
     return check
 

@@ -2,7 +2,8 @@
 
 A tree is either a Leaf carrying an alphabet index or a Node querying one
 position with a subtree per answer.  Trees serialize to plain JSON objects so
-witnesses can be stored and replayed.
+witnesses can be stored and replayed; parsing one back takes the domain's n
+and refuses a leaf or query that is not an int, or a query outside 0..n-1.
 """
 
 from __future__ import annotations
@@ -38,14 +39,18 @@ class Node:
 Tree = Leaf | Node
 
 
-def tree_from_json_obj(obj: dict) -> Tree:
+def tree_from_json_obj(obj: dict, n: int) -> Tree:
+    """Parse a tree whose leaves and queries are ints (not bools), each
+    query a position in 0..n-1; raises DomainError otherwise."""
     if "leaf" in obj:
-        return Leaf(int(obj["leaf"]))
-    return Node(
-        position=int(obj["query"]),
-        on_zero=tree_from_json_obj(obj["0"]),
-        on_one=tree_from_json_obj(obj["1"]),
-    )
+        leaf = obj["leaf"]
+        if type(leaf) is not int:
+            raise DomainError(f"tree leaf {leaf!r} is not an int")
+        return Leaf(leaf)
+    p = obj["query"]
+    if type(p) is not int or not 0 <= p < n:
+        raise DomainError(f"tree query {p!r} is not a position in 0..{n - 1}")
+    return Node(p, tree_from_json_obj(obj["0"], n), tree_from_json_obj(obj["1"], n))
 
 
 def depth(t: Tree) -> int:
@@ -62,10 +67,9 @@ def evaluate(t: Tree, mask: int) -> int:
 
 
 def validate(t: Tree, f: LabeledFunction) -> None:
-    """Check the tree queries only positions in 0..n-1 and computes f on
-    every domain member; raises DomainError otherwise."""
+    """Check the tree computes f on every domain member; raises
+    DomainError otherwise."""
     dom = f.domain
-    _check_queries(t, dom.n)
     for x, want in zip(member_masks(dom), f.table):
         got = evaluate(t, x)
         if got != want:
@@ -73,11 +77,3 @@ def validate(t: Tree, f: LabeledFunction) -> None:
                 f"tree disagrees with function at {mask_to_string(x, dom.n)}:"
                 f" tree gives index {got}, table has {want}"
             )
-
-
-def _check_queries(t: Tree, n: int) -> None:
-    if isinstance(t, Node):
-        if not 0 <= t.position < n:
-            raise DomainError(f"tree queries position {t.position} outside 0..{n - 1}")
-        _check_queries(t.on_zero, n)
-        _check_queries(t.on_one, n)

@@ -256,10 +256,6 @@ class Assignment:
         zs, os_ = self.positions()
         return {"zeros": zs, "ones": os_}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Assignment":
-        return cls.of(zeros=obj.get("zeros", ()), ones=obj.get("ones", ()))
-
 
 def mask_positions(mask: int) -> list[int]:
     """Set bit positions of mask, lowest first."""
@@ -586,12 +582,6 @@ class SliceGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def complement(self) -> "SliceGraph":
-        full = (1 << self.n) - 1
-        return SliceGraph(
-            n=self.n, adj=tuple((full ^ row) & ~(1 << u) for u, row in enumerate(self.adj))
-        )
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

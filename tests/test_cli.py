@@ -498,12 +498,12 @@ def test_verify_empty_report_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "format"
 
 
-def _verify_tampered(capsys, tmp_path, measures, tamper):
-    """Exit code and stderr of verify on an eq:k=1 report of measures
+def _verify_tampered(capsys, tmp_path, measures, tamper, spec="eq:k=1"):
+    """Exit code and stderr of verify on a report of measures of spec
     after tamper(report["measures"])."""
     report = tmp_path / "report.json"
     code, _, _ = run(
-        capsys, "measure", "--construct", "eq:k=1", "--measures", measures,
+        capsys, "measure", "--construct", spec, "--measures", measures,
         "--no-cache", "--out", str(report),
     )
     assert code == 0
@@ -511,7 +511,7 @@ def _verify_tampered(capsys, tmp_path, measures, tamper):
     tamper(obj["measures"])
     report.write_text(json.dumps(obj))
     code, _, err = run(
-        capsys, "verify", "--construct", "eq:k=1", "--report", str(report)
+        capsys, "verify", "--construct", spec, "--report", str(report)
     )
     if code:
         assert json.loads(err)["error"] == "verification"
@@ -569,6 +569,49 @@ def test_verify_refuses_foreign_positions_and_non_int_values(
     assert code == 2
 
 
+def _set_field(name, path, value):
+    """A tamper that sets the witness field at path (keys and indices) of
+    name's eq:k=1 entry to value."""
+
+    def tamper(entries):
+        obj = entries[name]["witness"]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return tamper
+
+
+# eq:k=1 witnesses: D queries 0 then 2, C is ones [0, 1] at 1100, UC's
+# first certificate is zeros [1, 3], s swaps [[0, 3], [1, 2]], bs blocks
+# [[1, 2], [0, 3]], and nonadaptive reads [0, 2].  Each field below is
+# replaced by something that is not a position, or not a list of them.
+@pytest.mark.parametrize(
+    "measures, path, value",
+    [
+        ("D", ("query",), 0.9),
+        ("D", ("0", "0", "leaf"), "1"),
+        ("C", ("ones", 1), True),
+        ("UC", ("certificates", 0, "zeros", 0), True),
+        ("s", ("swaps", 1, 0), True),
+        ("bs", ("blocks", 0, 0), True),
+        ("s", ("swaps", 0), [3, 0]),
+        ("nonadaptive", ("positions",), "02"),
+    ],
+    ids=[
+        "D-query-0.9", "D-string-leaf", "C-true-for-1", "UC-true-for-1",
+        "s-true-for-1", "bs-true-for-1", "s-swap-0-position-first",
+        "nonadaptive-positions-not-a-list",
+    ],
+)
+def test_verify_refuses_witness_fields_that_are_not_positions(
+    capsys, tmp_path, measures, path, value
+):
+    tamper = _set_field(measures, path, value)
+    code, _ = _verify_tampered(capsys, tmp_path, measures, tamper)
+    assert code == 2
+
+
 def _full_input_certificate(entries):
     c = entries["C"]
     x = c["witness"]["input"]
@@ -585,6 +628,32 @@ def test_verify_refuses_values_that_break_c_at_most_d(capsys, tmp_path):
     assert code == 2
     message = json.loads(err)["message"]
     assert "C = 4" in message and "D = 2" in message
+
+
+def _refine_largest_subcube(entries):
+    """Split SC's largest cell on one more position: still a partition
+    into label-constant cells, now one position larger."""
+    cells = entries["SC"]["witness"]["subcubes"]
+    big = max(cells, key=lambda c: len(c["zeros"]) + len(c["ones"]))
+    p = min(set(range(6)) - set(big["zeros"]) - set(big["ones"]))
+    cells.remove(big)
+    cells.append({"zeros": big["zeros"] + [p], "ones": big["ones"]})
+    cells.append({"zeros": big["zeros"], "ones": big["ones"] + [p]})
+    entries["SC"]["value"] += 1
+
+
+def test_verify_refuses_values_that_break_sc_at_most_d(capsys, tmp_path):
+    # ed:k=3,l=2 has SC = D = 4; the refined partition is a valid SC = 5
+    code, _ = _verify_tampered(
+        capsys, tmp_path, "SC", _refine_largest_subcube, spec="ed:k=3,l=2"
+    )
+    assert code == 0
+    code, err = _verify_tampered(
+        capsys, tmp_path, "D,SC", _refine_largest_subcube, spec="ed:k=3,l=2"
+    )
+    assert code == 2
+    message = json.loads(err)["message"]
+    assert "SC = 5" in message and "D = 4" in message
 
 
 # Transcripts recorded before the players moved onto the shared spec tables.

@@ -195,7 +195,7 @@ def test_depth_tree_witness_validates():
 def test_tree_json_round_trip():
     f = random_slice_function(5, 2, 3)
     _, tree = exact_depth_with_tree(f)
-    clone = tree_from_json_obj(tree.to_json_obj())
+    clone = tree_from_json_obj(tree.to_json_obj(), f.domain.n)
     assert clone == tree
 
 
@@ -450,6 +450,27 @@ def test_depth_search_shape_is_pinned_off_slices(name):
     assert _search_shape(build()) == pinned
 
 
+@pytest.mark.parametrize(
+    "spec, hint", [("eq:k=2", 3), ("gs:n=8,k=4", 4), ("kml:r=3", 4)]
+)
+def test_root_packing_hint_is_pinned(spec, hint):
+    assert DepthSolver(parse_construction(spec).build())._packing_hint() == hint
+
+
+def test_root_packing_hint_on_a_sparse_large_slice():
+    """Three 1-inputs on slice(20, 10), pairwise at least 10 positions
+    apart, share no monochromatic subcube, so the hint is 3's bit length;
+    the 0 side is above the hint's side cap."""
+    dom = Domain.slice(20, 10)
+    ones = {
+        dom.rank(string_to_mask(x))
+        for x in ("1" * 10 + "0" * 10, "0" * 10 + "1" * 10, "11111000001111100000")
+    }
+    table = [int(r in ones) for r in range(dom.size)]
+    f = LabeledFunction.from_indices(dom, BOOLEAN, table)
+    assert DepthSolver(f)._packing_hint() == 2
+
+
 @st.composite
 def consistent_keys(draw):
     """A slice or cube domain and answer masks (zeros, ones) that one of its
@@ -530,7 +551,10 @@ def small_functions(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_functions())
 def test_an_untampered_report_of_the_chain_measures_verifies(f):
-    names = ["s", "bs2", "bs", "C", "D", "nonadaptive"] + ["deg"] * f.is_boolean
+    # UC and SC are Boolean-only, and small_functions() keeps within
+    # their caps (at most 64 members, n <= 6)
+    names = ["s", "bs2", "bs", "C", "D", "nonadaptive"]
+    names += ["deg", "UC", "SC"] * f.is_boolean
     verify_report(f, compute_measures(f, names, None)["measures"])
 
 
