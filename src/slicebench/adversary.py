@@ -4,8 +4,8 @@ An algorithm is a generator: it yields the positions it queries, is sent
 each answer, and returns its claim.  An AdversaryPlayer invents answers on
 the fly while keeping at least one domain member consistent.  run_match
 plays one against the other under a referee that tracks the consistent set
-online, and forced_query_count certifies lower bounds by exhaustive minimax
-over an adversary's answers.
+online, and forced_query_count certifies lower bounds by a minimax over an
+adversary's answers that cuts only on proven bounds.
 """
 
 from collections import Counter
@@ -26,6 +26,7 @@ from .measures.trees import Node
 from .slicecore import (
     Assignment,
     LabeledFunction,
+    position_move_tables,
     position_rank_bitsets,
     residual_positions,
     restrict,
@@ -696,53 +697,60 @@ def replay_answers(adv: AdversaryPlayer, positions) -> list[int]:
 def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
     """Certified minimum queries any always-correct strategy needs vs adv.
 
-    Exhaustive minimax: the value of a state is 0 once every consistent
-    member carries one label, else one plus the best continuation over
-    all unqueried positions, with the adversary fixing each answer.  A
-    state where the adversary's validity horizon has ended still needs at
-    least one more query, so it counts 1; the result is therefore a sound
-    lower bound on the depth of any correct decision tree, and exact when
-    the adversary never exhausts.
+    Minimax: the value of a state is 0 once every consistent member
+    carries one label, else one plus the best continuation over all
+    unqueried positions, with the adversary fixing each answer.  A state
+    where the adversary's validity horizon has ended still needs at least
+    one more query, so it counts 1; the result is therefore a sound lower
+    bound on the depth of any correct decision tree, and exact when the
+    adversary never exhausts.  Every cut below uses a proven bound, so the
+    search finds the exhaustive minimax value: a single-label or exhausted
+    child settles a state at 1, else it is worth at least 2, and rec(...,
+    cap) is exact below cap and else at least cap, so a child is searched
+    with cap one below the best move found so far.  The memo (memo_safe
+    adversaries only) maps zeros | ones << n to value << 1 | exact.
     """
     dom = f.domain
-    ones_at = position_rank_bitsets(dom)
-    full = (1 << dom.size) - 1
-    mono = f.is_single_label
-    table: dict[tuple[int, int], int] | None = {} if adv.memo_safe else None
+    n = dom.n
+    low_moves, high_moves = position_move_tables(dom)
+    lbs, table = f.label_bitsets, f.table
+    memo: dict[int, int] | None = {} if adv.memo_safe else None
 
-    def rec(live: int, queried: int, answers: int, state: AdversaryPlayer) -> int:
-        if live == 0:
-            raise AdversaryInvalidError(
-                "no domain member is consistent with the answers"
-            )
-        if mono(live):
-            return 0
-        if table is not None:
-            hit = table.get((queried, answers))
-            if hit is not None:
-                return hit
-        best: int | None = None
-        for p in range(dom.n):
-            if queried >> p & 1:
-                continue
+    def rec(live: int, key: int, state: AdversaryPlayer, cap: int) -> int:
+        free = (1 << n) - 1 & ~(key | key >> n)
+        children = []
+        for bit, P in low_moves[free & 255] + high_moves[free >> 8]:
             child = state.clone()
             try:
-                bit = child.answer(p)
+                one = child.answer(bit.bit_length() - 1)
             except AdversaryExhaustedError:
-                best = 1
-                break
-            nxt = live & (ones_at[p] if bit else ~ones_at[p])
-            value = 1 + rec(nxt, queried | 1 << p, answers | bit << p, child)
-            if best is None or value < best:
-                best = value
-                if best == 1:
+                return 1
+            X = live & P if one else live & ~P
+            if not X:
+                raise AdversaryInvalidError(
+                    "no domain member is consistent with the answers"
+                )
+            if not X & ~lbs[table[(X & -X).bit_length() - 1]]:
+                return 1
+            children.append((X, key | bit << n if one else key | bit, child))
+        if cap <= 2:
+            return 2
+        best = cap
+        for X, ckey, child in children:
+            ccap = best - 1
+            e = None if memo is None else memo.get(ckey)
+            if e is not None and (e & 1 or e >> 1 >= ccap):
+                v = e >> 1
+            else:
+                v = rec(X, ckey, child, ccap)
+                if memo is not None:
+                    memo[ckey] = v << 1 | (v < ccap)
+            if v < ccap:
+                best = v + 1
+                if best == 2:
                     break
-        if best is None:
-            raise AdversaryInvalidError(
-                "all positions answered without determining the label"
-            )
-        if table is not None:
-            table[(queried, answers)] = best
         return best
 
-    return rec(full, 0, 0, adv)
+    full = (1 << dom.size) - 1
+    # no state needs more queries than it has free positions
+    return 0 if f.is_single_label(full) else rec(full, 0, adv, n + 1)

@@ -207,6 +207,8 @@ def _cmd_verify(args) -> int:
         obj = json.loads(Path(args.report).read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except RecursionError:
+        raise FormatError("JSON nests too deeply to parse") from None
     if not isinstance(obj, dict):
         raise FormatError("report file must hold a JSON object")
     entries = obj.get("measures", obj)

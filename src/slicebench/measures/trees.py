@@ -2,8 +2,8 @@
 
 A tree is either a Leaf carrying an alphabet index or a Node querying one
 position with a subtree per answer.  Trees serialize to plain JSON objects so
-witnesses can be stored and replayed; parsing one back takes the domain's n
-and refuses a leaf or query that is not an int, or a query outside 0..n-1.
+witnesses can be stored and replayed; parsing one back refuses non-int leaves
+or queries, queries outside 0..n-1, and trees deeper than the domain's n.
 """
 
 from __future__ import annotations
@@ -39,18 +39,21 @@ class Node:
 Tree = Leaf | Node
 
 
-def tree_from_json_obj(obj: dict, n: int) -> Tree:
+def tree_from_json_obj(obj: dict, n: int, depth: int = 0) -> Tree:
     """Parse a tree whose leaves and queries are ints (not bools), each
-    query a position in 0..n-1; raises DomainError otherwise."""
+    query a position in 0..n-1, at most n queries deep (depth counts those
+    above obj); raises DomainError otherwise."""
     if "leaf" in obj:
         leaf = obj["leaf"]
         if type(leaf) is not int:
             raise DomainError(f"tree leaf {leaf!r} is not an int")
         return Leaf(leaf)
+    if depth == n:  # a valid tree never repeats a position on a path
+        raise DomainError(f"tree is more than n = {n} queries deep")
     p = obj["query"]
     if type(p) is not int or not 0 <= p < n:
         raise DomainError(f"tree query {p!r} is not a position in 0..{n - 1}")
-    return Node(p, tree_from_json_obj(obj["0"], n), tree_from_json_obj(obj["1"], n))
+    return Node(p, *(tree_from_json_obj(obj[b], n, depth + 1) for b in "01"))
 
 
 def depth(t: Tree) -> int:

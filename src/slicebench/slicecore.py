@@ -15,10 +15,10 @@ build certificates and subcube partitions all go through it.
 Small domains are enumerated once per domain value: equal domains share one
 view holding the members (member_masks: a range for cubes, else a tuple),
 the per-position rank bitsets (position_rank_bitsets), the mask-to-rank
-index (member_ranks) and the position move tables (position_move_tables),
-and only the last few views are kept.  Neighbour loops read a label as
-table[ranks[y]] through that index; cubes index by range(size), explicit
-domains by their own member dict, and larger slices by colex_rank.
+index (member_ranks) and the position move tables (position_move_tables); the
+last few are kept, and the last of a larger domain.  Neighbour loops read a
+label as table[ranks[y]] through that index; cubes index by range(size),
+explicit domains by their own dict, and larger slices by colex_rank.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -39,9 +40,11 @@ MAX_POSITIONS = 64
 MAX_DOMAIN_SIZE = 1 << 26
 MAX_ALPHABET = 256
 # enumeration views are cached for domains of at most _VIEW_MAX_SIZE members,
-# the last _VIEW_SLOTS of them
+# the last _VIEW_SLOTS of them, and for the last larger domain
 _VIEW_MAX_SIZE = 1 << 16
 _VIEW_SLOTS = 16
+# per bit b, a bytes.translate table sending a byte to "1" if its bit b is set
+_BIT_TEST_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 Label = int | tuple[int, ...]
 
@@ -386,13 +389,14 @@ class _DomainView:
 
     @cached_property
     def position_bitsets(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for r, x in enumerate(self.members):
-            while x:
-                low = x & -x
-                out[low.bit_length() - 1] |= 1 << r
-                x ^= low
-        return tuple(out)
+        # members as w little-endian bytes, highest rank first: every w-th byte
+        # from byte p // 8 holds bit p, and is then read as in label_bitsets
+        w = (self.n + 7) // 8
+        raw = b"".join(map(int.to_bytes, self.members[::-1], repeat(w), repeat("little")))
+        return tuple(
+            int(raw[p // 8 :: w].translate(_BIT_TEST_DIGITS[p % 8]), 2)
+            for p in range(self.n)
+        )
 
     @cached_property
     def position_moves(self) -> tuple[_MoveTable, _MoveTable]:
@@ -405,8 +409,11 @@ def _cached_view(dom: Domain) -> _DomainView:
     return _DomainView(dom)
 
 
+_last_large_view = lru_cache(maxsize=1)(_DomainView)
+
+
 def _view(dom: Domain) -> _DomainView:
-    return _cached_view(dom) if dom.size <= _VIEW_MAX_SIZE else _DomainView(dom)
+    return (_cached_view if dom.size <= _VIEW_MAX_SIZE else _last_large_view)(dom)
 
 
 def member_masks(dom: Domain) -> Sequence[int]:
@@ -488,7 +495,7 @@ def consistent_set(ones_at: Sequence[int], full: int, zeros: int, ones: int) -> 
     """Rank bitset of the members with 0s at the positions of the mask zeros
     and 1s at those of ones.  The caller fetches ones_at =
     position_rank_bitsets(dom) and full = (1 << dom.size) - 1 once, as large
-    domains rebuild them per fetch.  A position outside 0..n-1 raises
+    domains may rebuild them per fetch.  A position outside 0..n-1 raises
     DomainError."""
     if (zeros | ones) >> len(ones_at):
         raise DomainError("assignment fixes a position outside the domain")

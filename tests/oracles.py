@@ -7,6 +7,8 @@ Fraction arithmetic.  Slow but easy to audit, so only run on tiny domains.
 from fractions import Fraction
 from itertools import combinations
 
+from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError
+
 
 def minimax_depth(f, zeros=0, ones=0):
     """Worst-case optimal query count by plain game-tree recursion, from the
@@ -193,3 +195,44 @@ def expand_member(residual_mask, residual, a):
         if residual_mask >> j & 1:
             x |= 1 << p
     return x
+
+
+def forced_oracle(adv, f):
+    """Forced query count by plain minimax over every unqueried position in
+    ascending order: 0 once the live members carry one label, 1 once the
+    adversary is exhausted at a position, else one plus the best child.  An
+    answer that leaves no live member raises AdversaryInvalidError.  States
+    are memoized by (queried, answers) only for a memo_safe adversary, as
+    unmemoized games on n = 8 already take seconds."""
+    members = list(f.domain.members())
+    labels = [f.evaluate(x) for x in members]
+    memo = {} if adv.memo_safe else None
+
+    def solve(live, queried, answers, state):
+        if not live:
+            raise AdversaryInvalidError("no member is consistent with the answers")
+        if len({labels[i] for i in live}) == 1:
+            return 0
+        if memo is not None and (queried, answers) in memo:
+            return memo[(queried, answers)]
+        best = None
+        for p in range(f.domain.n):
+            if queried >> p & 1:
+                continue
+            child = state.clone()
+            try:
+                bit = child.answer(p)
+            except AdversaryExhaustedError:
+                best = 1
+                break
+            side = [i for i in live if (members[i] >> p & 1) == bit]
+            cost = 1 + solve(side, queried | 1 << p, answers | bit << p, child)
+            if best is None or cost < best:
+                best = cost
+            if best == 1:
+                break
+        if memo is not None:
+            memo[(queried, answers)] = best
+        return best
+
+    return solve(list(range(len(members))), 0, 0, adv)

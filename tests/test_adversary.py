@@ -1,6 +1,12 @@
 """Players, the referee, replays, and forced-query certification."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import forced_oracle
 
 from slicebench.adversary import (
     AdversaryPlayer,
@@ -33,7 +39,7 @@ from slicebench.errors import (
     MatchProtocolError,
 )
 from slicebench.measures.depth import exact_depth
-from slicebench.slicecore import from_graph
+from slicebench.slicecore import BOOLEAN, Domain, LabeledFunction, from_graph
 
 
 def ScriptedAlgorithm(positions, claim):
@@ -220,6 +226,84 @@ def test_forced_count_never_exceeds_depth_for_total_adversaries():
         f = weights_task(n, 2, mk)
         adv = weights_adversary(n, 2, mk, mode="m2")
         assert forced_query_count(adv, f) <= exact_depth(f)
+
+
+def test_forced_count_refuses_an_answer_that_empties_the_live_set():
+    # on slices and cubes every free position splits a live set of two or
+    # more members; on an explicit domain position 0 can be constant on it
+    dom = Domain.explicit(2, [0b00, 0b10])
+    f = LabeledFunction.from_indices(dom, BOOLEAN, [0, 1])
+    with pytest.raises(AdversaryInvalidError):
+        forced_query_count(StuckAdversary(), f)
+
+
+class Unmemoized(AdversaryPlayer):
+    """Plays like the wrapped adversary but is not memo_safe, so that
+    forced_query_count searches it with no memo."""
+
+    memo_safe = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def answer(self, position):
+        return self.inner.answer(position)
+
+    def clone(self):
+        return Unmemoized(self.inner.clone())
+
+
+def _weights_games():
+    """Every (n, m, k, mode) that weights_adversary accepts with n * m <= 10."""
+    games = []
+    for n in range(1, 11):
+        for m in range(1, 10 // n + 1):
+            for k in range(n * m + 1):
+                for mode in ("basic", "balanced", "m2_low", "m2_high"):
+                    try:
+                        weights_adversary(n, m, k, mode=mode)
+                    except DomainError:
+                        continue
+                    games.append((n, m, k, mode))
+    return games
+
+
+_WEIGHTS_GAMES = _weights_games()
+# seeded adversaries have no memo, so they get the smaller tasks
+_SEEDED_GAMES = [
+    g for g in _WEIGHTS_GAMES if g[0] * g[1] <= 8 and g[3] in ("basic", "balanced")
+]
+
+
+@st.composite
+def forced_games(draw):
+    """An adversary factory and the task it plays on, small enough for
+    forced_oracle."""
+    kind = draw(st.sampled_from(("eq", "weights", "seeded", "fixed")))
+    if kind == "eq":
+        k = draw(st.integers(1, 2))
+        return partial(eq_adversary, k), make_eq(k)
+    if kind == "fixed":
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, n - 1))
+        f = random_slice_function(n, k, draw(st.integers(0, 99)))
+        x = f.domain.unrank(draw(st.integers(0, f.domain.size - 1)))
+        return partial(FixedInputAdversary, x), f
+    games = _WEIGHTS_GAMES if kind == "weights" else _SEEDED_GAMES
+    n, m, k, mode = draw(st.sampled_from(games))
+    seed = draw(st.integers(0, 99)) if kind == "seeded" else None
+    make = partial(weights_adversary, n, m, k, mode=mode, seed=seed)
+    return make, weights_task(n, m, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forced_games())
+def test_forced_count_matches_the_plain_minimax(game):
+    make, f = game
+    value = forced_query_count(make(), f)
+    assert value == forced_oracle(make(), f)
+    if make().memo_safe:
+        assert forced_query_count(Unmemoized(make()), f) == value
 
 
 def _probe(adv, positions):

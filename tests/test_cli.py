@@ -656,6 +656,52 @@ def test_verify_refuses_values_that_break_sc_at_most_d(capsys, tmp_path):
     assert "SC = 5" in message and "D = 4" in message
 
 
+def _query_twice_above(levels):
+    """A tamper that puts the D tree under levels more queries of position
+    0, each with the old tree on both sides: it still computes the
+    function, and its depth is the stated value."""
+
+    def tamper(entries):
+        d = entries["D"]
+        for _ in range(levels):
+            d["witness"] = {"query": 0, "0": d["witness"], "1": d["witness"]}
+        d["value"] += levels
+
+    return tamper
+
+
+def test_verify_refuses_a_tree_deeper_than_n(capsys, tmp_path):
+    # eq:k=1 has n = 4 and D = 2; a valid tree never repeats a position on a
+    # path, so a depth-5 tree is refused even though it computes the function
+    code, _ = _verify_tampered(capsys, tmp_path, "D", _query_twice_above(2))
+    assert code == 0
+    code, err = _verify_tampered(capsys, tmp_path, "D", _query_twice_above(3))
+    assert code == 2
+    assert "more than n = 4 queries deep" in json.loads(err)["message"]
+
+
+def test_verify_report_nested_too_deeply_for_json_is_a_format_error(
+    capsys, tmp_path
+):
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "measure", "--construct", "eq:k=1", "--measures", "D",
+        "--no-cache", "--out", str(report),
+    )
+    assert code == 0
+    obj = json.loads(report.read_text())
+    obj["measures"]["D"]["witness"] = "TREE"
+    levels = 990
+    node = '{"query": 0, "1": {"leaf": 1}, "0": '
+    tree = node * levels + '{"leaf": 0}' + "}" * levels
+    report.write_text(json.dumps(obj).replace('"TREE"', tree))
+    code, _, err = run(
+        capsys, "verify", "--construct", "eq:k=1", "--report", str(report)
+    )
+    assert code == 4
+    assert json.loads(err)["error"] == "format"
+
+
 # Transcripts recorded before the players moved onto the shared spec tables.
 _TRANSCRIPTS = json.loads(
     (Path(__file__).parent / "data" / "match_transcripts.json").read_text()

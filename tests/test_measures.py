@@ -27,6 +27,7 @@ from slicebench.catalog import (
     random_graph,
     random_slice_function,
 )
+from slicebench import slicecore
 from slicebench.errors import DomainError, ResourceCapError, VerificationError
 from slicebench.kernels import (
     _greedy_hitting,
@@ -469,6 +470,15 @@ def test_root_packing_hint_on_a_sparse_large_slice():
     table = [int(r in ones) for r in range(dom.size)]
     f = LabeledFunction.from_indices(dom, BOOLEAN, table)
     assert DepthSolver(f)._packing_hint() == 2
+
+
+def test_a_solver_on_a_large_domain_builds_its_view_once():
+    dom = Domain.slice(40, 4)
+    assert dom.size > slicecore._VIEW_MAX_SIZE
+    f = LabeledFunction.from_indices(dom, BOOLEAN, [1] + [0] * (dom.size - 1))
+    slicecore._last_large_view.cache_clear()
+    DepthSolver(f)
+    assert slicecore._last_large_view.cache_info().misses == 1
 
 
 @st.composite
