@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Any
 
 from .. import ENGINE_VERSION
-from ..fileio import canonical_function_bytes
+from ..errors import FormatError
+from ..fileio import canonical_function_bytes, read_json
 from ..slicecore import LabeledFunction
 
 ENV_VAR = "SLICEBENCH_CACHE_DIR"
@@ -59,10 +60,9 @@ class ResultCache:
     def get(self, f: LabeledFunction, measure: str) -> dict[str, Any] | None:
         if self.disabled:
             return None
-        path = self._path(self.key(f, measure))
         try:
-            obj = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            obj = read_json(self._path(self.key(f, measure)))
+        except (OSError, FormatError):
             return None
         entry = obj.get("entry") if isinstance(obj, dict) else None
         intact = isinstance(entry, dict) and obj.get("sha256") == _digest(entry)

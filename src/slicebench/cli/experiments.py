@@ -284,6 +284,9 @@ class EdConjecture(Experiment):
         return {"cases": [[3, 2], [4, 2]]}
 
     def case_keys(self, params):
+        for case in params["cases"]:
+            if not isinstance(case, list) or list(map(type, case)) != [int, int]:
+                raise DomainError(f"ed-conjecture case {case!r} is not a k-l pair")
         return [f"k={k:02d},l={l:02d}" for k, l in params["cases"]]
 
     def run_case(self, params, key):
@@ -450,6 +453,10 @@ class RubinsteinGap(Experiment):
         return {"n": 16, "samples": 300, "seed": 20260816}
 
     def case_keys(self, params):
+        n = params["n"]
+        size = Domain.slice(n, n // 2).size
+        if not 0 <= params["samples"] <= size:
+            raise DomainError(f"rubinstein-gap samples must be 0..{size} at n = {n}")
         return ["gap", "s-variant"]
 
     def run_case(self, params, key):
@@ -725,12 +732,6 @@ class ExperimentSpec:
         if not isinstance(obj, dict) or "name" not in obj:
             raise DomainError("experiment spec needs a 'name' field")
         return cls.of(obj["name"], obj.get("params"), obj.get("out"))
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"name": self.name, "params": self.params}
-        if self.out is not None:
-            obj["out"] = self.out
-        return obj
 
 
 def _case_job(name: str, params: dict, key: str) -> dict:

@@ -27,7 +27,9 @@ from ..errors import (
 from ..fileio import (
     canonical_function_bytes,
     function_to_json_obj,
+    json_text,
     read_function,
+    read_json,
 )
 from ..measures.report import MEASURES, compute_measures, verify_report
 from .cache import ResultCache
@@ -54,14 +56,10 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _error(kind: str, message: str, **extra) -> None:
     obj = {"error": kind, "message": message}
     obj.update(extra)
-    sys.stderr.write(_json_text(obj))
+    sys.stderr.write(json_text(obj))
 
 
 def _load_function(args):
@@ -124,7 +122,7 @@ def _cmd_construct(args) -> int:
     spec = parse_construction(args.spec)
     f = spec.build()
     obj = function_to_json_obj(f, construction=spec.to_json_obj())
-    _emit(_json_text(obj), args.out)
+    _emit(json_text(obj), args.out)
     return _EXIT_OK
 
 
@@ -135,7 +133,7 @@ def _cmd_measure(args) -> int:
         raise DomainError("empty measure list")
     cache = None if args.no_cache else ResultCache()
     report = compute_measures(f, names, ref, cache)
-    text = _measure_csv(report) if args.csv else _json_text(report)
+    text = _measure_csv(report) if args.csv else json_text(report)
     _emit(text, args.out)
     return _EXIT_OK
 
@@ -170,11 +168,7 @@ def _cmd_experiment(args) -> int:
     if args.spec_file is not None:
         if args.name is not None or args.set:
             raise DomainError("--spec replaces the name and any --set overrides")
-        try:
-            obj = json.loads(Path(args.spec_file).read_text())
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
-        spec = ExperimentSpec.from_json_obj(obj)
+        spec = ExperimentSpec.from_json_obj(read_json(args.spec_file))
     elif args.name is not None:
         # the --set items are the parameter list of one spec string
         text = "--set:" + ",".join(args.set) if args.set else "--set"
@@ -187,7 +181,7 @@ def _cmd_experiment(args) -> int:
         )
     report = run_experiment(spec, jobs=args.jobs)
     out = args.out if args.out is not None else spec.out
-    text = _experiment_csv(report) if args.csv else _json_text(report)
+    text = _experiment_csv(report) if args.csv else json_text(report)
     _emit(text, out)
     if report["failures"] > 0:
         bad = next((c for c in report["cases"] if c["pass"] is False), None)
@@ -203,19 +197,14 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     f, ref = _load_function(args)
-    try:
-        obj = json.loads(Path(args.report).read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
-    except RecursionError:
-        raise FormatError("JSON nests too deeply to parse") from None
+    obj = read_json(args.report)
     if not isinstance(obj, dict):
         raise FormatError("report file must hold a JSON object")
     entries = obj.get("measures", obj)
     if not isinstance(entries, dict) or not entries:
         raise FormatError("report holds no measure entries")
     verify_report(f, entries)
-    _emit(_json_text({"function": ref, "verified": sorted(entries)}), args.out)
+    _emit(json_text({"function": ref, "verified": sorted(entries)}), args.out)
     return _EXIT_OK
 
 

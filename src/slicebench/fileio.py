@@ -1,4 +1,10 @@
-"""On-disk format of function files (JSON).
+"""slicebench's JSON files: their text form, their reader, and the
+function-file format.
+
+json_text is the text of every function file and report slicebench writes.
+read_json reads every JSON file it is given (function files, experiment
+specs, reports, cache entries) and raises FormatError for bad syntax, bytes
+that are not UTF-8, an int too long to convert, or nesting too deep.
 
 Function file keys: "n", "kind" ("slice" | "cube" | "explicit"), "k" for
 slices, "members" (bit strings, rank order) for explicit domains,
@@ -57,21 +63,24 @@ def function_from_json_obj(obj: Any) -> LabeledFunction:
         raise FormatError(f"function file lacks key {e.args[0]!r}") from None
     if kind not in _KINDS:
         raise FormatError(f"unknown domain kind {kind!r}")
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise FormatError("n must be an integer")
     if kind == "slice":
-        if "k" not in obj:
-            raise FormatError("slice function file lacks k")
+        if type(obj.get("k")) is not int:
+            raise FormatError("slice function file needs an integer k")
         dom = Domain.slice(n, obj["k"])
     elif kind == "cube":
         dom = Domain.cube(n)
     else:
         members = obj.get("members")
-        if not isinstance(members, list):
-            raise FormatError("explicit function file lacks its members list")
-        dom = Domain.explicit(n, (string_to_mask(s) for s in members))
+        if not isinstance(members, list) or any(type(s) is not str for s in members):
+            raise FormatError("explicit function file lacks its member strings")
+        dom = Domain.explicit(n, map(string_to_mask, members))
     if not isinstance(alphabet, list) or not alphabet:
         raise FormatError("alphabet must be a nonempty list")
+    items = [v for lab in alphabet for v in (lab if isinstance(lab, list) else [lab])]
+    if any(type(v) is not int for v in items):
+        raise FormatError("each label must be an int or a list of ints")
     labs = [tuple(lab) if isinstance(lab, list) else lab for lab in alphabet]
     try:
         raw = bytes.fromhex(table_hex)
@@ -102,20 +111,29 @@ def _unpack(alphabet: list, raw: bytes, size: int) -> bytes:
     return raw
 
 
+def json_text(obj: Any) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except ValueError as e:  # bytes that are not UTF-8, an int too long to convert
+        raise FormatError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError("JSON nests too deeply to parse") from None
+
+
 def write_function(
     f: LabeledFunction, path: str | Path, construction: dict | None = None
 ) -> None:
-    obj = function_to_json_obj(f, construction)
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(function_to_json_obj(f, construction)))
 
 
 def read_function(path: str | Path) -> LabeledFunction:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid JSON: {e.msg}", line=e.lineno) from None
-    return function_from_json_obj(obj)
+    return function_from_json_obj(read_json(path))
 
 
 def canonical_function_bytes(f: LabeledFunction) -> bytes:

@@ -514,7 +514,8 @@ def _verify_tampered(capsys, tmp_path, measures, tamper, spec="eq:k=1"):
         capsys, "verify", "--construct", spec, "--report", str(report)
     )
     if code:
-        assert json.loads(err)["error"] == "verification"
+        expected = "input" if code == 4 else "verification"
+        assert json.loads(err)["error"] == expected
     return code, err
 
 
@@ -569,15 +570,18 @@ def test_verify_refuses_foreign_positions_and_non_int_values(
     assert code == 2
 
 
-def _set_field(name, path, value):
+def _set_field(name, path, value, stated=None):
     """A tamper that sets the witness field at path (keys and indices) of
-    name's eq:k=1 entry to value."""
+    name's eq:k=1 entry to value and, when stated is given, the entry's
+    value to stated."""
 
     def tamper(entries):
         obj = entries[name]["witness"]
         for key in path[:-1]:
             obj = obj[key]
         obj[path[-1]] = value
+        if stated is not None:
+            entries[name]["value"] = stated
 
     return tamper
 
@@ -610,6 +614,100 @@ def test_verify_refuses_witness_fields_that_are_not_positions(
     tamper = _set_field(measures, path, value)
     code, _ = _verify_tampered(capsys, tmp_path, measures, tamper)
     assert code == 2
+
+
+def _drop_c_input(entries):
+    del entries["C"]["witness"]["input"]
+
+
+def _repeat_first_uc_certificate(entries):
+    certificates = entries["UC"]["witness"]["certificates"]
+    certificates.append(certificates[0])
+
+
+def _drop_last_uc_certificate(entries):
+    entries["UC"]["witness"]["certificates"].pop()
+
+
+def _rename_c_to_an_unknown_measure(entries):
+    entries["nope"] = entries.pop("C")
+
+
+# One case per rejection branch of the witness checks, on the eq:k=1
+# witnesses above plus BC ones [0, 2] and zeros [1, 3] at 1010, mBC ones
+# [0] and zeros [2] at 1100, and bs2 blocks [[1, 2], [0, 3]].  Swapping
+# positions 0 and 2 of 1100 keeps its label, so [0, 2] is not sensitive.
+@pytest.mark.parametrize(
+    "measures, tamper, message",
+    [
+        ("C", _drop_c_input, "C: witness lacks input"),
+        ("C", _set_field("C", ("ones",), [0, 0]), "C: position 0 is named twice"),
+        (
+            "BC",
+            _set_field("BC", ("zeros",), [1], stated=3),
+            "BC: assignment is not balanced",
+        ),
+        (
+            "mBC",
+            _set_field("mBC", ("input",), "0011"),
+            "mBC: assignment conflicts with its input",
+        ),
+        (
+            "C",
+            _set_field("C", ("ones",), [0], stated=1),
+            "C: assignment is not label-constant",
+        ),
+        (
+            "UC",
+            _set_field("UC", ("certificates", 0), 5),
+            "UC: assignment is not an object",
+        ),
+        (
+            "UC",
+            _set_field("UC", ("certificates", 0), {"ones": [0, 1, 2]}),
+            "UC: certificate consistent with no member",
+        ),
+        (
+            "UC",
+            _set_field("UC", ("certificates", 0), {}),
+            "UC: certificate is not label-constant",
+        ),
+        ("UC", _repeat_first_uc_certificate, "UC: certificates overlap"),
+        ("UC", _drop_last_uc_certificate, "UC: certificates do not cover the domain"),
+        ("bs", _set_field("bs", ("blocks",), 5), "bs: blocks are not a list"),
+        (
+            "bs2",
+            _set_field("bs2", ("blocks", 0), [1, 2, 3]),
+            "bs2: block [1, 2, 3] is larger than 2",
+        ),
+        ("bs", _set_field("bs", ("blocks", 1), [1, 2]), "bs: blocks are not disjoint"),
+        (
+            "bs",
+            _set_field("bs", ("blocks", 0), [0, 2]),
+            "bs: block [0, 2] is not sensitive",
+        ),
+        (
+            "nonadaptive",
+            _set_field("nonadaptive", ("positions",), [0], stated=1),
+            "nonadaptive: positions do not determine the label",
+        ),
+        ("deg", _make_value("deg", 3), "deg: recomputed value 2 != stated value 3"),
+        ("C", _rename_c_to_an_unknown_measure, "unknown measure 'nope'"),
+    ],
+    ids=[
+        "C-lacks-input", "C-position-twice", "BC-unbalanced", "mBC-conflicts",
+        "C-not-label-constant", "UC-not-an-object", "UC-no-member",
+        "UC-not-label-constant", "UC-overlap", "UC-no-cover", "bs-not-a-list",
+        "bs2-larger-than-2", "bs-not-disjoint", "bs-not-sensitive",
+        "nonadaptive-undetermined", "deg-plus-one", "unknown-measure",
+    ],
+)
+def test_verify_refuses_each_broken_witness_with_its_own_message(
+    capsys, tmp_path, measures, tamper, message
+):
+    code, err = _verify_tampered(capsys, tmp_path, measures, tamper)
+    assert code == (4 if message.startswith("unknown") else 2)
+    assert message in json.loads(err)["message"]
 
 
 def _full_input_certificate(entries):
@@ -702,6 +800,61 @@ def test_verify_report_nested_too_deeply_for_json_is_a_format_error(
     assert json.loads(err)["error"] == "format"
 
 
+# Files no input may crash on: nesting past any recursion limit, bytes that
+# are not UTF-8 (a UTF-16 byte-order mark), and an int too long to convert.
+_UNPARSABLE = [
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested"),
+    pytest.param(b"\xff\xfe{}", id="utf16-bom"),
+    pytest.param(
+        b"[" + b"1" * 5000 + b"]",
+        id="long-int",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("content", _UNPARSABLE)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--no-cache", "--function"),
+        ("experiment", "--spec"),
+        ("verify", "--construct", "eq:k=1", "--report"),
+    ],
+    ids=["function", "spec", "report"],
+)
+def test_unparsable_input_files_are_format_errors(capsys, tmp_path, argv, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "format"
+
+
+def _without_millis(report_text):
+    report = json.loads(report_text)
+    for entry in report["measures"].values():
+        del entry["millis"]
+    return report
+
+
+@pytest.mark.parametrize("content", _UNPARSABLE)
+def test_an_unparsable_cache_file_is_a_miss(capsys, monkeypatch, tmp_path, content):
+    monkeypatch.setenv("SLICEBENCH_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ("measure", "--construct", "eq:k=1", "--measures", "D")
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    path.write_bytes(content)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _without_millis(out) == _without_millis(fresh)
+    # the miss stored the recomputed entry again, and a hit repeats it
+    assert run(capsys, *argv) == (0, out, "")
+
+
 # Transcripts recorded before the players moved onto the shared spec tables.
 _TRANSCRIPTS = json.loads(
     (Path(__file__).parent / "data" / "match_transcripts.json").read_text()
@@ -763,6 +916,9 @@ _MATCH = ("match", "--construct", "eq:k=1")
         ("experiment", "kml-count", "--set", "rs=3,4"),
         ("experiment", "kml-count", "--set", "nope=3"),
         ("experiment", "kml-count", "--set", "rs=3", "--set", "rs=3"),
+        ("experiment", "ed-conjecture", "--set", "cases=3"),
+        ("experiment", "ed-conjecture", "--set", "cases=3-2-1"),
+        ("experiment", "rubinstein-gap", "--set", "n=4", "--set", "samples=100"),
     ],
     ids=" ".join,
 )
@@ -807,8 +963,9 @@ def test_a_bad_adversary_is_reported_before_the_optimal_algorithm_solves(
         {"name": "kml-count", "params": {"rs": [3, True]}},
         {"name": ["a"]},
         {"name": "kml-count", "out": 5},
+        {"name": "ed-conjecture", "params": {"cases": [[3, 2], 4]}},
     ],
-    ids=["params-list", "text-leaf", "bool-leaf", "name-list", "out-int"],
+    ids=["params-list", "text-leaf", "bool-leaf", "name-list", "out-int", "ragged-pairs"],
 )
 def test_malformed_experiment_spec_files_exit_with_the_input_code(capsys, tmp_path, obj):
     spec = tmp_path / "spec.json"
@@ -822,6 +979,51 @@ def test_experiment_set_keeps_list_values(capsys):
     code, out, _ = run(capsys, "experiment", "eq-depth", "--set", "ks=1-2")
     assert code == 0
     assert json.loads(out)["params"] == {"ks": [1, 2]}
+
+
+def _max_depths(*modes):
+    depths = (1, 1, 2, 2, 2)  # slice(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)
+    return [{"max_depth": d, "mode": m} for d, m in zip(depths, modes)]
+
+
+# Pinned reports of small runs through both kinds of mbc-exhaustive case and
+# both branches of maxdepth-by-weight: the third run samples slice(4, 2),
+# whose 2^6 functions exceed its exhaustive limit of 32.
+@pytest.mark.parametrize(
+    "argv, case_count, observed, sha256",
+    [
+        (
+            ("mbc-exhaustive", "--set", "samples=3"),
+            67,
+            None,
+            "e3d6d979fa3ac9930edac6e6d034686f3078eda44fcecc0e9d3c67ed33912057",
+        ),
+        (
+            ("maxdepth-by-weight", "--set", "max_n=4"),
+            5,
+            _max_depths(*["exhaustive"] * 5),
+            "f92420530c061a8d0317cd3013b555994acd187a6171b3a922fc594aa724f116",
+        ),
+        (
+            ("maxdepth-by-weight", "--set", "max_n=4", "--set", "exhaustive_limit=32",
+             "--set", "samples=5"),
+            5,
+            _max_depths(*["exhaustive"] * 3, "sampled", "exhaustive"),
+            "e9f16261071f7664a69bbc14f7d66764437a2e3852073fe53ae6fd3a3ec8fdbe",
+        ),
+    ],
+    ids=["mbc-exhaustive", "maxdepth-by-weight", "maxdepth-by-weight-sampled"],
+)
+def test_small_runs_of_code_function_experiments_are_pinned(
+    capsys, argv, case_count, observed, sha256
+):
+    code, out, err = run(capsys, "experiment", *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["case_count"], report["failures"]) == (case_count, 0)
+    if observed is not None:
+        assert [c["observed"] for c in report["cases"]] == observed
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_measure_recomputes_a_hand_edited_cache_entry(capsys, monkeypatch, tmp_path):

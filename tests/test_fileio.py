@@ -75,6 +75,20 @@ def test_function_format_errors():
     del slim["k"]
     with pytest.raises(FormatError):
         function_from_json_obj(slim)
+    # fields of the wrong type; n = true would read as a 1-cube
+    cube1 = function_to_json_obj(
+        LabeledFunction.from_callable(Domain.cube(1), lambda x: x, BOOLEAN)
+    )
+    for broken in (
+        {**good, "k": "2"},
+        {**good, "k": 2.0},
+        {**good, "kind": "explicit", "members": [1, 2]},
+        {**good, "alphabet": [{"a": 1}, 0]},
+        {**good, "alphabet": [[[1]], 0]},
+        {**cube1, "n": True},
+    ):
+        with pytest.raises(FormatError):
+            function_from_json_obj(broken)
 
 
 def test_explicit_function_bytes_are_pinned():
