@@ -3,7 +3,8 @@
 Each experiment is a pure function of its parameter dict (seeds included),
 so a rerun from the same spec emits a byte-identical report.  Cases carry a
 pass verdict where a proven bound is asserted; open values are reported
-with no verdict.  Reports never include timing.
+with no verdict.  Reports never include timing.  Parameters are declared
+once per experiment, in a table ExperimentSpec.of checks every value against.
 """
 
 import math
@@ -83,14 +84,25 @@ def _case(key: str, observed, expected, ok: bool | None) -> dict:
     return {"key": key, "observed": observed, "expected": expected, "pass": ok}
 
 
+# A seed is any signed 64-bit int; a case count is capped so a report fits
+# in memory.  Sizes range up to the 64-position limit, and a slice too large
+# to build is still refused by the domain-size cap (exit 3).
+_SEEDS = (-(1 << 63), (1 << 63) - 1)
+_MANY = 100_000
+
+
 class Experiment:
-    """One registered batch: named cases over a parameter dict."""
+    """One registered batch: named cases over a parameter dict.
+
+    params declares each parameter as (default, lo, hi).  The default fixes
+    the shape: an int, a non-empty list of ints, or a non-empty list of int
+    lists as long as its first item; every int lies in lo..hi.  Rules tying
+    one parameter to another are checked in case_keys.
+    """
 
     name = ""
     claim = ""
-
-    def defaults(self) -> dict:
-        return {}
+    params: dict[str, tuple] = {}
 
     def case_keys(self, params: dict) -> list[str]:
         raise NotImplementedError
@@ -105,9 +117,7 @@ class Experiment:
 class EqDepth(Experiment):
     name = "eq-depth"
     claim = "exact depth of half-equality on slice(4k, 2k) is 3k - 1"
-
-    def defaults(self):
-        return {"ks": [1, 2, 3]}
+    params = {"ks": ([1, 2, 3], 1, 16)}
 
     def case_keys(self, params):
         return [f"k={k:02d}" for k in params["ks"]]
@@ -126,14 +136,11 @@ class Weight2Sandwich(Experiment):
         "every graph function on slice(n, 2) has depth between n - m(G) "
         "and n - ceil(m(G)/2)"
     )
-
-    def defaults(self):
-        return {"n": 5}
+    # exhaustive over all 2^C(n, 2) graphs
+    params = {"n": (5, 3, 5)}
 
     def case_keys(self, params):
         n = params["n"]
-        if n > 5:
-            raise DomainError("weight2-sandwich is exhaustive; needs n <= 5")
         pairs = n * (n - 1) // 2
         return [f"g={mask:04d}" for mask in range(1 << pairs)]
 
@@ -161,9 +168,7 @@ class JohnsonIndependent(Experiment):
         "position-sum classes partition slice(n, k), are independent in the "
         "Johnson graph, and the largest has at least C(n, k)/n members"
     )
-
-    def defaults(self):
-        return {"max_n": 14}
+    params = {"max_n": (14, 2, 64)}
 
     def case_keys(self, params):
         keys = []
@@ -213,9 +218,8 @@ class KmlCount(Experiment):
         "the XOR-zero class on slice(2^r, 2^(r-1)) has exactly "
         "(C(n, n/2) + (n-1) C(n/2, n/4)) / n members"
     )
-
-    def defaults(self):
-        return {"rs": [3, 4]}
+    # the count formula is false at r = 2, where the class is empty
+    params = {"rs": ([3, 4], 3, 6)}
 
     def case_keys(self, params):
         return [f"r={r:02d}" for r in params["rs"]]
@@ -239,9 +243,8 @@ class EdStructure(Experiment):
         "one-subcube holds more than 2 of them, nonadaptive depth n - 1, "
         "and the packing bound stays below the exact depth"
     )
-
-    def defaults(self):
-        return {"k": 4, "l": 2}
+    # the claim names its values for (4, 2) alone
+    params = {"k": (4, 4, 4), "l": (2, 2, 2)}
 
     def case_keys(self, params):
         return [f"k={params['k']:02d},l={params['l']:02d}"]
@@ -279,14 +282,9 @@ class EdConjecture(Experiment):
         "reports exact element-distinctness depths next to the open guess "
         "kl - ceil(l/2); only depth >= packing bound is asserted"
     )
-
-    def defaults(self):
-        return {"cases": [[3, 2], [4, 2]]}
+    params = {"cases": ([[3, 2], [4, 2]], 1, 32)}
 
     def case_keys(self, params):
-        for case in params["cases"]:
-            if not isinstance(case, list) or list(map(type, case)) != [int, int]:
-                raise DomainError(f"ed-conjecture case {case!r} is not a k-l pair")
         return [f"k={k:02d},l={l:02d}" for k, l in params["cases"]]
 
     def run_case(self, params, key):
@@ -311,9 +309,9 @@ class LiftPreservation(Experiment):
         "certificate complexity, block sensitivity, and degree, and keeps "
         "s(g) <= s(f) <= bs_2(g) <= 2 s(g)^2"
     )
-
-    def defaults(self):
-        return {"exhaustive_n": 3, "sample_n": 4, "samples": 50, "seed": 404}
+    # exhaustive_n = 4 already makes 2^16 cases
+    params = {"exhaustive_n": (3, 1, 4), "sample_n": (4, 1, 32),
+              "samples": (50, 0, _MANY), "seed": (404, *_SEEDS)}
 
     def case_keys(self, params):
         n = params["exhaustive_n"]
@@ -368,14 +366,12 @@ class WeightsM2(Experiment):
         "algorithm A always uses (n-1)m queries and B at most "
         "nm - ceil(n/m); their minimum never exceeds N - N^(1/3)"
     )
-
-    def defaults(self):
-        return {
-            "depth_cases": [[4, 2, 2], [5, 2, 2], [4, 2, 3], [4, 2, 4]],
-            "two_block_max_m": 5,
-            "replay_max_nm": 10,
-            "minab_max_nm": 16,
-        }
+    params = {
+        "depth_cases": ([[4, 2, 2], [5, 2, 2], [4, 2, 3], [4, 2, 4]], 1, 64),
+        "two_block_max_m": (5, 1, 32),
+        "replay_max_nm": (10, 1, 64),
+        "minab_max_nm": (16, 1, 10_000),
+    }
 
     def case_keys(self, params):
         keys = [
@@ -448,15 +444,12 @@ class RubinsteinGap(Experiment):
         "input while sampled sensitivities stay within 2 sqrt(n) on "
         "0-inputs and sqrt(n) on 1-inputs, so bs >= s^2/16 here"
     )
-
-    def defaults(self):
-        return {"n": 16, "samples": 300, "seed": 20260816}
+    # bs >= 4 at the witness fails at n = 4, the only smaller square with
+    # an even root; samples are drawn from the C(16, 8) = 12870 members
+    params = {"n": (16, 16, 16), "samples": (300, 0, 12870),
+              "seed": (20260816, *_SEEDS)}
 
     def case_keys(self, params):
-        n = params["n"]
-        size = Domain.slice(n, n // 2).size
-        if not 0 <= params["samples"] <= size:
-            raise DomainError(f"rubinstein-gap samples must be 0..{size} at n = {n}")
         return ["gap", "s-variant"]
 
     def run_case(self, params, key):
@@ -501,9 +494,7 @@ class MbcExhaustive(Experiment):
     claim = (
         "depth is at least the smallest balanced certificate size minus one"
     )
-
-    def defaults(self):
-        return {"samples": 200, "sample_seed": 1}
+    params = {"samples": (200, 0, _MANY), "sample_seed": (1, *_SEEDS)}
 
     def case_keys(self, params):
         keys = [f"f={code:02d}" for code in range(64)]
@@ -530,9 +521,9 @@ class RandomDepth(Experiment):
         "random balanced-slice functions respect the n - 2 depth ceiling; "
         "their observed depth distribution is reported"
     )
-
-    def defaults(self):
-        return {"n": 8, "k": 4, "samples": 200, "seed": 7}
+    # depth <= n - 2 is false for n <= 2
+    params = {"n": (8, 3, 64), "k": (4, 1, 63), "samples": (200, 1, _MANY),
+              "seed": (7, *_SEEDS)}
 
     def case_keys(self, params):
         return [f"seed={s:03d}" for s in range(params["samples"])]
@@ -561,11 +552,13 @@ class RamseyRandom(Experiment):
         "random 16-vertex graphs rarely contain a monochromatic set larger "
         "than 2 log2(n), so their slice functions need close to n queries"
     )
-
-    def defaults(self):
-        return {"n": 16, "seeds": 100, "max_mono": 8, "min_count": 90}
+    # a graph function needs n >= 3, and m(G) is computed for n <= 40
+    params = {"n": (16, 3, 40), "seeds": (100, 1, _MANY), "max_mono": (8, 0, 40),
+              "min_count": (90, 0, _MANY)}
 
     def case_keys(self, params):
+        if params["min_count"] > params["seeds"]:
+            raise DomainError("ramsey-random needs min_count <= seeds")
         return [f"seed={s:03d}" for s in range(params["seeds"])]
 
     def run_case(self, params, key):
@@ -592,17 +585,13 @@ class MaxDepthByWeight(Experiment):
         "n - 2; exhaustive where the function count is small, sampled "
         "otherwise"
     )
-
-    def defaults(self):
-        return {
-            "min_n": 3,
-            "max_n": 6,
-            "samples": 1000,
-            "seed": 11,
-            "exhaustive_limit": 4096,
-        }
+    # depth <= n - 2 is false for n <= 2
+    params = {"min_n": (3, 3, 64), "max_n": (6, 3, 64), "samples": (1000, 1, _MANY),
+              "seed": (11, *_SEEDS), "exhaustive_limit": (4096, 0, 1 << 20)}
 
     def case_keys(self, params):
+        if params["min_n"] > params["max_n"]:
+            raise DomainError("maxdepth-by-weight needs min_n <= max_n")
         return [
             f"n={n:02d},k={k:02d}"
             for n in range(params["min_n"], params["max_n"] + 1)
@@ -620,7 +609,7 @@ class MaxDepthByWeight(Experiment):
             mode, rng = "sampled", random.Random(_mix(params["seed"], n, k))
             codes = (rng.getrandbits(dom.size) for _ in range(params["samples"]))
         depths = (exact_depth(_code_function(dom, code)) for code in codes)
-        worst = max(depths, default=0)
+        worst = max(depths)
         return _case(
             key,
             {"max_depth": worst, "mode": mode},
@@ -662,39 +651,36 @@ def get_experiment(name: str) -> Experiment:
     return exp
 
 
-def _nesting_depth(value) -> int:
-    depth = 0
-    while isinstance(value, list):
-        depth += 1
-        value = value[0] if value else None
-    return depth
+def _checked(exp: Experiment, field_name: str, value):
+    """value in the shape its declared default fixes, tuples made lists.
 
-
-def _int_leaves(field_name: str, value):
-    """value with tuples turned into lists; every leaf must be an int."""
-    if isinstance(value, (list, tuple)):
-        return [_int_leaves(field_name, item) for item in value]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(
-            f"parameter {field_name!r} must hold ints or lists of ints, not {value!r}"
-        )
-    return value
-
-
-def _match_nesting(field_name: str, value, default):
-    """Wrap an override in lists until it is shaped like the default.
-
-    Lets `ks=2` stand for [2] and `cases=3-2` for [[3, 2]]; anything that
-    would need unwrapping instead is a genuine shape error.
+    One item stands for a list of one: `ks=2` is [2] and `cases=3-2` is
+    [[3, 2]].
     """
-    want, got = _nesting_depth(default), _nesting_depth(value)
-    if got > want:
+    default, lo, hi = exp.params[field_name]
+    items = list(value) if isinstance(value, (list, tuple)) else [value]
+    nested = isinstance(default, list) and isinstance(default[0], list)
+    width = len(default[0]) if nested else 1
+    if isinstance(default, int):
+        shape, rows = "an int", [[value]]
+    elif not nested:
+        shape, rows = "a non-empty list of ints", [[item] for item in items]
+    else:
+        shape = f"a non-empty list of {width}-int lists with each int"
+        rows = [items] if all(type(v) is int for v in items) else items
+    if not rows or not all(
+        isinstance(row, (list, tuple))
+        and len(row) == width
+        and all(type(v) is int and lo <= v <= hi for v in row)
+        for row in rows
+    ):
         raise DomainError(
-            f"parameter {field_name!r} cannot take a list nested {got} deep"
+            f"experiment {exp.name!r} parameter {field_name!r} takes {shape} "
+            f"in {lo}..{hi}"
         )
-    for _ in range(want - got):
-        value = [value]
-    return value
+    if isinstance(default, int):
+        return value
+    return [list(row) if nested else row[0] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -717,20 +703,23 @@ class ExperimentSpec:
         if not isinstance(out, (str, type(None))):
             raise DomainError(f"experiment out must be a path string, not {out!r}")
         exp = get_experiment(name)
-        params = exp.defaults()
-        for field_name, value in (overrides or {}).items():
-            if field_name not in params:
-                raise DomainError(
-                    f"experiment {name!r} has no parameter {field_name!r}"
-                )
-            value = _int_leaves(field_name, value)
-            params[field_name] = _match_nesting(field_name, value, params[field_name])
+        overrides = overrides or {}
+        unknown = sorted(set(overrides) - set(exp.params))
+        if unknown:
+            raise DomainError(f"experiment {name!r} has no parameter {unknown[0]!r}")
+        params = {
+            field_name: _checked(exp, field_name, overrides.get(field_name, default))
+            for field_name, (default, _, _) in exp.params.items()
+        }
         return cls(name=name, params=params, out=out)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentSpec":
         if not isinstance(obj, dict) or "name" not in obj:
             raise DomainError("experiment spec needs a 'name' field")
+        unknown = sorted(set(obj) - {"name", "params", "out"})
+        if unknown:
+            raise DomainError(f"experiment spec takes name, params and out, not {unknown}")
         return cls.of(obj["name"], obj.get("params"), obj.get("out"))
 
 

@@ -10,13 +10,20 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slicebench
 import slicebench.cli.experiments as experiments
 import slicebench.cli.main as cli_main
 from slicebench.catalog import graham_sloane
 from slicebench.cli.main import main
-from slicebench.errors import AdversaryExhaustedError, EmptyRestrictionError
+from slicebench.errors import (
+    AdversaryExhaustedError,
+    DomainError,
+    EmptyRestrictionError,
+    SliceBenchError,
+)
 from slicebench.fileio import read_function
 from test_fileio import write_with_reversed_alphabet
 
@@ -394,8 +401,8 @@ def test_experiment_failure_exits_with_counterexample(capsys, tmp_path):
     report = tmp_path / "r.json"
     code, _, err = run(
         capsys,
-        "experiment", "ramsey-random", "--set", "seeds=5",
-        "--set", "min_count=6", "--out", str(report),
+        "experiment", "ramsey-random", "--set", "seeds=5", "--set", "max_mono=2",
+        "--set", "min_count=5", "--out", str(report),
     )
     assert code == 2
     payload = json.loads(err)
@@ -919,6 +926,20 @@ _MATCH = ("match", "--construct", "eq:k=1")
         ("experiment", "ed-conjecture", "--set", "cases=3"),
         ("experiment", "ed-conjecture", "--set", "cases=3-2-1"),
         ("experiment", "rubinstein-gap", "--set", "n=4", "--set", "samples=100"),
+        ("experiment", "random-depth", "--set", "samples=0"),
+        ("experiment", "random-depth", "--set", "samples=-1"),
+        ("experiment", "random-depth", "--set", "n=2", "--set", "k=1"),
+        ("experiment", "lift-preservation", "--set", "exhaustive_n=-1"),
+        ("experiment", "lift-preservation", "--set", "exhaustive_n=5"),
+        ("experiment", "weights-m2", "--set", "depth_cases=0"),
+        ("experiment", "johnson-independent", "--set", "max_n=0"),
+        ("experiment", "maxdepth-by-weight", "--set", "max_n=0"),
+        ("experiment", "maxdepth-by-weight", "--set", "min_n=2", "--set", "max_n=2"),
+        ("experiment", "maxdepth-by-weight", "--set", "min_n=5", "--set", "max_n=4"),
+        ("experiment", "mbc-exhaustive", "--set", "samples=-1"),
+        ("experiment", "ramsey-random", "--set", "n=0"),
+        ("experiment", "ramsey-random", "--set", "seeds=0"),
+        ("experiment", "ramsey-random", "--set", "seeds=5", "--set", "min_count=6"),
     ],
     ids=" ".join,
 )
@@ -955,6 +976,13 @@ def test_a_bad_adversary_is_reported_before_the_optimal_algorithm_solves(
     assert json.loads(err)["error"] == "input"
 
 
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -964,8 +992,19 @@ def test_a_bad_adversary_is_reported_before_the_optimal_algorithm_solves(
         {"name": ["a"]},
         {"name": "kml-count", "out": 5},
         {"name": "ed-conjecture", "params": {"cases": [[3, 2], 4]}},
+        {"name": "eq-depth", "params": {"ks": [1, [2]]}},
+        {"name": "eq-depth", "params": {"ks": _nested(600)}},
+        {"name": "weights-m2", "params": {"depth_cases": [[4, 2, 2], 3]}},
+        {"name": "weights-m2", "params": {"depth_cases": []}},
+        {"name": "kml-count", "params": {"rs": []}},
+        {"name": "kml-count", "parms": {"rs": [3]}},
+        {"name": "kml-count", "params": {"rs": [3]}, "ot": "r.json"},
     ],
-    ids=["params-list", "text-leaf", "bool-leaf", "name-list", "out-int", "ragged-pairs"],
+    ids=[
+        "params-list", "text-leaf", "bool-leaf", "name-list", "out-int", "ragged-pairs",
+        "ragged-ints", "nested-600", "ragged-triples", "empty-triples", "empty-ints",
+        "unknown-params-key", "unknown-out-key",
+    ],
 )
 def test_malformed_experiment_spec_files_exit_with_the_input_code(capsys, tmp_path, obj):
     spec = tmp_path / "spec.json"
@@ -973,6 +1012,67 @@ def test_malformed_experiment_spec_files_exit_with_the_input_code(capsys, tmp_pa
     code, out, err = run(capsys, "experiment", "--spec", str(spec))
     assert (code, out) == (4, "")
     assert json.loads(err)["error"] == "input"
+
+
+def _override_values(default):
+    """Ints from -3 to twice the default's largest, bools, values in the
+    default's shape, and ragged or nested lists."""
+    rows = [default] if isinstance(default, int) else default
+    top = 2 * max(max(r) if isinstance(r, list) else r for r in rows)
+    ints = st.integers(-3, 3) | st.integers(-3, top)
+    if isinstance(default, int):
+        shaped = ints
+    elif isinstance(default[0], int):
+        shaped = st.lists(ints, min_size=1, max_size=3)
+    else:
+        row = st.lists(ints, min_size=len(default[0]), max_size=len(default[0]))
+        shaped = st.lists(row, min_size=1, max_size=3)
+    ragged = st.recursive(ints | st.booleans(), lambda inner: st.lists(inner, max_size=3))
+    return st.one_of(shaped, shaped, ragged)  # mostly well-formed
+
+
+def _at_most_default(value, default):
+    """Each int no larger than the default's largest at its position."""
+    if isinstance(default, int):
+        return value <= default
+    if isinstance(default[0], int):
+        return max(value) <= max(default)
+    return all(v <= max(d[i] for d in default) for row in value for i, v in enumerate(row))
+
+
+# built once: a strategy made afresh for each example triples the test's time
+_DRAWN_OVERRIDES = {
+    name: st.fixed_dictionaries(
+        {},
+        optional={
+            f: _override_values(d)
+            for f, (d, _, _) in experiments.get_experiment(name).params.items()
+        },
+    )
+    for name in experiments.experiment_names()
+}
+
+
+@pytest.mark.parametrize("name", experiments.experiment_names())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_parameters_are_refused_or_give_cases_that_run(name, data):
+    """Drawn parameters are refused as input, or they give cases; with every
+    int at most its default, the first case runs and raises, if anything,
+    only a package error."""
+    exp = experiments.get_experiment(name)
+    overrides = data.draw(_DRAWN_OVERRIDES[name])
+    try:
+        spec = experiments.ExperimentSpec.of(name, overrides)
+        keys = sorted(exp.case_keys(spec.params))
+    except DomainError:
+        return
+    assert keys
+    if all(_at_most_default(spec.params[f], d) for f, (d, _, _) in exp.params.items()):
+        try:
+            exp.run_case(spec.params, keys[0])
+        except SliceBenchError:
+            pass
 
 
 def test_experiment_set_keeps_list_values(capsys):
