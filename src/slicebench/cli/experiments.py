@@ -5,6 +5,7 @@ so a rerun from the same spec emits a byte-identical report.  Cases carry a
 pass verdict where a proven bound is asserted; open values are reported
 with no verdict.  Reports never include timing.  Parameters are declared
 once per experiment, in a table ExperimentSpec.of checks every value against.
+Each case is a (key, args) pair, and rules tying parameters sit in cases.
 """
 
 import math
@@ -67,21 +68,13 @@ def _mix(*parts: int) -> int:
     return out
 
 
-def parse_key(key: str) -> tuple[str | None, dict[str, int]]:
-    """Split a case key into its family tag and integer fields."""
-    family = None
-    fields: dict[str, int] = {}
-    for part in key.split(","):
-        if "=" in part:
-            name, _, value = part.partition("=")
-            fields[name] = int(value)
-        else:
-            family = part
-    return family, fields
-
-
-def _case(key: str, observed, expected, ok: bool | None) -> dict:
-    return {"key": key, "observed": observed, "expected": expected, "pass": ok}
+def _random_cube_function(n: int, seed: int) -> LabeledFunction:
+    """Uniform random Boolean table on cube(n), one bit drawn per member."""
+    dom = Domain.cube(n)
+    rng = random.Random(seed)
+    return LabeledFunction.from_indices(
+        dom, BOOLEAN, [rng.getrandbits(1) for _ in range(dom.size)]
+    )
 
 
 # A seed is any signed 64-bit int; a case count is capped so a report fits
@@ -97,18 +90,21 @@ class Experiment:
     params declares each parameter as (default, lo, hi).  The default fixes
     the shape: an int, a non-empty list of ints, or a non-empty list of int
     lists as long as its first item; every int lies in lo..hi.  Rules tying
-    one parameter to another are checked in case_keys.
+    one parameter to another are checked in cases, which lists each case as
+    its report key and the args that run_case(params, *args) takes to return
+    (observed, expected, pass).  Where cases differ in kind, the first arg is
+    the check (or builder) for its kind, which the default run_case calls.
     """
 
     name = ""
     claim = ""
     params: dict[str, tuple] = {}
 
-    def case_keys(self, params: dict) -> list[str]:
+    def cases(self, params: dict) -> list[tuple[str, tuple]]:
         raise NotImplementedError
 
-    def run_case(self, params: dict, key: str) -> dict:
-        raise NotImplementedError
+    def run_case(self, params: dict, check, *args) -> tuple:
+        return check(*args)
 
     def aggregate(self, params: dict, cases: list[dict]) -> dict | None:
         return None
@@ -119,15 +115,13 @@ class EqDepth(Experiment):
     claim = "exact depth of half-equality on slice(4k, 2k) is 3k - 1"
     params = {"ks": ([1, 2, 3], 1, 16)}
 
-    def case_keys(self, params):
-        return [f"k={k:02d}" for k in params["ks"]]
+    def cases(self, params):
+        return [(f"k={k:02d}", (k,)) for k in params["ks"]]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        k = f["k"]
+    def run_case(self, params, k):
         got = exact_depth(make_eq(k))
         want = 3 * k - 1
-        return _case(key, {"depth": got}, {"depth": want}, got == want)
+        return {"depth": got}, {"depth": want}, got == want
 
 
 class Weight2Sandwich(Experiment):
@@ -139,27 +133,22 @@ class Weight2Sandwich(Experiment):
     # exhaustive over all 2^C(n, 2) graphs
     params = {"n": (5, 3, 5)}
 
-    def case_keys(self, params):
+    def cases(self, params):
         n = params["n"]
-        pairs = n * (n - 1) // 2
-        return [f"g={mask:04d}" for mask in range(1 << pairs)]
-
-    def run_case(self, params, key):
-        n = params["n"]
-        _, f = parse_key(key)
-        mask = f["g"]
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
+        return [
+            (f"g={mask:04d}", ([p for t, p in enumerate(pairs) if mask >> t & 1],))
+            for mask in range(1 << len(pairs))
+        ]
+
+    def run_case(self, params, edges):
+        n = params["n"]
         g = SliceGraph.from_edges(n, edges)
         m, _ = monochromatic_number(g)
         depth = exact_depth(from_graph(g))
         lo, hi = n - m, n - (m + 1) // 2
-        return _case(
-            key,
-            {"m": m, "depth": depth},
-            {"lower": lo, "upper": hi},
-            lo <= depth <= hi,
-        )
+        observed = {"m": m, "depth": depth}
+        return observed, {"lower": lo, "upper": hi}, lo <= depth <= hi
 
 
 class JohnsonIndependent(Experiment):
@@ -170,16 +159,14 @@ class JohnsonIndependent(Experiment):
     )
     params = {"max_n": (14, 2, 64)}
 
-    def case_keys(self, params):
-        keys = []
-        for n in range(2, params["max_n"] + 1):
-            for k in range(1, n // 2 + 1):
-                keys.append(f"n={n:02d},k={k:02d}")
-        return keys
+    def cases(self, params):
+        return [
+            (f"n={n:02d},k={k:02d}", (n, k))
+            for n in range(2, params["max_n"] + 1)
+            for k in range(1, n // 2 + 1)
+        ]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        n, k = f["n"], f["k"]
+    def run_case(self, params, n, k):
         classes, best, _ = graham_sloane(n, k)
         dom = Domain.slice(n, k)
         class_of = {x: j for j, members in enumerate(classes) for x in members}
@@ -191,8 +178,7 @@ class JohnsonIndependent(Experiment):
         independent = partition and _independent(class_of, n)
         largest = len(classes[best])
         big_enough = largest * n >= dom.size
-        return _case(
-            key,
+        return (
             {"largest_class": largest, "members": dom.size},
             {"min_largest_times_n": dom.size},
             partition and independent and big_enough,
@@ -221,19 +207,15 @@ class KmlCount(Experiment):
     # the count formula is false at r = 2, where the class is empty
     params = {"rs": ([3, 4], 3, 6)}
 
-    def case_keys(self, params):
-        return [f"r={r:02d}" for r in params["rs"]]
+    def cases(self, params):
+        return [(f"r={r:02d}", (r,)) for r in params["rs"]]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        r = f["r"]
+    def run_case(self, params, r):
         counted = kml_set(r).label_bitsets[1].bit_count()
         formula = kml_cardinality(r)
         pinned = {3: 14, 4: 870}.get(r)
         ok = counted == formula and (pinned is None or counted == pinned)
-        return _case(
-            key, {"enumerated": counted}, {"formula": formula, "pinned": pinned}, ok
-        )
+        return {"enumerated": counted}, {"formula": formula, "pinned": pinned}, ok
 
 
 class EdStructure(Experiment):
@@ -246,12 +228,11 @@ class EdStructure(Experiment):
     # the claim names its values for (4, 2) alone
     params = {"k": (4, 4, 4), "l": (2, 2, 2)}
 
-    def case_keys(self, params):
-        return [f"k={params['k']:02d},l={params['l']:02d}"]
+    def cases(self, params):
+        k, l = params["k"], params["l"]
+        return [(f"k={k:02d},l={l:02d}", (k, l))]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        k, l = f["k"], f["l"]
+    def run_case(self, params, k, l):
         ed = make_ed(k, l)
         n = ed.domain.n
         ones = ed.label_bitsets[1].bit_count()
@@ -273,7 +254,7 @@ class EdStructure(Experiment):
             and nonadaptive == expected["nonadaptive"]
             and packing <= depth
         )
-        return _case(key, observed, expected, ok)
+        return observed, expected, ok
 
 
 class EdConjecture(Experiment):
@@ -284,18 +265,15 @@ class EdConjecture(Experiment):
     )
     params = {"cases": ([[3, 2], [4, 2]], 1, 32)}
 
-    def case_keys(self, params):
-        return [f"k={k:02d},l={l:02d}" for k, l in params["cases"]]
+    def cases(self, params):
+        return [(f"k={k:02d},l={l:02d}", (k, l)) for k, l in params["cases"]]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        k, l = f["k"], f["l"]
+    def run_case(self, params, k, l):
         ed = make_ed(k, l)
         depth = exact_depth(ed)
         packing, _ = packing_lower_bound(ed)
         guess = k * l - (l + 1) // 2
-        return _case(
-            key,
+        return (
             {"depth": depth, "packing": packing, "conjectured": guess},
             {"min_depth": packing},
             depth >= packing,
@@ -313,27 +291,21 @@ class LiftPreservation(Experiment):
     params = {"exhaustive_n": (3, 1, 4), "sample_n": (4, 1, 32),
               "samples": (50, 0, _MANY), "seed": (404, *_SEEDS)}
 
-    def case_keys(self, params):
-        n = params["exhaustive_n"]
-        count = 1 << (1 << n)
-        keys = [f"g={code:03d}" for code in range(count)]
-        keys += [
-            f"n={params['sample_n']:02d},seed={s:03d}"
+    def cases(self, params):
+        dom, n = Domain.cube(params["exhaustive_n"]), params["sample_n"]
+        cases = [
+            (f"g={code:03d}", (_code_function, dom, code))
+            for code in range(1 << dom.size)
+        ]
+        cases += [
+            (f"n={n:02d},seed={s:03d}",
+             (_random_cube_function, n, _mix(params["seed"], s)))
             for s in range(params["samples"])
         ]
-        return keys
+        return cases
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        if "g" in f:
-            dom = Domain.cube(params["exhaustive_n"])
-            g = _code_function(dom, f["g"])
-        else:
-            dom = Domain.cube(f["n"])
-            rng = random.Random(_mix(params["seed"], f["seed"]))
-            g = LabeledFunction.from_indices(
-                dom, BOOLEAN, [rng.getrandbits(1) for _ in range(dom.size)]
-            )
+    def run_case(self, params, build, *args):
+        g = build(*args)
         lifted = lift(g)
         d_g, d_f = exact_depth(g), exact_depth(lifted)
         c_g, _ = certificate_complexity(g)
@@ -355,8 +327,7 @@ class LiftPreservation(Experiment):
             "sensitivity": [s_g, s_f],
             "bs2": bs2_g,
         }
-        return _case(key, observed, {"preserved": True, "chain": True},
-                     preserved and chain)
+        return observed, {"preserved": True, "chain": True}, preserved and chain
 
 
 class WeightsM2(Experiment):
@@ -373,47 +344,55 @@ class WeightsM2(Experiment):
         "minab_max_nm": (16, 1, 10_000),
     }
 
-    def case_keys(self, params):
-        keys = [
-            f"depth,n={n:02d},m={m:02d},k={k:02d}"
-            for n, m, k in params["depth_cases"]
+    def cases(self, params):
+        # the formula covers two blocks, or blocks of two; swapping 0s and 1s
+        # makes depth symmetric in k, which fixes each upper end
+        for n, m, k in params["depth_cases"]:
+            top = 2 * m - 2 if n == 2 else n + (n - 1) // 2 if m == 2 else 1
+            if not 2 <= k <= top:
+                raise DomainError(
+                    f"weights-m2 has no depth formula at n={n}, m={m}, k={k}: it "
+                    "takes n = 2 and 2 <= k <= 2m - 2, or m = 2 and "
+                    "2 <= k <= n + ceil(n/2) - 1"
+                )
+        triples = params["depth_cases"] + [
+            (2, m, k)
+            for m in range(2, params["two_block_max_m"] + 1)
+            for k in range(2, m + 1)
         ]
-        for m in range(2, params["two_block_max_m"] + 1):
-            for k in range(2, m + 1):
-                keys.append(f"depth,n=02,m={m:02d},k={k:02d}")
-        for n in range(2, params["replay_max_nm"] + 1):
-            for m in range(1, params["replay_max_nm"] // n + 1):
-                keys.append(f"replay,n={n:02d},m={m:02d}")
-        for n in range(2, params["minab_max_nm"] + 1):
-            for m in range(1, params["minab_max_nm"] // n + 1):
-                keys.append(f"minab,n={n:02d},m={m:02d}")
-        return keys
+        cases = [
+            (f"depth,n={n:02d},m={m:02d},k={k:02d}", (self._depth, n, m, k))
+            for n, m, k in triples
+        ]
+        for family, check in (("replay", self._replay), ("minab", self._minab)):
+            top = params[f"{family}_max_nm"]
+            cases += [
+                (f"{family},n={n:02d},m={m:02d}", (check, n, m))
+                for n in range(2, top + 1)
+                for m in range(1, top // n + 1)
+            ]
+        return cases
 
-    @staticmethod
-    def _expected_depth(n, m, k):
+    def _depth(self, n, m, k):
+        got = exact_depth(weights_task(n, m, k))
         if n == 2:
-            return m
-        if k <= n // 2:
-            return n + k - 1
-        return 3 * n // 2
+            want = m
+        elif k <= n // 2:
+            want = n + k - 1
+        else:
+            want = 3 * n // 2
+        return {"depth": got}, {"depth": want}, got == want
 
-    def run_case(self, params, key):
-        family, f = parse_key(key)
-        n, m = f["n"], f["m"]
-        if family == "depth":
-            k = f["k"]
-            got = exact_depth(weights_task(n, m, k))
-            want = self._expected_depth(n, m, k)
-            return _case(key, {"depth": got}, {"depth": want}, got == want)
-        if family == "minab":
-            total = n * m
-            best = min((n - 1) * m, total - -(-n // m))
-            return _case(
-                key,
-                {"min_alg_bound": best},
-                {"max_allowed": f"N - N^(1/3) with N = {total}"},
-                (total - best) ** 3 >= total,
-            )
+    def _minab(self, n, m):
+        total = n * m
+        best = min((n - 1) * m, total - -(-n // m))
+        return (
+            {"min_alg_bound": best},
+            {"max_allowed": f"N - N^(1/3) with N = {total}"},
+            (total - best) ** 3 >= total,
+        )
+
+    def _replay(self, n, m):
         a_bound = (n - 1) * m
         b_bound = n * m - -(-n // m)
         worst_a = worst_b = 0
@@ -428,12 +407,8 @@ class WeightsM2(Experiment):
                 worst_a = max(worst_a, ta.query_count)
                 worst_b = max(worst_b, tb.query_count)
         ok = correct and worst_a == a_bound and worst_b <= b_bound
-        return _case(
-            key,
-            {"worst_A": worst_a, "worst_B": worst_b},
-            {"A": a_bound, "max_B": b_bound},
-            ok,
-        )
+        observed = {"worst_A": worst_a, "worst_B": worst_b}
+        return observed, {"A": a_bound, "max_B": b_bound}, ok
 
 
 class RubinsteinGap(Experiment):
@@ -449,21 +424,26 @@ class RubinsteinGap(Experiment):
     params = {"n": (16, 16, 16), "samples": (300, 0, 12870),
               "seed": (20260816, *_SEEDS)}
 
-    def case_keys(self, params):
-        return ["gap", "s-variant"]
-
-    def run_case(self, params, key):
+    def cases(self, params):
         n = params["n"]
+        return [
+            ("gap", (self._gap, n, params["samples"], params["seed"])),
+            ("s-variant", (self._s_variant, n)),
+        ]
+
+    def _s_variant(self, n):
         root = math.isqrt(n)
-        if key == "s-variant":
-            got, _ = sensitivity(rubinstein_variant(n))
-            return _case(key, {"s": got}, {"s": root}, got == root)
+        got, _ = sensitivity(rubinstein_variant(n))
+        return {"s": got}, {"s": root}, got == root
+
+    def _gap(self, n, samples, seed):
+        root = math.isqrt(n)
         f = rubinstein_slice(n)
         dom = f.domain
         witness = string_to_mask("01" * (root // 2) * root)
         bs_wit, _ = block_sensitivity(f, witness)
-        rng = random.Random(params["seed"])
-        ranks = sorted(rng.sample(range(dom.size), params["samples"]))
+        rng = random.Random(seed)
+        ranks = sorted(rng.sample(range(dom.size), samples))
         masks = {dom.unrank(r) for r in ranks} | {witness}
         s0 = s1 = 0
         for x in sorted(masks):
@@ -486,7 +466,7 @@ class RubinsteinGap(Experiment):
             "inputs_checked": len(masks),
         }
         expected = {"min_bs": 4, "max_s0": 2 * root, "max_s1": root}
-        return _case(key, observed, expected, ok)
+        return observed, expected, ok
 
 
 class MbcExhaustive(Experiment):
@@ -496,23 +476,21 @@ class MbcExhaustive(Experiment):
     )
     params = {"samples": (200, 0, _MANY), "sample_seed": (1, *_SEEDS)}
 
-    def case_keys(self, params):
-        keys = [f"f={code:02d}" for code in range(64)]
-        keys += [f"seed={s:03d}" for s in range(params["samples"])]
-        return keys
+    def cases(self, params):
+        dom = Domain.slice(4, 2)
+        cases = [(f"f={code:02d}", (_code_function, dom, code)) for code in range(64)]
+        cases += [
+            (f"seed={s:03d}",
+             (random_slice_function, 6, 3, _mix(params["sample_seed"], s)))
+            for s in range(params["samples"])
+        ]
+        return cases
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        if "f" in f:
-            g = _code_function(Domain.slice(4, 2), f["f"])
-        else:
-            g = random_slice_function(6, 3, _mix(params["sample_seed"], f["seed"]))
+    def run_case(self, params, build, *args):
+        g = build(*args)
         mbc, _ = balanced_certificate(g, min_mode=True)
         depth = exact_depth(g)
-        return _case(
-            key, {"mbc": mbc, "depth": depth}, {"min_depth": mbc - 1},
-            depth >= mbc - 1,
-        )
+        return {"mbc": mbc, "depth": depth}, {"min_depth": mbc - 1}, depth >= mbc - 1
 
 
 class RandomDepth(Experiment):
@@ -525,17 +503,14 @@ class RandomDepth(Experiment):
     params = {"n": (8, 3, 64), "k": (4, 1, 63), "samples": (200, 1, _MANY),
               "seed": (7, *_SEEDS)}
 
-    def case_keys(self, params):
-        return [f"seed={s:03d}" for s in range(params["samples"])]
+    def cases(self, params):
+        seed = params["seed"]
+        return [(f"seed={s:03d}", (_mix(seed, s),)) for s in range(params["samples"])]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        g = random_slice_function(
-            params["n"], params["k"], _mix(params["seed"], f["seed"])
-        )
-        depth = exact_depth(g)
+    def run_case(self, params, seed):
+        depth = exact_depth(random_slice_function(params["n"], params["k"], seed))
         limit = params["n"] - 2
-        return _case(key, {"depth": depth}, {"max_depth": limit}, depth <= limit)
+        return {"depth": depth}, {"max_depth": limit}, depth <= limit
 
     def aggregate(self, params, cases):
         depths = sorted(c["observed"]["depth"] for c in cases)
@@ -556,15 +531,14 @@ class RamseyRandom(Experiment):
     params = {"n": (16, 3, 40), "seeds": (100, 1, _MANY), "max_mono": (8, 0, 40),
               "min_count": (90, 0, _MANY)}
 
-    def case_keys(self, params):
+    def cases(self, params):
         if params["min_count"] > params["seeds"]:
             raise DomainError("ramsey-random needs min_count <= seeds")
-        return [f"seed={s:03d}" for s in range(params["seeds"])]
+        return [(f"seed={s:03d}", (s,)) for s in range(params["seeds"])]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        m, _ = monochromatic_number(random_graph(params["n"], f["seed"]))
-        return _case(key, {"m": m}, None, None)
+    def run_case(self, params, seed):
+        m, _ = monochromatic_number(random_graph(params["n"], seed))
+        return {"m": m}, None, None
 
     def aggregate(self, params, cases):
         within = sum(
@@ -589,18 +563,16 @@ class MaxDepthByWeight(Experiment):
     params = {"min_n": (3, 3, 64), "max_n": (6, 3, 64), "samples": (1000, 1, _MANY),
               "seed": (11, *_SEEDS), "exhaustive_limit": (4096, 0, 1 << 20)}
 
-    def case_keys(self, params):
+    def cases(self, params):
         if params["min_n"] > params["max_n"]:
             raise DomainError("maxdepth-by-weight needs min_n <= max_n")
         return [
-            f"n={n:02d},k={k:02d}"
+            (f"n={n:02d},k={k:02d}", (n, k))
             for n in range(params["min_n"], params["max_n"] + 1)
             for k in range(1, n)
         ]
 
-    def run_case(self, params, key):
-        _, f = parse_key(key)
-        n, k = f["n"], f["k"]
+    def run_case(self, params, n, k):
         dom = Domain.slice(n, k)
         count = 1 << dom.size
         if count <= params["exhaustive_limit"]:
@@ -610,12 +582,8 @@ class MaxDepthByWeight(Experiment):
             codes = (rng.getrandbits(dom.size) for _ in range(params["samples"]))
         depths = (exact_depth(_code_function(dom, code)) for code in codes)
         worst = max(depths)
-        return _case(
-            key,
-            {"max_depth": worst, "mode": mode},
-            {"max_allowed": n - 2},
-            worst <= n - 2,
-        )
+        observed = {"max_depth": worst, "mode": mode}
+        return observed, {"max_allowed": n - 2}, worst <= n - 2
 
 
 _REGISTRY = {
@@ -723,30 +691,30 @@ class ExperimentSpec:
         return cls.of(obj["name"], obj.get("params"), obj.get("out"))
 
 
-def _case_job(name: str, params: dict, key: str) -> dict:
-    return get_experiment(name).run_case(params, key)
-
-
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> dict:
     """Run every case of the experiment and assemble its report.
 
-    Cases run in min(jobs, CPU count, case count) worker processes, or in
+    Cases are reported in key order (a repeated key stays, in list order).
+    They run in min(jobs, CPU count, case count) worker processes, or in
     this process when that is 1.
     """
     if jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {jobs}")
     exp = get_experiment(spec.name)
-    keys = sorted(exp.case_keys(spec.params))
-    workers = min(jobs, os.cpu_count() or 1, len(keys))
+    listed = sorted(exp.cases(spec.params), key=lambda case: case[0])
+    workers = min(jobs, os.cpu_count() or 1, len(listed))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(_case_job, spec.name, spec.params, key)
-                for key in keys
-            }
-            cases = [futures[key].result() for key in keys]
+            futures = [
+                pool.submit(exp.run_case, spec.params, *args) for _, args in listed
+            ]
+            results = [future.result() for future in futures]
     else:
-        cases = [exp.run_case(spec.params, key) for key in keys]
+        results = [exp.run_case(spec.params, *args) for _, args in listed]
+    cases = [
+        {"key": key, "observed": observed, "expected": expected, "pass": ok}
+        for (key, _), (observed, expected, ok) in zip(listed, results)
+    ]
     passes = sum(1 for c in cases if c["pass"] is True)
     failures = sum(1 for c in cases if c["pass"] is False)
     aggregate = exp.aggregate(spec.params, cases)

@@ -327,14 +327,32 @@ def test_experiment_spec_file_rerun_matches(capsys, tmp_path):
     assert replay.read_bytes() == direct.read_bytes()
 
 
-def test_experiment_jobs_do_not_change_the_report(capsys, tmp_path):
+_WEIGHTS_M2_ALL_KINDS = (
+    "weights-m2", "--set", "depth_cases=4-2-2", "--set", "two_block_max_m=3",
+    "--set", "replay_max_nm=4", "--set", "minab_max_nm=4",
+)
+_LIFT_BOTH_KINDS = (
+    "lift-preservation", "--set", "exhaustive_n=1", "--set", "sample_n=2",
+    "--set", "samples=2",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eq-depth", "--set", "ks=1-2"),
+        _WEIGHTS_M2_ALL_KINDS,
+        _LIFT_BOTH_KINDS,
+        ("mbc-exhaustive", "--set", "samples=3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_experiment_jobs_do_not_change_the_report(capsys, monkeypatch, tmp_path, argv):
+    # two CPUs, so that --jobs 2 starts a real pool of two workers
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(capsys, "experiment", "eq-depth", "--set", "ks=1-2", "--out", str(a))
-    code, _, _ = run(
-        capsys,
-        "experiment", "eq-depth", "--set", "ks=1-2", "--jobs", "2",
-        "--out", str(b),
-    )
+    run(capsys, "experiment", *argv, "--out", str(a))
+    code, _, _ = run(capsys, "experiment", *argv, "--jobs", "2", "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -431,10 +449,11 @@ def test_johnson_independent_fails_classes_that_are_not_a_partition(monkeypatch,
         return classes, best, f
 
     monkeypatch.setattr(experiments, "graham_sloane", broken)
-    case = experiments.JohnsonIndependent().run_case({}, "n=06,k=02")
-    assert case["pass"] is False
+    _, _, ok = experiments.JohnsonIndependent().run_case({}, 6, 2)
+    assert ok is False
     monkeypatch.undo()
-    assert experiments.JohnsonIndependent().run_case({}, "n=06,k=02")["pass"] is True
+    _, _, ok = experiments.JohnsonIndependent().run_case({}, 6, 2)
+    assert ok is True
 
 
 def test_experiment_spec_flag_is_exclusive(capsys, tmp_path):
@@ -932,6 +951,9 @@ _MATCH = ("match", "--construct", "eq:k=1")
         ("experiment", "lift-preservation", "--set", "exhaustive_n=-1"),
         ("experiment", "lift-preservation", "--set", "exhaustive_n=5"),
         ("experiment", "weights-m2", "--set", "depth_cases=0"),
+        ("experiment", "weights-m2", "--set", "depth_cases=3-3-2"),
+        ("experiment", "weights-m2", "--set", "depth_cases=1-2-1"),
+        ("experiment", "weights-m2", "--set", "depth_cases=3-1-1"),
         ("experiment", "johnson-independent", "--set", "max_n=0"),
         ("experiment", "maxdepth-by-weight", "--set", "max_n=0"),
         ("experiment", "maxdepth-by-weight", "--set", "min_n=2", "--set", "max_n=2"),
@@ -1064,15 +1086,39 @@ def test_drawn_parameters_are_refused_or_give_cases_that_run(name, data):
     overrides = data.draw(_DRAWN_OVERRIDES[name])
     try:
         spec = experiments.ExperimentSpec.of(name, overrides)
-        keys = sorted(exp.case_keys(spec.params))
+        cases = sorted(exp.cases(spec.params), key=lambda case: case[0])
     except DomainError:
         return
-    assert keys
+    assert cases
     if all(_at_most_default(spec.params[f], d) for f, (d, _, _) in exp.params.items()):
         try:
-            exp.run_case(spec.params, keys[0])
+            exp.run_case(spec.params, *cases[0][1])
         except SliceBenchError:
             pass
+
+
+def _weights_m2_admits(n, m, k):
+    spec = experiments.ExperimentSpec.of("weights-m2", {"depth_cases": [n, m, k]})
+    try:
+        experiments.get_experiment(spec.name).cases(spec.params)
+    except DomainError:
+        return False
+    return True
+
+
+def test_weights_m2_admits_exactly_the_depth_cases_its_formula_gives():
+    """Over every slice(nm, k) with nm <= 8, a depth case is refused unless
+    its expected depth, by the formula, is the exact depth."""
+    triples = [
+        (n, m, k)
+        for n in range(1, 9)
+        for m in range(1, 8 // n + 1)
+        for k in range(1, n * m)
+    ]
+    assert len(triples) == 83
+    exp = experiments.get_experiment("weights-m2")
+    admitted = {t for t in triples if _weights_m2_admits(*t)}
+    assert admitted == {t for t in triples if exp._depth(*t)[2]}
 
 
 def test_experiment_set_keeps_list_values(capsys):
@@ -1088,7 +1134,8 @@ def _max_depths(*modes):
 
 # Pinned reports of small runs through both kinds of mbc-exhaustive case and
 # both branches of maxdepth-by-weight: the third run samples slice(4, 2),
-# whose 2^6 functions exceed its exhaustive limit of 32.
+# whose 2^6 functions exceed its exhaustive limit of 32.  The last three go
+# through every kind of weights-m2, lift-preservation and rubinstein-gap case.
 @pytest.mark.parametrize(
     "argv, case_count, observed, sha256",
     [
@@ -1111,8 +1158,29 @@ def _max_depths(*modes):
             _max_depths(*["exhaustive"] * 3, "sampled", "exhaustive"),
             "e9f16261071f7664a69bbc14f7d66764437a2e3852073fe53ae6fd3a3ec8fdbe",
         ),
+        (
+            _WEIGHTS_M2_ALL_KINDS,
+            12,
+            None,
+            "078c2aa4ad9fee76bb857c8ff79ddf6f7bc009a9e6a3ddeec0c6fa654f90cb6d",
+        ),
+        (
+            _LIFT_BOTH_KINDS,
+            6,
+            None,
+            "b466a625eccb21ffff9cee18d4ee1b0e58bc856eefd98f6db05e806fc0108ac7",
+        ),
+        (
+            ("rubinstein-gap", "--set", "samples=5"),
+            2,
+            None,
+            "531d84fa9165b5985e76ac4d59bdd259f579bbda3ad983f8f1a838864125fe68",
+        ),
     ],
-    ids=["mbc-exhaustive", "maxdepth-by-weight", "maxdepth-by-weight-sampled"],
+    ids=[
+        "mbc-exhaustive", "maxdepth-by-weight", "maxdepth-by-weight-sampled",
+        "weights-m2", "lift-preservation", "rubinstein-gap",
+    ],
 )
 def test_small_runs_of_code_function_experiments_are_pinned(
     capsys, argv, case_count, observed, sha256
