@@ -553,7 +553,7 @@ def weights_adversary(
 
 def _fixed_input(f: LabeledFunction, x: str) -> FixedInputAdversary:
     """FixedInputAdversary for the member of f's domain spelled by bitstring x."""
-    mask = string_to_mask(x)
+    mask = string_to_mask(x, f.domain.n)
     f.domain.rank(mask)
     return FixedInputAdversary(mask)
 
@@ -636,6 +636,8 @@ def run_match(
     still-consistent member carries it; claiming while two labels remain
     is a forced guess, the adversary's win.
     """
+    if budget is not None and budget < 0:
+        raise DomainError(f"--budget must be at least 0, got {budget}")
     dom = f.domain
     ones_at = position_rank_bitsets(dom)
     live = (1 << dom.size) - 1

@@ -75,7 +75,7 @@ def function_from_json_obj(obj: Any) -> LabeledFunction:
         members = obj.get("members")
         if not isinstance(members, list) or any(type(s) is not str for s in members):
             raise FormatError("explicit function file lacks its member strings")
-        dom = Domain.explicit(n, map(string_to_mask, members))
+        dom = Domain.explicit(n, [string_to_mask(s, n) for s in members])
     if not isinstance(alphabet, list) or not alphabet:
         raise FormatError("alphabet must be a nonempty list")
     items = [v for lab in alphabet for v in (lab if isinstance(lab, list) else [lab])]

@@ -6,8 +6,9 @@ witnesses.
 
 greedy_cover is the one greedy hitting set: items are bit indices, and each
 position is given as the bitset of the items it hits, so a round is one
-popcount per position.  min_hitting_set starts its search from it, and the
-C and bs max loops use it as an upper bound on C(f, x) to skip inputs.
+popcount per position.  min_hitting_set starts from it and runs its branch
+and bound on the same bitsets, the unhit masks as one int; the measures'
+input scan uses it as an upper bound on C(f, x) to skip inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int
 
     Returns (size, chosen_positions_mask).  Masks must be nonzero.  When the
     greedy hitting set has at most cutoff positions it is returned as is:
-    the minimum is then at most cutoff too, but may be smaller.
+    the minimum is then at most cutoff too, but may be smaller.  Otherwise
+    the branch and bound keeps the first least set it meets, branching on
+    the first unhit minimal mask and trying its positions in ascending
+    order.
     """
     # hitting a subset hits the superset, so only minimal masks matter
     minimal = minimal_masks(masks)
@@ -43,46 +47,34 @@ def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int
         return 0, 0
     if minimal[0] == 0:
         raise ValueError("empty mask cannot be hit")
-
-    best_size, best_mask = _greedy_hitting(minimal, n)
-    if best_size <= cutoff:
-        return best_size, best_mask
-    state = {"size": best_size, "mask": best_mask}
-
-    def packing_bound(rem: list[int]) -> int:
-        used = 0
-        cnt = 0
-        for m in rem:
-            if not m & used:
-                used |= m
-                cnt += 1
-        return cnt
-
-    def go(rem: list[int], chosen: int, count: int) -> None:
-        if not rem:
-            if count < state["size"]:
-                state["size"] = count
-                state["mask"] = chosen
-            return
-        if count + packing_bound(rem) >= state["size"]:
-            return
-        target = min(rem, key=lambda m: (m.bit_count(), m))
-        for p in mask_positions(target):
-            bit = 1 << p
-            go([m for m in rem if not m & bit], chosen | bit, count + 1)
-
-    go(minimal, 0, 0)
-    return state["size"], state["mask"]
-
-
-def _greedy_hitting(masks: list[int], n: int) -> tuple[int, int]:
     # cols[p] holds the indices of the masks that position p hits
     cols = [0] * n
-    for i, m in enumerate(masks):
+    for i, m in enumerate(minimal):
         for p in mask_positions(m):
             cols[p] |= 1 << i
-    chosen = greedy_cover(cols, (1 << len(masks)) - 1, n)
-    return chosen.bit_count(), chosen
+    best = greedy_cover(cols, (1 << len(minimal)) - 1, n)
+    size = best.bit_count()
+    if size <= cutoff:
+        return size, best
+
+    def go(alive: int, chosen: int, count: int) -> None:
+        nonlocal best, size
+        # alive masks taken in order while disjoint each need their own position
+        rest, bound = alive, count
+        while rest and bound < size:
+            for p in mask_positions(minimal[(rest & -rest).bit_length() - 1]):
+                rest &= ~cols[p]
+            bound += 1
+        if bound >= size:
+            return
+        if not alive:
+            best, size = chosen, count
+            return
+        for p in mask_positions(minimal[(alive & -alive).bit_length() - 1]):
+            go(alive & ~cols[p], chosen | 1 << p, count + 1)
+
+    go((1 << len(minimal)) - 1, 0, 0)
+    return size, best
 
 
 def greedy_cover(cols: Sequence[int], alive: int, limit: int) -> int:

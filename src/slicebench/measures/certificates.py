@@ -5,10 +5,11 @@ consistent domain members all carry the input's label.  The variants differ
 in what collection structure is demanded (none / exact cover of the domain /
 partition of the whole cube / balanced assignments only).
 
-In the C max loop, certificate_skip drops x before its difference masks are
-built when a greedy hitting set of them, taken on the position rank bitsets,
-is no larger than the running maximum; every input that may set a new
-maximum still gets the exact minimum hitting set, in rank order.
+C, s, bs and bs2 share one input scan, max_over_inputs.  It visits the
+inputs in rank order, and certificate_skip drops x before any exact work
+when a greedy hitting set of x's difference masks, taken on the position
+rank bitsets, is no larger than the running maximum; every input that may
+set a new maximum still gets its exact value, and the lowest rank wins ties.
 """
 
 from __future__ import annotations
@@ -39,34 +40,57 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     mode reports the lowest-rank input attaining the maximum.
     """
     dom = f.domain
-    members = member_masks(dom)
-    table = f.table
-    scan = range(len(members)) if x is None else [dom.rank(x)]
-    skip = certificate_skip(f) if x is None else None
-    best = -1
-    for r in scan:
-        if skip and skip(r, best):
-            continue
-        v, mask = _certificate_at(dom.n, members, table, r, best)
-        if v > best:
-            best, arg, arg_mask = v, members[r], mask
-    a = Assignment(zeros=arg_mask & ~arg, ones=arg_mask & arg)
-    w = {"input": mask_to_string(arg, dom.n)}
-    w.update(a.to_json_obj())
-    return best, w
+    members, table = member_masks(dom), f.table
+
+    def at(r: int, beat: int):
+        # a value at most beat may be the size of a larger certificate than
+        # x's least, which the max never needs
+        xm, fx = members[r], table[r]
+        diffs = [xm ^ ym for ym, label in zip(members, table) if label != fx]
+        return min_hitting_set(diffs, dom.n, beat) if diffs else (0, 0)
+
+    value, r, mask = max_over_inputs(f, x, at)
+    xm = members[r]
+    w = {"input": mask_to_string(xm, dom.n)}
+    w.update(Assignment(zeros=mask & ~xm, ones=mask & xm).to_json_obj())
+    return value, w
+
+
+def max_over_inputs(f: LabeledFunction, x: int | None, at, max_others=None):
+    """(value, rank, found) for the input x, or else for the lowest-rank
+    input that maximizes a pointwise measure.
+
+    at(r, beat) gives (value, found) for the input of rank r, or None when
+    its value is at most beat; with x given it is called once, at beat -1.
+    The max visits the ranks in order and drops those certificate_skip(f,
+    max_others) rules out at the running maximum, which only a strictly
+    larger value replaces.
+    """
+    if x is not None:
+        r = f.domain.rank(x)
+        value, found = at(r, -1)
+        return value, r, found
+    skip = certificate_skip(f, max_others)
+    best = (-1, None, None)
+    for r in range(f.domain.size):
+        if not skip(r, best[0]):
+            got = at(r, best[0])
+            if got is not None and got[0] > best[0]:
+                best = (got[0], r, got[1])
+    return best
 
 
 def certificate_skip(f: LabeledFunction, max_others: int | None = None):
-    """skip(r, beat) for the C and bs max loops: True when x = members[r]
-    cannot raise a running maximum beat.
+    """skip(r, beat) for max_over_inputs: True when x = members[r] cannot
+    raise a running maximum beat of C, bs or s.
 
     That holds when a greedy hitting set of x's difference masks has at most
-    beat positions, since bs(f, x) <= C(f, x) <= any such hitting set
-    (Buhrman and de Wolf, TCS 2002).  The items are the ranks of the members
-    labelled unlike x, and position p hits the ranks whose bit p differs
-    from x_p, so the greedy runs on the position rank bitsets without
-    building a difference list.  No x with more than max_others such
-    members is skipped.
+    beat positions, since s(f, x) <= bs(f, x) <= C(f, x) <= any such hitting
+    set (Buhrman and de Wolf, TCS 2002).  The items are the ranks of the
+    members labelled unlike x, and position p hits the ranks whose bit p
+    differs from x_p, so the greedy runs on the position rank bitsets
+    without building a difference list.  No x with more than max_others
+    such members is skipped.
     """
     dom = f.domain
     members, table = member_masks(dom), f.table
@@ -84,17 +108,6 @@ def certificate_skip(f: LabeledFunction, max_others: int | None = None):
         return greedy_cover(cols, others, beat) >= 0
 
     return skip
-
-
-def _certificate_at(n, members, table, r, beat):
-    """(C(f, x), the mask of x's certificate positions) for x = members[r].
-    A value at most beat may be the size of a larger certificate than x's
-    least, which the caller's max never needs."""
-    xm = members[r]
-    diffs = [xm ^ members[j] for j in range(len(members)) if table[j] != table[r]]
-    if not diffs:
-        return 0, 0
-    return min_hitting_set(diffs, n, beat)
 
 
 # -- unambiguous certificates --------------------------------------------------
@@ -190,10 +203,8 @@ def _least_exact_cover(full: int, items, n: int):
 # -- balanced certificates ------------------------------------------------------
 
 
-def balanced_certificate(
-    f: LabeledFunction, x: int | None = None, min_mode: bool = False
-):
-    """BC(f, x), BC(f) (default max mode), or mBC(f) (min_mode=True).
+def balanced_certificate(f: LabeledFunction, min_mode: bool = False):
+    """BC(f) (default max mode) or mBC(f) (min_mode=True).
 
     Only balanced assignments (equal fixed 0s and 1s) are admitted, so the
     domain must be a balanced slice.  Returns (value, witness).
@@ -207,8 +218,6 @@ def balanced_certificate(
     labels = f.label_bitsets
     table = f.table
     full = (1 << dom.size) - 1
-    if x is not None:
-        return _bc_at(f, ones_at, labels, table, full, x)
     best = None
     witness = None
     for xm in dom.members():

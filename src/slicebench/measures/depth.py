@@ -29,6 +29,7 @@ the moves are sorted.
 from __future__ import annotations
 
 from ..errors import ResourceCapError
+from ..kernels import min_hitting_set
 from ..slicecore import (
     LabeledFunction,
     consistent_set,
@@ -407,7 +408,5 @@ def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
                 diffs.add(members[i] ^ members[j])
     if not diffs:
         return 0, []
-    from ..kernels import min_hitting_set
-
     size, mask = min_hitting_set(sorted(diffs), dom.n)
     return size, mask_positions(mask)

@@ -168,7 +168,7 @@ def _field(witness: Any, key: str, name: str) -> Any:
 
 
 def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
-    xm = string_to_mask(_field(witness, "input", name))
+    xm = string_to_mask(_field(witness, "input", name), f.domain.n)
     f.domain.rank(xm)
     return xm
 

@@ -6,17 +6,17 @@ it is the usual count of label-changing bit flips; explicit domains count
 only flips that land back inside the domain.  Block sensitivity packs
 disjoint label-changing flip sets and is domain-generic.
 
-The max modes spend no exact work on inputs that cannot set the maximum.  On
-a cube, s(f) counts every input's sensitive flips at once in bit-sliced
-counters over the label bitsets, then checks only the first input with the
-top count.  The s loop on slices and explicit domains and the bs loop skip
-x when a greedy hitting set of x's difference masks, taken on the position
-rank bitsets, has at most the running maximum's size, since
-s(f, x) <= bs(f, x) <= C(f, x); bs never skips an input with more unlike
-members than block_cap, so the cap still fires.
+Both are a pointwise search plus certificates.max_over_inputs, whose skip
+holds since s(f, x) <= bs(f, x) <= C(f, x); bs never skips an input with
+more unlike members than block_cap, so the cap still fires.  On a cube,
+s(f) counts every input's sensitive flips at once in bit-sliced counters
+over the label bitsets, and the scan checks only the first input with the
+top count.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from ..errors import ResourceCapError
 from ..kernels import max_bipartite_matching, max_disjoint_packing, minimal_masks
@@ -27,7 +27,7 @@ from ..slicecore import (
     member_masks,
     member_ranks,
 )
-from .certificates import certificate_skip
+from .certificates import max_over_inputs
 
 _DEFAULT_BLOCK_CAP = 20000
 
@@ -40,25 +40,18 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
     reports the lowest-rank input attaining the maximum.
     """
     dom = f.domain
-    ranks, table = member_ranks(dom), f.table
-    if x is not None:
-        dom.rank(x)
-        v, found = _sensitivity_at(dom, ranks, table, x)
-        return v, _sensitivity_witness(dom, x, found)
-    if dom.kind == "cube":
-        arg = _most_sensitive_cube_input(dom.n, f.label_bitsets)
-        v, found = _sensitivity_at(dom, ranks, table, arg)
-        return v, _sensitivity_witness(dom, arg, found)
-    skip = certificate_skip(f)
-    best = -1
-    arg = found_best = None
-    for r, xm in enumerate(dom.members()):
-        if skip(r, best):
-            continue
-        v, found = _sensitivity_at(dom, ranks, table, xm)
-        if v > best:
-            best, arg, found_best = v, xm, found
-    return best, _sensitivity_witness(dom, arg, found_best)
+    members, ranks, table = member_masks(dom), member_ranks(dom), f.table
+    if x is None and dom.kind == "cube":
+        x = _most_sensitive_cube_input(dom.n, f.label_bitsets)
+    value, r, found = max_over_inputs(
+        f, x, lambda r, beat: _sensitivity_at(dom, ranks, table, members[r])
+    )
+    w = {"input": mask_to_string(members[r], dom.n)}
+    if dom.kind == "slice":
+        w["swaps"] = [[i, j] for i, j in found]
+    else:
+        w["positions"] = found
+    return value, w
 
 
 def _most_sensitive_cube_input(n, labels):
@@ -119,15 +112,6 @@ def _sensitivity_at(dom, ranks, table, xm):
     return len(positions), positions
 
 
-def _sensitivity_witness(dom, xm, found):
-    w = {"input": mask_to_string(xm, dom.n)}
-    if dom.kind == "slice":
-        w["swaps"] = [[i, j] for i, j in found]
-    else:
-        w["positions"] = found
-    return w
-
-
 def block_sensitivity(
     f: LabeledFunction,
     x: int | None = None,
@@ -142,24 +126,14 @@ def block_sensitivity(
     transposition-only variant).  Witness: {"input", "blocks": [[pos...]]}.
     """
     dom = f.domain
-    scan = range(dom.size) if x is None else [dom.rank(x)]
     members, table = member_masks(dom), f.table
-    skip = certificate_skip(f, block_cap) if x is None else None
-    best = -1
-    arg = chosen_best = None
-    for r in scan:
-        if skip and skip(r, best):
-            continue
-        found = _block_sensitivity_at(
-            members, table, r, max_block_size, block_cap, best
-        )
-        if found is not None and found[0] > best:
-            best, arg, chosen_best = found[0], members[r], found[1]
-    blocks = [mask_positions(m) for m in chosen_best]
-    return best, {"input": mask_to_string(arg, dom.n), "blocks": blocks}
+    at = partial(_block_sensitivity_at, members, table, max_block_size, block_cap)
+    value, r, chosen = max_over_inputs(f, x, at, block_cap)
+    blocks = [mask_positions(m) for m in chosen]
+    return value, {"input": mask_to_string(members[r], dom.n), "blocks": blocks}
 
 
-def _block_sensitivity_at(members, table, r, max_block_size, block_cap, beat):
+def _block_sensitivity_at(members, table, max_block_size, block_cap, r, beat):
     """(bs(f, x), its blocks) for x = members[r], or None when bs(f, x) <= beat
     is plain from the blocks' union and smallest size without packing them."""
     xm = members[r]

@@ -49,8 +49,12 @@ _BIT_TEST_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in ra
 Label = int | tuple[int, ...]
 
 
-def string_to_mask(s: str) -> int:
-    """Parse a 0/1 string; character i gives position i."""
+def string_to_mask(s: str, n: int | None = None) -> int:
+    """Parse a 0/1 string; character i gives position i.  With n given, as
+    for every member string read from input, it must have exactly n
+    characters."""
+    if n is not None and len(s) != n:
+        raise DomainError(f"bit string {s!r} has {len(s)} characters, not n = {n}")
     m = 0
     for i, ch in enumerate(s):
         if ch == "1":

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError
+from slicebench.slicecore import mask_positions
 
 
 def minimax_depth(f, zeros=0, ones=0):
@@ -52,6 +53,67 @@ def certificate_at(f, x):
 
 def certificate_max(f):
     return max(certificate_at(f, x) for x in f.domain.members())
+
+
+def greedy_hitting_oracle(masks, n):
+    """The greedy hitting set by per-round position counts over mask lists:
+    the position hitting the most masks, the lowest on ties."""
+    rem = list(masks)
+    chosen = 0
+    while rem:
+        counts = [0] * n
+        for m in rem:
+            for p in mask_positions(m):
+                counts[p] += 1
+        p = max(range(n), key=lambda q: (counts[q], -q))
+        chosen |= 1 << p
+        rem = [m for m in rem if not m >> p & 1]
+    return chosen.bit_count(), chosen
+
+
+def hitting_set_oracle(masks, n, cutoff=-1):
+    """min_hitting_set on mask lists: the minimal masks by (size, value);
+    the greedy set when it has at most cutoff positions; else a branch and
+    bound on the least unhit mask, positions ascending, that keeps the
+    first strictly smaller set."""
+    minimal = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(m & k == k for k in minimal):
+            minimal.append(m)
+    if not minimal:
+        return 0, 0
+    if minimal[0] == 0:
+        raise ValueError("empty mask cannot be hit")
+
+    best_size, best_mask = greedy_hitting_oracle(minimal, n)
+    if best_size <= cutoff:
+        return best_size, best_mask
+    state = {"size": best_size, "mask": best_mask}
+
+    def packing_bound(rem):
+        used = 0
+        cnt = 0
+        for m in rem:
+            if not m & used:
+                used |= m
+                cnt += 1
+        return cnt
+
+    def go(rem, chosen, count):
+        if not rem:
+            if count < state["size"]:
+                state["size"] = count
+                state["mask"] = chosen
+            return
+        if count + packing_bound(rem) >= state["size"]:
+            return
+        target = min(rem, key=lambda m: (m.bit_count(), m))
+        for p in mask_positions(target):
+            bit = 1 << p
+            go([m for m in rem if not m & bit], chosen | bit, count + 1)
+
+    go(minimal, 0, 0)
+    return state["size"], state["mask"]
 
 
 def _pack_disjoint(masks):

@@ -247,15 +247,16 @@ def test_match_eq_players_transcript(capsys):
     assert "queries" not in verdict
 
 
-def test_match_budget_status(capsys):
+@pytest.mark.parametrize("budget", [3, 0])
+def test_match_budget_status(capsys, budget):
     code, out, _ = run(
         capsys,
         "match", "--construct", "eq:k=2",
-        "--algorithm", "eq:k=2", "--adversary", "eq:k=2", "--budget", "3",
+        "--algorithm", "eq:k=2", "--adversary", "eq:k=2", "--budget", str(budget),
     )
     assert code == 0
     verdict = json.loads(out.splitlines()[-1])["verdict"]
-    assert verdict["status"] == "budget" and verdict["query_count"] == 3
+    assert verdict["status"] == "budget" and verdict["query_count"] == budget
 
 
 def test_match_fixed_adversary_and_optimal_player(capsys):
@@ -680,6 +681,16 @@ def _rename_c_to_an_unknown_measure(entries):
         ),
         (
             "C",
+            _set_field("C", ("input",), "11"),
+            "C: witness invalid: DomainError(\"bit string '11' has 2 characters",
+        ),
+        (
+            "C",
+            _set_field("C", ("input",), "110000"),
+            "C: witness invalid: DomainError(\"bit string '110000' has 6 characters",
+        ),
+        (
+            "C",
             _set_field("C", ("ones",), [0], stated=1),
             "C: assignment is not label-constant",
         ),
@@ -722,6 +733,7 @@ def _rename_c_to_an_unknown_measure(entries):
     ],
     ids=[
         "C-lacks-input", "C-position-twice", "BC-unbalanced", "mBC-conflicts",
+        "C-input-cut-short", "C-input-zero-padded",
         "C-not-label-constant", "UC-not-an-object", "UC-no-member",
         "UC-not-label-constant", "UC-overlap", "UC-no-cover", "bs-not-a-list",
         "bs2-larger-than-2", "bs-not-disjoint", "bs-not-sensitive",
@@ -930,6 +942,10 @@ _MATCH = ("match", "--construct", "eq:k=1")
         _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=01a0"),
         _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=1110"),
         _MATCH + ("--algorithm", "optimal", "--adversary", "fixed:x=0110,y=1"),
+        _MATCH + ("--algorithm", "eq:k=1", "--adversary", "eq:k=1", "--budget", "-1"),
+        # 1100 of slice(4, 2) spelt without exactly n = 4 characters
+        _MATCH + ("--algorithm", "eq:k=1", "--adversary", "fixed:x=11"),
+        _MATCH + ("--algorithm", "eq:k=1", "--adversary", "fixed:x=110000"),
         _MATCH + ("--algorithm", "optimal", "--adversary", "weights-basic:n=4,m=2"),
         _MATCH + ("--algorithm", "optimal", "--adversary", "weights-m2:n=4,k=2,seed=3"),
         _MATCH

@@ -7,7 +7,7 @@ import pytest
 from slicebench import ENGINE_VERSION
 from slicebench.catalog import kml_set, make_eq, random_slice_function, weights_task
 from slicebench.cli.cache import ResultCache, default_cache_dir
-from slicebench.errors import FormatError
+from slicebench.errors import DomainError, FormatError
 from slicebench.fileio import (
     canonical_function_bytes,
     function_from_json_obj,
@@ -89,6 +89,14 @@ def test_function_format_errors():
     ):
         with pytest.raises(FormatError):
             function_from_json_obj(broken)
+
+
+@pytest.mark.parametrize("members", [["1000", "0100"], ["1", "01"]])
+def test_explicit_member_strings_need_exactly_n_characters(members):
+    # at n = 2 each list would otherwise read as the members 1 and 2
+    obj = {"n": 2, "kind": "explicit", "members": members}
+    with pytest.raises(DomainError, match="not n = 2"):
+        function_from_json_obj({**obj, "alphabet": [0, 1], "table": "01"})
 
 
 def test_explicit_function_bytes_are_pinned():

@@ -13,6 +13,8 @@ from oracles import (
     certificate_at,
     certificate_max,
     degree_oracle,
+    greedy_hitting_oracle,
+    hitting_set_oracle,
     minimax_depth,
     mono_number_oracle,
     sensitivity_at,
@@ -30,7 +32,6 @@ from slicebench.catalog import (
 from slicebench import slicecore
 from slicebench.errors import DomainError, ResourceCapError, VerificationError
 from slicebench.kernels import (
-    _greedy_hitting,
     greedy_cover,
     max_disjoint_packing,
     min_hitting_set,
@@ -805,26 +806,42 @@ def test_certificate_skip_is_admissible(f):
                 assert certificate_at(f, x) <= beat
 
 
-def _greedy_by_counts(masks, n):
-    """The greedy hitting set by per-round position counts over mask lists."""
-    rem = list(masks)
-    chosen = 0
-    while rem:
-        counts = [0] * n
-        for m in rem:
-            for p in mask_positions(m):
-                counts[p] += 1
-        p = max(range(n), key=lambda q: (counts[q], -q))
-        chosen |= 1 << p
-        rem = [m for m in rem if not m >> p & 1]
-    return chosen.bit_count(), chosen
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, (1 << 8) - 1), max_size=16))
 def test_bitset_greedy_hitting_matches_counting_greedy(masks):
     minimal = minimal_masks(masks)
-    assert _greedy_hitting(minimal, 8) == _greedy_by_counts(minimal, 8)
+    # cols[p] holds the indices of the masks that position p hits
+    cols = [0] * 8
+    for i, m in enumerate(minimal):
+        for p in mask_positions(m):
+            cols[p] |= 1 << i
+    chosen = greedy_cover(cols, (1 << len(minimal)) - 1, 8)
+    assert (chosen.bit_count(), chosen) == greedy_hitting_oracle(minimal, 8)
+
+
+@st.composite
+def hitting_set_instances(draw):
+    """(masks, n, cutoff): up to 30 masks of two or three positions out of
+    3 <= n <= 12, and a cutoff in -1..n, from a seeded generator.  The
+    search order shows only where the greedy set is not least and several
+    least sets exist: in a few instances per hundred here, and far fewer
+    among hypothesis's own small draws or with one-position masks, which
+    force their position."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(3, 12)
+    masks = [
+        sum(1 << p for p in rng.sample(range(n), rng.randint(2, 3)))
+        for _ in range(rng.randint(0, 30))
+    ]
+    return masks, n, rng.randint(-1, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hitting_set_instances())
+def test_min_hitting_set_keeps_the_list_form_tie_rule(case):
+    # the witness mask, not just the size, is pinned: C's witnesses, cache
+    # entries and report digests all carry it
+    assert min_hitting_set(*case) == hitting_set_oracle(*case)
 
 
 @settings(max_examples=200, deadline=None)
