@@ -16,6 +16,7 @@ from typing import Any, Callable
 from .errors import DomainError
 from .slicecore import (
     BOOLEAN,
+    MAX_POSITIONS,
     Domain,
     LabeledFunction,
     SliceGraph,
@@ -107,6 +108,8 @@ def kml_set(r: int) -> LabeledFunction:
 
 def paley_weight2(q: int) -> SliceGraph:
     """Paley graph on q vertices; q must be a prime with q % 4 == 1."""
+    if q > MAX_POSITIONS:  # before the trial division and the q^2 edge scan
+        raise DomainError(f"paley is capped at q <= {MAX_POSITIONS}")
     if q < 5 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
         raise DomainError("paley needs a prime q >= 5")
     if q % 4 != 1:
@@ -118,6 +121,8 @@ def paley_weight2(q: int) -> SliceGraph:
 
 def random_graph(n: int, seed: int) -> SliceGraph:
     """Uniform random graph: each pair independently an edge with odds 1/2."""
+    if n > MAX_POSITIONS:
+        raise DomainError(f"random graphs are capped at n <= {MAX_POSITIONS}")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.getrandbits(1)

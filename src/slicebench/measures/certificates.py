@@ -209,27 +209,26 @@ def balanced_certificate(f: LabeledFunction, min_mode: bool = False):
     Only balanced assignments (equal fixed 0s and 1s) are admitted, so the
     domain must be a balanced slice.  Returns (value, witness).
     """
+    best = None
+    witness = None
+    for xm in f.domain.members():
+        v, w = balanced_certificate_at(f, xm)
+        if best is None or (v < best if min_mode else v > best):
+            best, witness = v, w
+    return best, witness
+
+
+def balanced_certificate_at(f: LabeledFunction, xm: int):
+    """BC(f, x): the least balanced certificate at the member x, as
+    (value, witness)."""
     dom = f.domain
     if not dom.is_balanced_slice:
         raise DomainError("balanced certificates need a balanced slice domain")
     if not f.is_boolean:
         raise DomainError("balanced certificates need a Boolean function")
     ones_at = position_rank_bitsets(dom)
-    labels = f.label_bitsets
-    table = f.table
     full = (1 << dom.size) - 1
-    best = None
-    witness = None
-    for xm in dom.members():
-        v, w = _bc_at(f, ones_at, labels, table, full, xm)
-        if best is None or (v < best if min_mode else v > best):
-            best, witness = v, w
-    return best, witness
-
-
-def _bc_at(f, ones_at, labels, table, full, xm):
-    dom = f.domain
-    want = labels[table[dom.rank(xm)]]
+    want = f.label_bitsets[f.table[dom.rank(xm)]]
     one_pos = [p for p in range(dom.n) if xm >> p & 1]
     zero_pos = [p for p in range(dom.n) if not xm >> p & 1]
     for h in range(dom.k + 1):

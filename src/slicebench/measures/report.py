@@ -1,5 +1,6 @@
-"""Measure registry, report assembly, and witness re-verification.
+"""Measure table, report assembly, and witness re-verification.
 
+MEASURES holds one entry per name, with its compute and its witness check.
 A report maps measure names to {"value", "witness", "nodes", "millis"}
 entries.  verify_entry checks that an entry's value is an int, that its
 witness is valid for f, and that the value equals the witness's size: a
@@ -8,17 +9,21 @@ position a witness names, tree queries aside, is read by one reader that
 accepts only distinct ints (not bools) in 0..n-1; trees.tree_from_json_obj
 holds queries and leaves to the same rule.  s, bs and bs2 witnesses are all
 checked as disjoint sensitive blocks: s's are one flip each, or one swap on
-a slice.  Measures whose value has no compact witness (deg, packing, m) are
-re-verified by recomputation.  verify_report also refuses values present
-together that break s <= bs2 <= bs <= C <= UC <= SC <= D <= nonadaptive or
-deg <= D.  Witnesses are one-sided: a value above the optimum with a valid
-witness of that size still passes, unless the chain catches it.
+a slice.  A C, BC or mBC certificate must also be a least one at its input.
+Measures with no check (deg, packing, m) are re-verified by recomputation.
+verify_report also refuses values present together that break s <= bs2 <=
+bs <= C <= UC <= SC <= D <= nonadaptive or deg <= D.  Witnesses are
+one-sided: s, bs, bs2, C and BC refuse a value above the optimum, D,
+nonadaptive, UC, SC and mBC one below it, and the other side passes unless
+the chain catches it.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Any, Callable
 
@@ -36,6 +41,7 @@ from .algebra import degree
 from .bounds import max_one_subcube_intersection, packing_lower_bound
 from .certificates import (
     balanced_certificate,
+    balanced_certificate_at,
     certificate_complexity,
     subcube_partition_complexity,
     unambiguous_certificate_complexity,
@@ -48,6 +54,27 @@ from .trees import tree_from_json_obj, validate as validate_tree
 Entry = dict[str, Any]
 
 
+@dataclass(frozen=True)
+class Measure:
+    """compute(f) gives (value, witness), or (value, witness, nodes) for D;
+    check(f, value, witness) raises VerificationError on a witness that
+    does not prove value.  A functools.wraps wrapper keeps both fields."""
+
+    compute: Callable[[LabeledFunction], tuple]
+    check: Callable[[LabeledFunction, int, Any], None] | None = None
+
+    def __call__(self, f: LabeledFunction) -> tuple[int, Any, int]:
+        value, witness, *nodes = self.compute(f)
+        return value, witness, nodes[0] if nodes else 0
+
+
+def _measure(name: str) -> Measure:
+    if name not in MEASURES:
+        known = ", ".join(sorted(MEASURES))
+        raise DomainError(f"unknown measure {name!r}; known: {known}")
+    return MEASURES[name]
+
+
 def _measure_depth(f: LabeledFunction):
     solver = DepthSolver(f)
     value = solver.solve()
@@ -56,32 +83,7 @@ def _measure_depth(f: LabeledFunction):
 
 def _measure_nonadaptive(f: LabeledFunction):
     value, positions = nonadaptive_positions(f)
-    return value, {"positions": positions}, 0
-
-
-def _plain(fn: Callable, **kw):
-    def run(f: LabeledFunction):
-        value, witness = fn(f, **kw)
-        return value, witness, 0
-
-    return run
-
-
-MEASURES: dict[str, Callable[[LabeledFunction], tuple[int, Any, int]]] = {
-    "D": _measure_depth,
-    "nonadaptive": _measure_nonadaptive,
-    "C": _plain(certificate_complexity),
-    "UC": _plain(unambiguous_certificate_complexity),
-    "SC": _plain(subcube_partition_complexity),
-    "s": _plain(sensitivity),
-    "bs": _plain(block_sensitivity),
-    "bs2": _plain(block_sensitivity, max_block_size=2),
-    "BC": _plain(balanced_certificate),
-    "mBC": _plain(balanced_certificate, min_mode=True),
-    "deg": _plain(degree),
-    "packing": _plain(packing_lower_bound),
-    "m": _plain(max_one_subcube_intersection),
-}
+    return value, {"positions": positions}
 
 
 def compute_measures(
@@ -97,10 +99,7 @@ def compute_measures(
     """
     names = list(names)
     for name in names:
-        if name not in MEASURES:
-            raise DomainError(
-                f"unknown measure {name!r}; known: {', '.join(sorted(MEASURES))}"
-            )
+        _measure(name)
     measures: dict[str, Entry] = {}
     for name in names:
         entry = cache.get(f, name) if cache is not None else None
@@ -119,17 +118,19 @@ def compute_measures(
 
 
 def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
-    """Re-check a stored entry against f; raises VerificationError on failure."""
-    checker = _VERIFIERS.get(name)
-    if checker is None:
-        raise DomainError(f"unknown measure {name!r}")
-    value = entry.get("value") if isinstance(entry, dict) else None
-    if type(value) is not int:
-        raise VerificationError(f"{name}: entry has no integer value")
+    """Re-check a stored entry against f; raises VerificationError, its
+    message led by the measure's name, on failure."""
+    measure = _measure(name)
     try:
-        checker(f, value, entry.get("witness"))
-    except VerificationError:
-        raise
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if type(value) is not int:
+            _fail("entry has no integer value")
+        if measure.check is not None:
+            measure.check(f, value, entry.get("witness"))
+        else:
+            _check_count("recomputed value", measure.compute(f)[0], value)
+    except VerificationError as e:
+        raise VerificationError(f"{name}: {e}") from None
     except (DomainError, MembershipError, KeyError, TypeError, ValueError) as e:
         raise VerificationError(f"{name}: witness invalid: {e!r}") from None
 
@@ -157,196 +158,187 @@ def verify_report(f: LabeledFunction, entries: dict[str, Entry]) -> None:
             )
 
 
-def _fail(name: str, msg: str):
-    raise VerificationError(f"{name}: {msg}")
+def _fail(msg: str):
+    raise VerificationError(msg)
 
 
-def _field(witness: Any, key: str, name: str) -> Any:
+def _field(witness: Any, key: str) -> Any:
     if not isinstance(witness, dict) or key not in witness:
-        _fail(name, f"witness lacks {key}")
+        _fail(f"witness lacks {key}")
     return witness[key]
 
 
-def _witness_input(f: LabeledFunction, witness: Any, name: str) -> int:
-    xm = string_to_mask(_field(witness, "input", name), f.domain.n)
+def _witness_input(f: LabeledFunction, witness: Any) -> int:
+    xm = string_to_mask(_field(witness, "input"), f.domain.n)
     f.domain.rank(xm)
     return xm
 
 
-def _position_mask(f: LabeledFunction, items: Any, name: str) -> int:
+def _position_mask(f: LabeledFunction, items: Any) -> int:
     """The mask of a witness list, which must hold distinct ints (not
     bools) in 0..n-1; every position a witness names is read here."""
     if not isinstance(items, list):
-        _fail(name, f"positions {items!r} are not a list")
+        _fail(f"positions {items!r} are not a list")
     n = f.domain.n
     mask = 0
     for p in items:
         if type(p) is not int:
-            _fail(name, f"position {p!r} is not an int")
+            _fail(f"position {p!r} is not an int")
         if not 0 <= p < n:
-            _fail(name, f"position {p} is outside the domain's 0..{n - 1}")
+            _fail(f"position {p} is outside the domain's 0..{n - 1}")
         if mask >> p & 1:
-            _fail(name, f"position {p} is named twice")
+            _fail(f"position {p} is named twice")
         mask |= 1 << p
     return mask
 
 
-def _assignment(f: LabeledFunction, obj: Any, name: str) -> Assignment:
+def _assignment(f: LabeledFunction, obj: Any) -> Assignment:
     if not isinstance(obj, dict):
-        _fail(name, "assignment is not an object")
+        _fail("assignment is not an object")
     # Assignment refuses a position fixed both ways
     return Assignment(
-        zeros=_position_mask(f, obj.get("zeros", []), name),
-        ones=_position_mask(f, obj.get("ones", []), name),
+        zeros=_position_mask(f, obj.get("zeros", [])),
+        ones=_position_mask(f, obj.get("ones", [])),
     )
 
 
-def _check_count(name: str, what: str, count: int, value: int) -> None:
+def _check_count(what: str, count: int, value: int) -> None:
     if count != value:
-        _fail(name, f"{what} {count} != stated value {value}")
+        _fail(f"{what} {count} != stated value {value}")
 
 
-def _verify_tree(f: LabeledFunction, value: int, witness: Any) -> None:
+def _check_tree(f: LabeledFunction, value: int, witness: Any) -> None:
     tree = tree_from_json_obj(witness, f.domain.n)
     validate_tree(tree, f)
-    _check_count("D", "tree depth", tree_depth(tree), value)
+    _check_count("tree depth", tree_depth(tree), value)
 
 
-def _verify_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
-    mask = _position_mask(f, _field(witness, "positions", "nonadaptive"), "nonadaptive")
-    _check_count("nonadaptive", "positions", mask.bit_count(), value)
+def _check_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
+    mask = _position_mask(f, _field(witness, "positions"))
+    _check_count("positions", mask.bit_count(), value)
     seen: dict[int, int] = {}
     for xm, label in zip(member_masks(f.domain), f.table):
         if seen.setdefault(xm & mask, label) != label:
-            _fail("nonadaptive", f"positions do not determine the label at {xm:b}")
+            _fail(f"positions do not determine the label at {xm:b}")
 
 
-def _verify_certificate(name: str, balanced: bool):
-    def check(f: LabeledFunction, value: int, witness: Any) -> None:
-        xm = _witness_input(f, witness, name)
-        a = _assignment(f, witness, name)
-        if balanced and not a.is_balanced:
-            _fail(name, "assignment is not balanced")
-        if not a.consistent_with(xm):
-            _fail(name, "assignment conflicts with its input")
-        _check_count(name, "assignment size", a.size, value)
-        # the consistent set holds xm, so one label there means xm's label
-        S = consistent_set(
-            position_rank_bitsets(f.domain), (1 << f.domain.size) - 1, a.zeros, a.ones
-        )
-        if not f.is_single_label(S):
-            _fail(name, "assignment is not label-constant over consistent members")
+def _check_certificate(f: LabeledFunction, value: int, witness: Any, balanced=False):
+    """A certificate of the stated size at the witness's input x, and a
+    least one there: value = C(f, x) <= C(f), or BC alike."""
+    xm = _witness_input(f, witness)
+    a = _assignment(f, witness)
+    if balanced and not a.is_balanced:
+        _fail("assignment is not balanced")
+    if not a.consistent_with(xm):
+        _fail("assignment conflicts with its input")
+    _check_count("assignment size", a.size, value)
+    # the consistent set holds xm, so one label there means xm's label
+    S = consistent_set(
+        position_rank_bitsets(f.domain), (1 << f.domain.size) - 1, a.zeros, a.ones
+    )
+    if not f.is_single_label(S):
+        _fail("assignment is not label-constant over consistent members")
+    least_at = balanced_certificate_at if balanced else certificate_complexity
+    _check_count("least certificate at the input", least_at(f, xm)[0], value)
 
-    return check
 
-
-def _verify_uc(f: LabeledFunction, value: int, witness: Any) -> None:
+def _check_uc(f: LabeledFunction, value: int, witness: Any) -> None:
     ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
-    for obj in _field(witness, "certificates", "UC"):
-        a = _assignment(f, obj, "UC")
+    for obj in _field(witness, "certificates"):
+        a = _assignment(f, obj)
         S = consistent_set(ones_at, full, a.zeros, a.ones)
         if not S:
-            _fail("UC", "certificate consistent with no member")
+            _fail("certificate consistent with no member")
         if not f.is_single_label(S):
-            _fail("UC", "certificate is not label-constant")
+            _fail("certificate is not label-constant")
         if covered & S:
-            _fail("UC", "certificates overlap")
+            _fail("certificates overlap")
         covered |= S
         worst = max(worst, a.size)
     if covered != full:
-        _fail("UC", "certificates do not cover the domain")
-    _check_count("UC", "largest certificate", worst, value)
+        _fail("certificates do not cover the domain")
+    _check_count("largest certificate", worst, value)
 
 
-def _verify_sc(f: LabeledFunction, value: int, witness: Any) -> None:
+def _check_sc(f: LabeledFunction, value: int, witness: Any) -> None:
     cube = whole_cube(f.domain.n)
     cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
     ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     covered = 0
     worst = 0
-    for obj in _field(witness, "subcubes", "SC"):
-        a = _assignment(f, obj, "SC")
+    for obj in _field(witness, "subcubes"):
+        a = _assignment(f, obj)
         worst = max(worst, a.size)
         cell = consistent_set(cube_at, points, a.zeros, a.ones)
         if covered & cell:
-            _fail("SC", "subcubes overlap")
+            _fail("subcubes overlap")
         covered |= cell
         S = consistent_set(ones_at, full, a.zeros, a.ones)
         if S and not f.is_single_label(S):
-            _fail("SC", "a subcube mixes labels on the domain")
+            _fail("a subcube mixes labels on the domain")
     if covered != points:
-        _fail("SC", "subcubes do not partition the cube")
-    _check_count("SC", "largest subcube", worst, value)
+        _fail("subcubes do not partition the cube")
+    _check_count("largest subcube", worst, value)
 
 
 def _check_blocks(
-    f: LabeledFunction, name: str, witness: Any, blocks: Any, value: int, cap: int | None
+    f: LabeledFunction, witness: Any, blocks: Any, value: int, cap: int | None
 ) -> int:
     """Check blocks are value disjoint lists of at most cap positions, each
     moving the witness's input to a member with another label; returns the
     input."""
-    xm = _witness_input(f, witness, name)
+    xm = _witness_input(f, witness)
     if not isinstance(blocks, list):
-        _fail(name, "blocks are not a list")
+        _fail("blocks are not a list")
     fx = f.evaluate(xm)
     used = 0
     for block in blocks:
-        m = _position_mask(f, block, name)
+        m = _position_mask(f, block)
         if cap is not None and m.bit_count() > cap:
-            _fail(name, f"block {block} is larger than {cap}")
+            _fail(f"block {block} is larger than {cap}")
         if used & m:
-            _fail(name, "blocks are not disjoint")
+            _fail("blocks are not disjoint")
         used |= m
         y = xm ^ m
         if y not in f.domain or f.evaluate(y) == fx:
-            _fail(name, f"block {block} is not sensitive")
-    _check_count(name, "blocks", len(blocks), value)
+            _fail(f"block {block} is not sensitive")
+    _check_count("blocks", len(blocks), value)
     return xm
 
 
-def _verify_sensitivity(f: LabeledFunction, value: int, witness: Any) -> None:
+def _check_sensitivity(f: LabeledFunction, value: int, witness: Any) -> None:
     """s is bs over the domain's single moves: on a slice blocks of one
     swap, written 1's position first, and elsewhere blocks of one flip."""
     if f.domain.kind != "slice":
-        flips = _field(witness, "positions", "s")
-        _check_blocks(f, "s", witness, [[p] for p in flips], value, 1)
+        flips = _field(witness, "positions")
+        _check_blocks(f, witness, [[p] for p in flips], value, 1)
         return
-    swaps = _field(witness, "swaps", "s")
-    xm = _check_blocks(f, "s", witness, swaps, value, 2)
+    swaps = _field(witness, "swaps")
+    xm = _check_blocks(f, witness, swaps, value, 2)
     if not all(xm >> i & 1 for i, _ in swaps):
-        _fail("s", "a swap does not name its 1's position first")
+        _fail("a swap does not name its 1's position first")
 
 
-def _verify_blocks(name: str, cap: int | None):
-    def check(f: LabeledFunction, value: int, witness: Any) -> None:
-        _check_blocks(f, name, witness, _field(witness, "blocks", name), value, cap)
-
-    return check
+def _check_bs(f: LabeledFunction, value: int, witness: Any, cap: int | None = None):
+    _check_blocks(f, witness, _field(witness, "blocks"), value, cap)
 
 
-def _verify_recompute(name: str, fn: Callable):
-    def check(f: LabeledFunction, value: int, witness: Any) -> None:
-        got, _ = fn(f)
-        if got != value:
-            _fail(name, f"recomputed value {got} != stated value {value}")
+_check_bc = partial(_check_certificate, balanced=True)
 
-    return check
-
-
-_VERIFIERS: dict[str, Callable[[LabeledFunction, int, Any], None]] = {
-    "D": _verify_tree,
-    "nonadaptive": _verify_nonadaptive,
-    "C": _verify_certificate("C", balanced=False),
-    "UC": _verify_uc,
-    "SC": _verify_sc,
-    "s": _verify_sensitivity,
-    "bs": _verify_blocks("bs", None),
-    "bs2": _verify_blocks("bs2", 2),
-    "BC": _verify_certificate("BC", balanced=True),
-    "mBC": _verify_certificate("mBC", balanced=True),
-    "deg": _verify_recompute("deg", degree),
-    "packing": _verify_recompute("packing", packing_lower_bound),
-    "m": _verify_recompute("m", max_one_subcube_intersection),
+MEASURES: dict[str, Measure] = {
+    "D": Measure(_measure_depth, _check_tree),
+    "nonadaptive": Measure(_measure_nonadaptive, _check_nonadaptive),
+    "C": Measure(certificate_complexity, _check_certificate),
+    "UC": Measure(unambiguous_certificate_complexity, _check_uc),
+    "SC": Measure(subcube_partition_complexity, _check_sc),
+    "s": Measure(sensitivity, _check_sensitivity),
+    "bs": Measure(block_sensitivity, _check_bs),
+    "bs2": Measure(partial(block_sensitivity, max_block_size=2), partial(_check_bs, cap=2)),
+    "BC": Measure(balanced_certificate, _check_bc),
+    "mBC": Measure(partial(balanced_certificate, min_mode=True), _check_bc),
+    "deg": Measure(degree),
+    "packing": Measure(packing_lower_bound),
+    "m": Measure(max_one_subcube_intersection),
 }

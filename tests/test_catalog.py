@@ -100,6 +100,14 @@ def test_paley_graph_shape():
         paley_weight2(9)
 
 
+def test_graph_constructions_refuse_more_vertices_than_positions():
+    # 73 is a prime with 73 % 4 == 1, so only the vertex cap refuses it
+    with pytest.raises(DomainError, match="64"):
+        random_graph(65, 0)
+    with pytest.raises(DomainError, match="64"):
+        paley_weight2(73)
+
+
 def test_random_generators_reproducible():
     assert random_graph(6, 9).adj == random_graph(6, 9).adj
     assert random_graph(6, 9).adj != random_graph(6, 10).adj

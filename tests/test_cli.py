@@ -748,22 +748,37 @@ def test_verify_refuses_each_broken_witness_with_its_own_message(
     assert message in json.loads(err)["message"]
 
 
-def _full_input_certificate(entries):
-    c = entries["C"]
-    x = c["witness"]["input"]
-    c["witness"]["zeros"] = [p for p, ch in enumerate(x) if ch == "0"]
-    c["witness"]["ones"] = [p for p, ch in enumerate(x) if ch == "1"]
-    c["value"] = len(x)
+def _full_input_certificate(name):
+    """A tamper that widens name's certificate to its input's full
+    assignment: still a certificate there, but not a least one."""
+
+    def tamper(entries):
+        c = entries[name]
+        x = c["witness"]["input"]
+        c["witness"]["zeros"] = [p for p, ch in enumerate(x) if ch == "0"]
+        c["witness"]["ones"] = [p for p, ch in enumerate(x) if ch == "1"]
+        c["value"] = len(x)
+
+    return tamper
 
 
-def test_verify_refuses_values_that_break_c_at_most_d(capsys, tmp_path):
-    # the full-input certificate is a valid witness of C <= 4 on its own
-    code, _ = _verify_tampered(capsys, tmp_path, "C", _full_input_certificate)
-    assert code == 0
-    code, err = _verify_tampered(capsys, tmp_path, "D,C", _full_input_certificate)
+# The true values are eq:k=1 C = 2, eq:k=2 C = 4 and ed:k=3,l=2 BC = 4.
+@pytest.mark.parametrize(
+    "spec, name, message",
+    [
+        ("eq:k=1", "C", "C: least certificate at the input 2 != stated value 4"),
+        ("eq:k=2", "C", "C: least certificate at the input 4 != stated value 8"),
+        ("ed:k=3,l=2", "BC", "BC: least certificate at the input 4 != stated value 6"),
+    ],
+    ids=["eq-k1-C-4", "eq-k2-C-8", "ed-k3-l2-BC-6"],
+)
+def test_verify_refuses_a_certificate_past_the_least_at_its_input(
+    capsys, tmp_path, spec, name, message
+):
+    tamper = _full_input_certificate(name)
+    code, err = _verify_tampered(capsys, tmp_path, name, tamper, spec=spec)
     assert code == 2
-    message = json.loads(err)["message"]
-    assert "C = 4" in message and "D = 2" in message
+    assert json.loads(err)["message"] == message
 
 
 def _refine_largest_subcube(entries):

@@ -56,9 +56,7 @@ from slicebench.measures.depth import (
     exact_depth_with_tree,
     nonadaptive_positions,
 )
-from slicebench.measures import report
 from slicebench.measures.report import (
-    MEASURES,
     compute_measures,
     verify_entry,
     verify_report,
@@ -318,10 +316,6 @@ def test_verify_rejects_tampered_entries():
             verify_entry(f, name, entry)
 
 
-def test_every_measure_has_a_verifier():
-    assert sorted(MEASURES) == sorted(report._VERIFIERS)
-
-
 def _overlap(cells):
     return cells + cells[:1]
 
@@ -363,6 +357,14 @@ def test_verify_rejects_foreign_witness():
     entry = compute_measures(g, ["D"], None)["measures"]["D"]
     with pytest.raises(VerificationError):
         verify_entry(f, "D", entry)
+
+
+def test_verify_refuses_a_balanced_certificate_off_a_balanced_slice():
+    # a balanced, label-constant certificate at 1000, but BC is undefined here
+    f = LabeledFunction.from_callable(Domain.cube(4), lambda x: x & 1, BOOLEAN)
+    witness = {"input": "1000", "zeros": [1], "ones": [0]}
+    with pytest.raises(VerificationError, match="need a balanced slice domain"):
+        verify_entry(f, "BC", {"value": 2, "witness": witness})
 
 
 def test_weight_one_depth_is_half_n():
@@ -567,6 +569,35 @@ def test_an_untampered_report_of_the_chain_measures_verifies(f):
     names = ["s", "bs2", "bs", "C", "D", "nonadaptive"]
     names += ["deg", "UC", "SC"] * f.is_boolean
     verify_report(f, compute_measures(f, names, None)["measures"])
+
+
+def _grown_certificate(witness, balanced):
+    """The witness with its lowest free position fixed as its input has it
+    (for a balanced one, its lowest free 0 and 1), or None if none is free:
+    still a certificate at the input, one (two) positions past the least."""
+    x = witness["input"]
+    fixed = set(witness["zeros"]) | set(witness["ones"])
+    free = {b: [p for p, ch in enumerate(x) if ch == b and p not in fixed] for b in "01"}
+    bits = "01" if balanced else ("0" if free["0"] else "1")
+    if not all(free[b] for b in bits):
+        return None
+    grown = dict(witness, zeros=list(witness["zeros"]), ones=list(witness["ones"]))
+    for b in bits:
+        grown["zeros" if b == "0" else "ones"].append(free[b][0])
+    return grown
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_functions().filter(lambda f: f.is_boolean))
+def test_a_certificate_grown_past_the_least_at_its_input_is_refused(f):
+    names = ["C", "BC", "mBC"] if f.domain.is_balanced_slice else ["C"]
+    for name, entry in compute_measures(f, names, None)["measures"].items():
+        verify_entry(f, name, entry)
+        grown = _grown_certificate(entry["witness"], balanced=name != "C")
+        if grown is not None:
+            stated = entry["value"] + (1 if name == "C" else 2)
+            with pytest.raises(VerificationError, match="least certificate at the input"):
+                verify_entry(f, name, {"value": stated, "witness": grown})
 
 
 @settings(max_examples=150, deadline=None)
