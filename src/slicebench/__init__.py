@@ -1,6 +1,6 @@
 """Exact query-complexity workbench for Boolean functions on hypercube slices."""
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 from .errors import (
     AdversaryExhaustedError,

@@ -21,7 +21,7 @@ from .errors import (
     MatchProtocolError,
 )
 from .measures.bounds import monochromatic_number
-from .measures.depth import exact_depth_with_tree
+from .measures.depth import DepthSolver
 from .measures.trees import Node
 from .slicecore import (
     Assignment,
@@ -72,8 +72,7 @@ def _tree_walk(tree, alphabet, positions=None) -> Algorithm:
 
 def optimal_tree_player(f: LabeledFunction) -> Algorithm:
     """Follows one optimal decision tree of f."""
-    _, tree = exact_depth_with_tree(f)
-    return _tree_walk(tree, f.alphabet)
+    return _tree_walk(DepthSolver(f).build_tree(), f.alphabet)
 
 
 def eq_algorithm(k: int) -> Algorithm:
@@ -151,7 +150,7 @@ def weight2_algorithm(f: LabeledFunction) -> Algorithm:
         for p in (p for p in range(dom.n) if p not in inside):
             if (yield p):
                 a = Assignment.of(zeros=zeros, ones=[p])
-                _, tree = exact_depth_with_tree(restrict(f, a))
+                tree = DepthSolver(restrict(f, a)).build_tree()
                 back = residual_positions(dom.n, a)
                 return (yield from _tree_walk(tree, f.alphabet, back))
             zeros.append(p)
@@ -559,7 +558,7 @@ def _fixed_input(f: LabeledFunction, x: str) -> FixedInputAdversary:
 
 
 # Spec-string tables for catalog.build.  A builder parameter named f gets the
-# function under play, and seed the caller's default seed.
+# function under play; a randomized adversary takes its seed from the spec.
 ALGORITHMS = {
     "eq": eq_algorithm,
     "weights-a": weights_alg_A,

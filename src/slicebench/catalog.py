@@ -311,16 +311,14 @@ def build(table: dict[str, Callable], what: str, name: str, params: dict, **cont
 
     A dash-joined tuple is accepted only for a LIST_KEYS parameter.  Each
     context value goes to a builder that has a parameter of that name and
-    is dropped otherwise.  A spec may set a context name only where the
-    builder gives it a default, and then the spec's value wins.
+    is dropped otherwise; a context name is never a spec key.
     """
     builder = table.get(name)
     if builder is None:
         raise DomainError(f"unknown {what} {name!r}; known: {', '.join(table)}")
     taken = inspect.signature(builder).parameters
     required = [k for k, p in taken.items() if p.default is p.empty]
-    settable = {k for k, p in taken.items() if k not in context or p.default is not p.empty}
-    unknown = sorted(set(params) - settable)
+    unknown = sorted(set(params) - (taken.keys() - context.keys()))
     if unknown:
         raise DomainError(f"{what} {name!r} got unknown parameters {', '.join(unknown)}")
     missing = [k for k in required if k not in params and k not in context]

@@ -144,7 +144,7 @@ def _cmd_match(args) -> int:
     # so a bad adversary spec is reported before that work
     # fixed:x=<bitstring> names a member, so x keeps its text
     name, params = parse_spec(args.adversary, "adversary", text_keys=("x",))
-    adv = build(ADVERSARIES, "adversary", name, params, f=f, seed=args.seed)
+    adv = build(ADVERSARIES, "adversary", name, params, f=f)
     name, params = parse_spec(args.algorithm, "algorithm")
     alg = build(ALGORITHMS, "algorithm", name, params, f=f)
     transcript = run_match(alg, adv, f, budget=args.budget)
@@ -248,7 +248,6 @@ def _build_parser() -> _Parser:
         "--adversary", required=True, help=f"one of: {', '.join(ADVERSARIES)}"
     )
     p.add_argument("--budget", type=int, help="cap on the number of queries")
-    p.add_argument("--seed", type=int, help="seed for randomized adversaries")
     p.add_argument("--out", help="write to this path instead of stdout")
     p.set_defaults(handler=_cmd_match)
 

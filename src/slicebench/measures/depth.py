@@ -18,12 +18,10 @@ A state's live set S is a function of its key: it holds exactly the members
 that agree with the answers so far.  On a slice with nf free positions and
 r ones left to place, |S| = C(nf, r) and every free position splits S into
 C(nf-1, r-1) ones and C(nf-1, r) zeros; on a cube every free position
-halves S.  Moves are tried by the size of their larger side, smallest
-first, then by position; on these domains all sizes tie, so that order is
-plain ascending position order, read as it stands from the domain's shared
-position move tables with nothing counted or sorted.  On explicit domains
-the sizes differ from position to position, so each split is counted and
-the moves are sorted.
+halves S.  Every domain takes its moves in ascending position order, read
+as it stands from the domain's shared position move tables.  On explicit
+domains the sizes differ from position to position, so each split is
+counted, and a position that does not split S is skipped.
 """
 
 from __future__ import annotations
@@ -54,8 +52,9 @@ class DepthSolver:
     it is searched.  Only splitting positions are searched: querying a
     position constant on the live set never helps.  On slices and cubes
     the live set is every member consistent with the key, so every free
-    position splits it, all into the same two sizes: which side goes first
-    is fixed per state, and the move order needs no sort.
+    position splits it, all into the same two sizes, and which side goes
+    first is fixed per state.  build_tree solves first, and its tree takes
+    the lowest position that reaches the optimum.
     """
 
     def __init__(self, f: LabeledFunction):
@@ -124,18 +123,6 @@ class DepthSolver:
 
     # -- alpha-beta ---------------------------------------------------------
 
-    @staticmethod
-    def _counted_moves(S: int, c: int, moves) -> list[tuple[int, int]]:
-        """The moves that split S, by the size of their larger side, then
-        by position."""
-        split = []
-        for bit, P in moves:
-            c1 = (S & P).bit_count()
-            if c1 and c1 != c:
-                split.append((c - c1 if c1 + c1 < c else c1, bit, P))
-        split.sort()
-        return [(bit, P) for _, bit, P in split]
-
     def _expand(
         self,
         S: int,
@@ -163,16 +150,7 @@ class DepthSolver:
         free = ~(key | key >> n) & self.all_positions
         moves = self.low_moves[free & 255] + self.high_moves[free >> 8]
         counted = self.counted
-        if counted:
-            moves = self._counted_moves(S, c, moves)
-            if len(moves) < hi:
-                hi = len(moves)
-                tt[key] = hi << W | lo
-                if hi <= alpha:
-                    return hi
-                if lo == hi:
-                    return lo
-        else:
+        if not counted:
             # S is every member consistent with key, so each of the nf >= hi
             # free positions splits it into the same sizes: C(nf-1, r-1) =
             # c * r / nf ones on a slice with r ones left to place, and half
@@ -199,6 +177,8 @@ class DepthSolver:
             S1 = S & P
             if counted:
                 c1 = S1.bit_count()
+                if not c1 or c1 == c:
+                    continue
                 zeros_first = c1 + c1 <= c
                 xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
             # the larger side goes first; the other side's set is made only
@@ -380,13 +360,6 @@ class DepthSolver:
 def exact_depth(f: LabeledFunction) -> int:
     """Depth of an optimal decision tree for f."""
     return DepthSolver(f).solve()
-
-
-def exact_depth_with_tree(f: LabeledFunction) -> tuple[int, Tree]:
-    """Optimal depth plus one optimal tree (lowest query position on ties)."""
-    solver = DepthSolver(f)
-    value = solver.solve()
-    return value, solver.build_tree()
 
 
 def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:

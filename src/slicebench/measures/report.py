@@ -6,14 +6,16 @@ entries.  verify_entry checks that an entry's value is an int, that its
 witness is valid for f, and that the value equals the witness's size: a
 tree's depth, an assignment's fixed positions, a family's count.  Every
 position a witness names, tree queries aside, is read by one reader that
-accepts only distinct ints (not bools) in 0..n-1; trees.tree_from_json_obj
-holds queries and leaves to the same rule.  s, bs and bs2 witnesses are all
-checked as disjoint sensitive blocks: s's are one flip each, or one swap on
-a slice.  A C, BC or mBC certificate must also be a least one at its input.
-Measures with no check (deg, packing, m) are re-verified by recomputation.
-verify_report also refuses values present together that break s <= bs2 <=
-bs <= C <= UC <= SC <= D <= nonadaptive or deg <= D.  Witnesses are
-one-sided: s, bs, bs2, C and BC refuse a value above the optimum, D,
+accepts only distinct ints (not bools) in 0..n-1; trees.check_tree holds
+queries and leaves to the same rule, and reads and checks a D tree in one
+walk.  s, bs and bs2 witnesses are all checked as disjoint sensitive
+blocks: s's are one flip each, or one swap on a slice.  A C, BC or mBC
+certificate must also be a least one at its input, and C must also equal
+the recomputed max over inputs.  Measures with no check (deg, packing, m)
+are re-verified by recomputation.  verify_report also refuses values
+present together that break s <= bs2 <= bs <= C <= UC <= SC <= D <=
+nonadaptive or deg <= D.  C is checked on both sides; the other witnesses
+are one-sided: s, bs, bs2 and BC refuse a value above the optimum, D,
 nonadaptive, UC, SC and mBC one below it, and the other side passes unless
 the chain catches it.
 """
@@ -48,8 +50,7 @@ from .certificates import (
 )
 from .depth import DepthSolver, nonadaptive_positions
 from .sensitivity import block_sensitivity, sensitivity
-from .trees import depth as tree_depth
-from .trees import tree_from_json_obj, validate as validate_tree
+from .trees import check_tree
 
 Entry = dict[str, Any]
 
@@ -208,9 +209,7 @@ def _check_count(what: str, count: int, value: int) -> None:
 
 
 def _check_tree(f: LabeledFunction, value: int, witness: Any) -> None:
-    tree = tree_from_json_obj(witness, f.domain.n)
-    validate_tree(tree, f)
-    _check_count("tree depth", tree_depth(tree), value)
+    _check_count("tree depth", check_tree(witness, f), value)
 
 
 def _check_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
@@ -224,7 +223,8 @@ def _check_nonadaptive(f: LabeledFunction, value: int, witness: Any) -> None:
 
 def _check_certificate(f: LabeledFunction, value: int, witness: Any, balanced=False):
     """A certificate of the stated size at the witness's input x, and a
-    least one there: value = C(f, x) <= C(f), or BC alike."""
+    least one there: value = C(f, x) <= C(f), or BC alike.  For C the max
+    over inputs is then recomputed, so C is checked on both sides."""
     xm = _witness_input(f, witness)
     a = _assignment(f, witness)
     if balanced and not a.is_balanced:
@@ -240,6 +240,8 @@ def _check_certificate(f: LabeledFunction, value: int, witness: Any, balanced=Fa
         _fail("assignment is not label-constant over consistent members")
     least_at = balanced_certificate_at if balanced else certificate_complexity
     _check_count("least certificate at the input", least_at(f, xm)[0], value)
+    if not balanced:
+        _check_count("largest least certificate", certificate_complexity(f)[0], value)
 
 
 def _check_uc(f: LabeledFunction, value: int, witness: Any) -> None:

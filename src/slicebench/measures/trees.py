@@ -2,8 +2,10 @@
 
 A tree is either a Leaf carrying an alphabet index or a Node querying one
 position with a subtree per answer.  Trees serialize to plain JSON objects so
-witnesses can be stored and replayed; parsing one back refuses non-int leaves
-or queries, queries outside 0..n-1, and trees deeper than the domain's n.
+witnesses can be stored and replayed; check_tree reads such an object back
+and checks it against a function in one walk, refusing non-int leaves or
+queries, queries outside 0..n-1, trees deeper than the domain's n, and any
+member whose leaf carries another label.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DomainError
-from ..slicecore import LabeledFunction, mask_to_string, member_masks
+from ..slicecore import (
+    LabeledFunction,
+    mask_to_string,
+    member_masks,
+    position_rank_bitsets,
+)
 
 
 @dataclass(frozen=True)
@@ -39,44 +46,42 @@ class Node:
 Tree = Leaf | Node
 
 
-def tree_from_json_obj(obj: dict, n: int, depth: int = 0) -> Tree:
-    """Parse a tree whose leaves and queries are ints (not bools), each
-    query a position in 0..n-1, at most n queries deep (depth counts those
-    above obj); raises DomainError otherwise."""
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        if type(leaf) is not int:
-            raise DomainError(f"tree leaf {leaf!r} is not an int")
-        return Leaf(leaf)
-    if depth == n:  # a valid tree never repeats a position on a path
-        raise DomainError(f"tree is more than n = {n} queries deep")
-    p = obj["query"]
-    if type(p) is not int or not 0 <= p < n:
-        raise DomainError(f"tree query {p!r} is not a position in 0..{n - 1}")
-    return Node(p, *(tree_from_json_obj(obj[b], n, depth + 1) for b in "01"))
-
-
-def depth(t: Tree) -> int:
-    if isinstance(t, Leaf):
-        return 0
-    return 1 + max(depth(t.on_zero), depth(t.on_one))
-
-
-def evaluate(t: Tree, mask: int) -> int:
-    """Run the tree on an input; returns the leaf's alphabet index."""
-    while isinstance(t, Node):
-        t = t.on_one if mask >> t.position & 1 else t.on_zero
-    return t.label_index
-
-
-def validate(t: Tree, f: LabeledFunction) -> None:
-    """Check the tree computes f on every domain member; raises
-    DomainError otherwise."""
+def check_tree(obj, f: LabeledFunction) -> int:
+    """Depth of the JSON tree obj, checked to compute f in one walk that
+    carries the rank bitset of the members reaching each node.  Raises
+    DomainError on a non-int leaf or query (bools too), a query outside
+    0..n-1 or a tree more than n deep, and after the walk at the lowest-rank
+    member whose leaf has another label; a missing key raises KeyError and
+    a node that is not an object TypeError."""
     dom = f.domain
-    for x, want in zip(member_masks(dom), f.table):
-        got = evaluate(t, x)
-        if got != want:
-            raise DomainError(
-                f"tree disagrees with function at {mask_to_string(x, dom.n)}:"
-                f" tree gives index {got}, table has {want}"
-            )
+    n = dom.n
+    ones_at = position_rank_bitsets(dom)
+    labels = f.label_bitsets
+    wrong = []  # (rank, leaf) of the lowest-rank member each bad leaf gets wrong
+
+    def walk(obj, S: int, depth: int) -> int:
+        if "leaf" in obj:
+            leaf = obj["leaf"]
+            if type(leaf) is not int:
+                raise DomainError(f"tree leaf {leaf!r} is not an int")
+            bad = S & ~labels[leaf] if 0 <= leaf < len(labels) else S
+            if bad:
+                wrong.append(((bad & -bad).bit_length() - 1, leaf))
+            return depth
+        if depth == n:  # a valid tree never repeats a position on a path
+            raise DomainError(f"tree is more than n = {n} queries deep")
+        p = obj["query"]
+        if type(p) is not int or not 0 <= p < n:
+            raise DomainError(f"tree query {p!r} is not a position in 0..{n - 1}")
+        S1 = S & ones_at[p]
+        return max(walk(obj["0"], S ^ S1, depth + 1), walk(obj["1"], S1, depth + 1))
+
+    value = walk(obj, (1 << dom.size) - 1, 0)
+    if wrong:
+        r, got = min(wrong)
+        x = mask_to_string(member_masks(dom)[r], n)
+        raise DomainError(
+            f"tree disagrees with function at {x}:"
+            f" tree gives index {got}, table has {f.table[r]}"
+        )
+    return value

@@ -7,8 +7,9 @@ Fraction arithmetic.  Slow but easy to audit, so only run on tiny domains.
 from fractions import Fraction
 from itertools import combinations
 
-from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError
-from slicebench.slicecore import mask_positions
+from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError, DomainError
+from slicebench.measures.trees import Leaf, Node
+from slicebench.slicecore import mask_positions, mask_to_string, member_masks
 
 
 def minimax_depth(f, zeros=0, ones=0):
@@ -36,6 +37,51 @@ def minimax_depth(f, zeros=0, ones=0):
     answered = zeros | ones
     free = frozenset(p for p in range(f.domain.n) if not answered >> p & 1)
     return solve(live, free)
+
+
+def tree_from_json_obj(obj, n, depth=0):
+    """Parse a JSON tree whose leaves and queries are ints (not bools), each
+    query a position in 0..n-1, at most n queries deep (depth counts those
+    above obj); raises DomainError otherwise."""
+    if "leaf" in obj:
+        leaf = obj["leaf"]
+        if type(leaf) is not int:
+            raise DomainError(f"tree leaf {leaf!r} is not an int")
+        return Leaf(leaf)
+    if depth == n:
+        raise DomainError(f"tree is more than n = {n} queries deep")
+    p = obj["query"]
+    if type(p) is not int or not 0 <= p < n:
+        raise DomainError(f"tree query {p!r} is not a position in 0..{n - 1}")
+    return Node(p, *(tree_from_json_obj(obj[b], n, depth + 1) for b in "01"))
+
+
+def tree_depth(t):
+    if isinstance(t, Leaf):
+        return 0
+    return 1 + max(tree_depth(t.on_zero), tree_depth(t.on_one))
+
+
+def tree_evaluate(t, mask):
+    """Run the tree on an input; returns the leaf's alphabet index."""
+    while isinstance(t, Node):
+        t = t.on_one if mask >> t.position & 1 else t.on_zero
+    return t.label_index
+
+
+def check_tree_oracle(obj, f):
+    """Depth of the JSON tree obj: parse it whole, then run it on every
+    member in rank order; raises DomainError at the first disagreement."""
+    dom = f.domain
+    tree = tree_from_json_obj(obj, dom.n)
+    for x, want in zip(member_masks(dom), f.table):
+        got = tree_evaluate(tree, x)
+        if got != want:
+            raise DomainError(
+                f"tree disagrees with function at {mask_to_string(x, dom.n)}:"
+                f" tree gives index {got}, table has {want}"
+            )
+    return tree_depth(tree)
 
 
 def certificate_at(f, x):

@@ -114,6 +114,15 @@ def test_usage_error_exits_with_input_code(capsys):
     assert exc.value.code == 4
 
 
+def test_match_has_no_seed_option(capsys):
+    # a randomized adversary takes its seed in its spec, weights-basic:...,seed=5
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "--construct", "eq:k=1", "--algorithm", "eq:k=1",
+              "--adversary", "eq:k=1", "--seed", "3"])
+    assert exc.value.code == 4
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_measure_json_report(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SLICEBENCH_CACHE_DIR", str(tmp_path / "cache"))
     code, out, _ = run(
@@ -779,6 +788,22 @@ def test_verify_refuses_a_certificate_past_the_least_at_its_input(
     code, err = _verify_tampered(capsys, tmp_path, name, tamper, spec=spec)
     assert code == 2
     assert json.loads(err)["message"] == message
+
+
+def _c_of_2_at_111000(entries):
+    """State C = 2 with the least certificate at 111000, ones [0, 1]."""
+    entries["C"]["value"] = 2
+    entries["C"]["witness"] = {"input": "111000", "zeros": [], "ones": [0, 1]}
+
+
+def test_verify_refuses_a_c_below_the_largest_least_certificate(capsys, tmp_path):
+    # ed:k=3,l=2 has D = 4 and C = 3; the witness is a least certificate at
+    # its input, so only the max over inputs shows that 2 is too low
+    code, err = _verify_tampered(
+        capsys, tmp_path, "D,C", _c_of_2_at_111000, spec="ed:k=3,l=2"
+    )
+    assert code == 2
+    assert json.loads(err)["message"] == "C: largest least certificate 3 != stated value 2"
 
 
 def _refine_largest_subcube(entries):

@@ -12,6 +12,7 @@ from oracles import (
     block_sensitivity_max,
     certificate_at,
     certificate_max,
+    check_tree_oracle,
     degree_oracle,
     greedy_hitting_oracle,
     hitting_set_oracle,
@@ -19,6 +20,8 @@ from oracles import (
     mono_number_oracle,
     sensitivity_at,
     sensitivity_max,
+    tree_evaluate,
+    tree_from_json_obj,
 )
 from slicebench.catalog import (
     make_ed,
@@ -50,24 +53,14 @@ from slicebench.measures.certificates import (
     subcube_partition_complexity,
     unambiguous_certificate_complexity,
 )
-from slicebench.measures.depth import (
-    DepthSolver,
-    exact_depth,
-    exact_depth_with_tree,
-    nonadaptive_positions,
-)
+from slicebench.measures.depth import DepthSolver, exact_depth, nonadaptive_positions
 from slicebench.measures.report import (
     compute_measures,
     verify_entry,
     verify_report,
 )
 from slicebench.measures.sensitivity import block_sensitivity, sensitivity
-from slicebench.measures.trees import depth as tree_depth
-from slicebench.measures.trees import (
-    evaluate as tree_evaluate,
-    tree_from_json_obj,
-    validate as validate_tree,
-)
+from slicebench.measures.trees import check_tree
 from slicebench.slicecore import (
     BOOLEAN,
     Domain,
@@ -185,18 +178,19 @@ def test_constant_function_measures_are_zero():
 def test_depth_tree_witness_validates():
     for seed in range(10):
         f = random_slice_function(5, 2, seed)
-        value, tree = exact_depth_with_tree(f)
-        validate_tree(tree, f)
-        assert tree_depth(tree) == value
+        solver = DepthSolver(f)
+        value, tree = solver.solve(), solver.build_tree()
+        assert check_tree(tree.to_json_obj(), f) == value
         for x in f.domain.members():
             assert f.alphabet[tree_evaluate(tree, x)] == f.evaluate(x)
 
 
 def test_tree_json_round_trip():
     f = random_slice_function(5, 2, 3)
-    _, tree = exact_depth_with_tree(f)
-    clone = tree_from_json_obj(tree.to_json_obj(), f.domain.n)
-    assert clone == tree
+    solver = DepthSolver(f)
+    value, tree = solver.solve(), solver.build_tree()
+    assert check_tree(tree.to_json_obj(), f) == value
+    assert tree_from_json_obj(tree.to_json_obj(), f.domain.n) == tree
 
 
 def test_nonadaptive_dominates_depth():
@@ -409,8 +403,7 @@ def _search_shape(f):
     value = solver.solve()
     after_solve = (value, solver.nodes, len(solver.tt))
     tree = solver.build_tree()
-    validate_tree(tree, f)
-    assert tree_depth(tree) == value
+    assert check_tree(tree.to_json_obj(), f) == value
     after_tree = (value, solver.nodes, len(solver.tt))
     return after_solve, after_tree
 
@@ -434,8 +427,9 @@ def _random_explicit_function(n, size, seed):
     return LabeledFunction.from_indices(Domain.explicit(n, members), BOOLEAN, table)
 
 
-# The same pins off the slice: the cube path orders moves without counting,
-# and the explicit path counts and sorts them.
+# The same pins off the slice.  Both paths take moves in position order;
+# the cube path knows each split's sizes from the key, and the explicit path
+# counts each split and skips the positions that do not split the state.
 OFF_SLICE_SHAPE_PINS = {
     "cube:n=7,seed=1": (
         lambda: _random_cube_function(7, 1),
@@ -443,7 +437,7 @@ OFF_SLICE_SHAPE_PINS = {
     ),
     "explicit:n=9,size=100,seed=1": (
         lambda: _random_explicit_function(9, 100, 1),
-        ((6, 1157, 1945), (6, 1557, 2507)),
+        ((6, 1121, 1873), (6, 1367, 2241)),
     ),
 }
 
@@ -604,6 +598,90 @@ def test_a_certificate_grown_past_the_least_at_its_input_is_refused(f):
 @given(small_functions())
 def test_exact_depth_matches_minimax_oracle(f):
     assert exact_depth(f) == minimax_depth(f)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_depth_on_explicit_domains_of_seven_positions(seed):
+    """small_functions() draws explicit domains of n <= 5 and at most 20
+    members; these have n = 7 and 40."""
+    f = _random_explicit_function(7, 40, seed)
+    value = exact_depth(f)
+    assert value == minimax_depth(f)
+    assert check_tree(DepthSolver(f).build_tree().to_json_obj(), f) == value
+
+
+def _tree_nodes(obj):
+    """Every node of a JSON tree, root first."""
+    yield obj
+    if "query" in obj:
+        for b in "01":
+            yield from _tree_nodes(obj[b])
+
+
+@st.composite
+def mutated_trees(draw):
+    """A function and its optimal tree as JSON after one to three edits: a
+    leaf relabelled (in range or not, or not an int), a leaf grown into a
+    query, a query moved (in range or not), a key dropped, or a child that
+    is not an object."""
+    f = draw(small_functions())
+    tree = DepthSolver(f).build_tree().to_json_obj()
+    n, labels = f.domain.n, len(f.alphabet)
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(list(_tree_nodes(tree))))
+        if "leaf" in node:
+            if draw(st.booleans()):
+                leaves = [-1, labels, True, 0.5, *range(labels)]
+                node["leaf"] = draw(st.sampled_from(leaves))
+            else:
+                grown = {"leaf": draw(st.integers(0, labels - 1))}
+                sides = [dict(node), grown] if draw(st.booleans()) else [grown, dict(node)]
+                node.clear()
+                node.update(query=draw(st.integers(0, n - 1)), **dict(zip("01", sides)))
+            continue
+        edit = draw(st.sampled_from(["move", "move", "drop", "scalar"]))
+        if edit == "move":
+            node["query"] = draw(st.sampled_from([-1, n, *range(n)]))
+            continue
+        if edit == "drop":
+            del node[draw(st.sampled_from(["query", "0", "1"]))]
+        else:
+            node[draw(st.sampled_from("01"))] = draw(st.sampled_from([7, None, [], "leaf"]))
+        break  # the edited node no longer walks
+    return f, tree
+
+
+def _tree_outcome(check, tree, f):
+    try:
+        return check(tree, f)
+    except (DomainError, KeyError, TypeError) as e:
+        return repr(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_trees())
+def test_check_tree_agrees_with_parsing_then_walking_each_member(case):
+    """One walk gives the reference's depth, or raises what it raises:
+    a malformed node anywhere before a wrong label, and a wrong label at
+    the lowest-rank member it reaches."""
+    f, tree = case
+    assert _tree_outcome(check_tree, tree, f) == _tree_outcome(check_tree_oracle, tree, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_functions().filter(lambda f: f.is_boolean))
+def test_a_least_certificate_below_the_largest_is_refused_as_c(f):
+    """A least certificate at an input x with C(f, x) < C(f) passes every
+    check at x, so only the max over inputs refuses it as C."""
+    top = certificate_complexity(f)[0]
+    for x in f.domain.members():
+        value, witness = certificate_complexity(f, x)
+        entry = {"value": value, "witness": witness}
+        if value == top:
+            verify_entry(f, "C", entry)
+        else:
+            with pytest.raises(VerificationError, match="largest least certificate"):
+                verify_entry(f, "C", entry)
 
 
 def _assert_tt_sound(f, solver):
