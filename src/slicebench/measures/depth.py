@@ -9,10 +9,14 @@ one int, ``hi << width | lo``.  Fail-soft convention: a return value v means
 the true value is exactly v when alpha < v < beta, at most v when
 v <= alpha, and at least v when v >= beta.
 
-A state being expanded checks each child it tries for a single label and
-probes the child's TT entry (creating it on a miss) before recursing, so
-leaves and TT cutoffs cost no call.  Only states that survive the cutoffs
-are expanded, and only those are counted in ``nodes``.
+A state being expanded probes each child it tries in the TT by the child's
+key, ``key | bit`` or ``key | bit << n``, before it makes the child's live
+set.  The TT holds no single-label state, so a hit is never a leaf, and its
+bounds alone decide whether the child is cut off.  Only on a miss is the set
+made, checked for a single label and, if it has more than one, given a
+static TT entry; a child that survives the cutoffs has its set made, if it
+is not made yet, and is expanded.  Leaves and TT cutoffs cost no call, and
+only expanded states are counted in ``nodes``.
 
 A state's live set S is a function of its key: it holds exactly the members
 that agree with the answers so far.  On a slice with nf free positions and
@@ -138,10 +142,12 @@ class DepthSolver:
 
         key is the state's TT key, c = |S| and nf is the number of free
         positions; each tightened bound is written back to tt[key].  Each
-        child is checked for a single label and probed in the TT here, in
-        the parent, so only children that survive the cutoffs are
-        expanded; the two probes are written out in full because a call
-        per child is the cost this saves.
+        child is probed here, in the parent, so only children that survive
+        the cutoffs are expanded.  A probe reads the child's TT entry by key
+        first; its set is made only on a miss, to check it for a single
+        label and make its static entry, or to expand it.  That order rests
+        on the TT holding no single-label state.  The two probes are written
+        out in full because a call per child is the cost this saves.
         """
         self.nodes += 1
         n = self.n
@@ -174,73 +180,91 @@ class DepthSolver:
         ca = alpha - 1
         cb = (beta if beta < best else best) - 1  # a move must cost <= cb
         for bit, P in moves:
-            S1 = S & P
             if counted:
+                S1 = S & P
                 c1 = S1.bit_count()
                 if not c1 or c1 == c:
                     continue
                 zeros_first = c1 + c1 <= c
                 xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
-            # the larger side goes first; the other side's set is made only
-            # when the first side does not cut the move off
+            else:
+                S1 = 0  # made when first needed; a split never leaves it empty
+            # the larger side goes first, and the other side is probed only
+            # when the first does not cut the move off.  A leaf, found only
+            # on a miss, reads as bounds 0, 0, which every test returns as 0
             if zeros_first:
-                X, xk, yk = S ^ S1, key | bit, key | bit << n
+                xk, yk = key | bit, key | bit << n
             else:
-                X, xk, yk = S1, key | bit << n, key | bit
-            if boolean:
-                T = X & lb1
-                leaf = not T or T == X
-            else:
-                leaf = not X & ~lbs[table[(X & -X).bit_length() - 1]]
-            if leaf:
-                v1 = 0
-            else:
-                e = tt_get(xk)
-                if e is None:
+                xk, yk = key | bit << n, key | bit
+            e = tt_get(xk)
+            if e is None:
+                if not S1:
+                    S1 = S & P
+                X = S ^ S1 if zeros_first else S1
+                if boolean:
+                    T = X & lb1
+                    leaf = not T or T == X
+                else:
+                    leaf = not X & ~lbs[table[(X & -X).bit_length() - 1]]
+                if leaf:
+                    elo = ehi = 0
+                else:
                     elo = 1 if boolean else self._label_lo(X)
                     ehi = hi_free if hi_free < xc else xc - 1
                     tt[xk] = ehi << W | elo
-                else:
-                    elo = e & M
-                    ehi = e >> W
-                if elo >= cb:
-                    v1 = elo
-                elif ehi <= ca:
-                    v1 = ehi
-                elif elo == ehi:
-                    v1 = elo
-                else:
-                    v1 = self._expand(X, xk, elo, ehi, ca, cb, xc, nf)
+            else:
+                X = 0
+                elo = e & M
+                ehi = e >> W
+            if elo >= cb:
+                v1 = elo
+            elif ehi <= ca:
+                v1 = ehi
+            elif elo == ehi:
+                v1 = elo
+            else:
+                if not X:
+                    if not S1:
+                        S1 = S & P
+                    X = S ^ S1 if zeros_first else S1
+                v1 = self._expand(X, xk, elo, ehi, ca, cb, xc, nf)
             if v1 >= cb:
                 if v1 + 1 < pruned:
                     pruned = v1 + 1
                 continue
             ya = v1 if v1 > ca else ca
-            Y = S1 if zeros_first else S ^ S1
-            if boolean:
-                T = Y & lb1
-                leaf = not T or T == Y
-            else:
-                leaf = not Y & ~lbs[table[(Y & -Y).bit_length() - 1]]
-            if leaf:
-                v2 = 0
-            else:
-                e = tt_get(yk)
-                if e is None:
+            e = tt_get(yk)
+            if e is None:
+                if not S1:
+                    S1 = S & P
+                Y = S1 if zeros_first else S ^ S1
+                if boolean:
+                    T = Y & lb1
+                    leaf = not T or T == Y
+                else:
+                    leaf = not Y & ~lbs[table[(Y & -Y).bit_length() - 1]]
+                if leaf:
+                    elo = ehi = 0
+                else:
                     elo = 1 if boolean else self._label_lo(Y)
                     ehi = hi_free if hi_free < yc else yc - 1
                     tt[yk] = ehi << W | elo
-                else:
-                    elo = e & M
-                    ehi = e >> W
-                if elo >= cb:
-                    v2 = elo
-                elif ehi <= ya:
-                    v2 = ehi
-                elif elo == ehi:
-                    v2 = elo
-                else:
-                    v2 = self._expand(Y, yk, elo, ehi, ya, cb, yc, nf)
+            else:
+                Y = 0
+                elo = e & M
+                ehi = e >> W
+            if elo >= cb:
+                v2 = elo
+            elif ehi <= ya:
+                v2 = ehi
+            elif elo == ehi:
+                v2 = elo
+            else:
+                if not Y:
+                    if not S1:
+                        S1 = S & P
+                    Y = S1 if zeros_first else S ^ S1
+                v2 = self._expand(Y, yk, elo, ehi, ya, cb, yc, nf)
             cost = 1 + (v2 if v2 > v1 else v1)
             if cost <= alpha:
                 if cost < hi:

@@ -420,16 +420,20 @@ def _random_cube_function(n, seed):
     return LabeledFunction.from_indices(Domain.cube(n), BOOLEAN, table)
 
 
-def _random_explicit_function(n, size, seed):
+def _random_explicit_function(n, size, seed, labels=2):
     rng = random.Random(seed)
     members = sorted(rng.sample(range(1 << n), size))
-    table = [rng.randrange(2) for _ in members]
-    return LabeledFunction.from_indices(Domain.explicit(n, members), BOOLEAN, table)
+    table = [rng.randrange(labels) for _ in members]
+    return LabeledFunction.from_indices(
+        Domain.explicit(n, members), tuple(range(labels)), table
+    )
 
 
 # The same pins off the slice.  Both paths take moves in position order;
 # the cube path knows each split's sizes from the key, and the explicit path
 # counts each split and skips the positions that do not split the state.
+# The three-label function takes the counted split with the label-count lower
+# bound made on each TT miss.
 OFF_SLICE_SHAPE_PINS = {
     "cube:n=7,seed=1": (
         lambda: _random_cube_function(7, 1),
@@ -438,6 +442,10 @@ OFF_SLICE_SHAPE_PINS = {
     "explicit:n=9,size=100,seed=1": (
         lambda: _random_explicit_function(9, 100, 1),
         ((6, 1121, 1873), (6, 1367, 2241)),
+    ),
+    "explicit:n=8,size=60,seed=1,labels=3": (
+        lambda: _random_explicit_function(8, 60, 1, labels=3),
+        ((6, 406, 806), (6, 535, 1000)),
     ),
 }
 
