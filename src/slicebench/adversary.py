@@ -468,17 +468,17 @@ class _M2WeightsAdversary(AdversaryPlayer):
     """Two-bit-block strategy driven by untouched and all-zero block counts.
 
     A fresh block answers 0 while enough other blocks are untouched
-    (threshold k-1 in the low regime, floor(n/2) in the high regime) and
-    1 afterwards.  A block whose first answer was 1 completes to 10; one
-    whose first answer was 0 completes to 01 exactly when n-k blocks have
-    already been pinned to 00.  Never exhausts.
+    (threshold k-1 in the low regime k <= floor(n/2), floor(n/2) in the
+    high regime) and 1 afterwards.  A block whose first answer was 1
+    completes to 10; one whose first answer was 0 completes to 01 exactly
+    when n-k blocks have already been pinned to 00.  Never exhausts.
     """
 
     memo_safe = True
 
-    def __init__(self, n: int, k: int, high: bool):
-        self.n, self.k, self.high = n, k, high
-        self.fresh_threshold = (n // 2) if high else (k - 1)
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.fresh_threshold = n // 2 if k > n // 2 else k - 1
         self.block_seen = [0] * n
         self.block_ones = [0] * n
         self.untouched = n
@@ -506,7 +506,7 @@ class _M2WeightsAdversary(AdversaryPlayer):
 
     def clone(self) -> "_M2WeightsAdversary":
         c = _M2WeightsAdversary.__new__(_M2WeightsAdversary)
-        c.n, c.k, c.high = self.n, self.k, self.high
+        c.n, c.k = self.n, self.k
         c.fresh_threshold = self.fresh_threshold
         c.block_seen = list(self.block_seen)
         c.block_ones = list(self.block_ones)
@@ -524,13 +524,11 @@ def weights_adversary(
     """Adversary for the block-weight multiset task on slice(nm, k).
 
     mode "basic" works whenever 2 <= k <= nm/2; "balanced" needs k = nm/2
-    and n >= 4; "m2_low" / "m2_high" need m = 2 and n >= 4 with k at most
-    (resp. above) floor(n/2); "m2" picks the right one from k.  seed
-    switches strategies with arbitrary choices to seeded-random answers.
+    and n >= 4; "m2" needs m = 2, n >= 4 and 2 <= k <= n, and plays the
+    low regime for k <= floor(n/2) and the high one above.  seed switches
+    strategies with arbitrary choices to seeded-random answers.
     """
     _check_weights_params(n, m, k)
-    if mode == "m2":
-        mode = "m2_low" if k <= n // 2 else "m2_high"
     if mode == "basic":
         if not 2 <= k <= n * m // 2:
             raise DomainError("basic mode needs 2 <= k <= nm/2")
@@ -539,14 +537,10 @@ def weights_adversary(
         if n < 4 or 2 * k != n * m:
             raise DomainError("balanced mode needs n >= 4 and k = nm/2")
         return _BalancedWeightsAdversary(n, m, k, seed)
-    if mode == "m2_low":
-        if m != 2 or n < 4 or not 2 <= k <= n // 2:
-            raise DomainError("m2_low mode needs m = 2, n >= 4, 2 <= k <= n/2")
-        return _M2WeightsAdversary(n, k, high=False)
-    if mode == "m2_high":
-        if m != 2 or n < 4 or not n // 2 + 1 <= k <= n:
-            raise DomainError("m2_high mode needs m = 2, n >= 4, k > n/2")
-        return _M2WeightsAdversary(n, k, high=True)
+    if mode == "m2":
+        if m != 2 or n < 4 or not 2 <= k <= n:
+            raise DomainError("m2 mode needs m = 2, n >= 4, 2 <= k <= n")
+        return _M2WeightsAdversary(n, k)
     raise DomainError(f"unknown adversary mode: {mode}")
 
 
@@ -688,11 +682,6 @@ def run_match(
         forced_guess=forced_guess,
         consistent_count=live.bit_count(),
     )
-
-
-def replay_answers(adv: AdversaryPlayer, positions) -> list[int]:
-    """Answers a fresh adversary gives to the positions, in order."""
-    return [adv.answer(p) for p in positions]
 
 
 def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:

@@ -10,18 +10,24 @@ inputs in rank order, and certificate_skip drops x before any exact work
 when a greedy hitting set of x's difference masks, taken on the position
 rank bitsets, is no larger than the running maximum; every input that may
 set a new maximum still gets its exact value, and the lowest rank wins ties.
+
+UC and SC are one search over two universes: the least s such that cells of
+at most s fixed positions, each label-constant where it meets the domain,
+exactly cover the universe.  UC's universe is the domain and SC's the whole
+cube; _cells walks every assignment once and _least_exact_cover searches.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import exact_cover, greedy_cover, min_hitting_set
 from ..slicecore import (
     Assignment,
+    Domain,
     LabeledFunction,
-    consistent_set,
+    mask_positions,
     mask_to_string,
     member_masks,
     position_rank_bitsets,
@@ -110,45 +116,59 @@ def certificate_skip(f: LabeledFunction, max_others: int | None = None):
     return skip
 
 
-# -- unambiguous certificates --------------------------------------------------
+# -- unambiguous certificates and subcube partitions -------------------------------
 
 
-def _monochromatic_assignments(f: LabeledFunction):
-    """All assignments with a nonempty label-constant consistent set.
+def _cells(f: LabeledFunction, universe: Domain):
+    """The (size, zeros, ones, cell) items of the assignments whose cell,
+    their consistent rank set in universe, is nonempty and whose consistent
+    domain members carry at most one label of the Boolean f.
 
-    Yields (zeros, ones, member bitset), deduplicated to the smallest
-    assignment per member set (earliest in the position-major scan on ties).
+    One item per cell: the smallest assignment, and on a tie the earliest in
+    the position-major scan (each position free, then 0, then 1).
     """
-    dom = f.domain
-    ones_at = position_rank_bitsets(dom)
-    mono = f.is_single_label
-    full = (1 << dom.size) - 1
-    best: dict[int, tuple[int, int, int]] = {}
+    dom_at, cell_at = position_rank_bitsets(f.domain), position_rank_bitsets(universe)
+    zero_set, one_set = f.label_bitsets
+    best: dict[int, tuple[int, int, int, int]] = {}
 
-    def rec(p: int, zeros: int, ones: int, S: int) -> None:
-        if p == dom.n:
-            if mono(S):
+    def rec(p: int, zeros: int, ones: int, S: int, cell: int) -> None:
+        if p == universe.n:
+            if not (S & zero_set and S & one_set):
                 size = (zeros | ones).bit_count()
-                kept = best.get(S)
+                kept = best.get(cell)
                 if kept is None or size < kept[0]:
-                    best[S] = (size, zeros, ones)
+                    best[cell] = (size, zeros, ones, cell)
             return
         bit = 1 << p
-        rec(p + 1, zeros, ones, S)
-        S0 = S & ~ones_at[p]
-        if S0:
-            rec(p + 1, zeros | bit, ones, S0)
-        S1 = S & ones_at[p]
-        if S1:
-            rec(p + 1, zeros, ones | bit, S1)
+        rec(p + 1, zeros, ones, S, cell)
+        cell0 = cell & ~cell_at[p]
+        if cell0:
+            rec(p + 1, zeros | bit, ones, S & ~dom_at[p], cell0)
+        cell1 = cell & cell_at[p]
+        if cell1:
+            rec(p + 1, zeros, ones | bit, S & dom_at[p], cell1)
 
-    rec(0, 0, 0, full)
-    return best
+    rec(0, 0, 0, (1 << f.domain.size) - 1, (1 << universe.size) - 1)
+    return best.values()
+
+
+def _least_exact_cover(universe: Domain, items):
+    """Least s such that the cells of the (size, zeros, ones, cell) items of
+    size <= s exactly cover universe, with the chosen assignments as JSON."""
+    items = sorted(items)
+    for s in range(universe.n + 1):
+        usable = [item for item in items if item[0] <= s]
+        chosen = exact_cover((1 << universe.size) - 1, [item[3] for item in usable])
+        if chosen is not None:
+            return s, [
+                Assignment(usable[i][1], usable[i][2]).to_json_obj() for i in chosen
+            ]
+    raise AssertionError("full assignments always cover exactly")
 
 
 def unambiguous_certificate_complexity(f: LabeledFunction):
     """UC(f): smallest s admitting an exact cover of the domain by
-    monochromatic certificates of size <= s.  Returns (value, witness)."""
+    label-constant certificates of size <= s.  Returns (value, witness)."""
     dom = f.domain
     if not f.is_boolean:
         raise DomainError("unambiguous certificates need a Boolean function")
@@ -156,9 +176,7 @@ def unambiguous_certificate_complexity(f: LabeledFunction):
         raise ResourceCapError(f"UC capped at domain size <= {_UC_MAX_SIZE}")
     if dom.n > _UC_MAX_N:
         raise ResourceCapError(f"UC capped at n <= {_UC_MAX_N}")
-    candidates = _monochromatic_assignments(f)
-    items = [(size, zeros, ones, S) for S, (size, zeros, ones) in candidates.items()]
-    s, certs = _least_exact_cover((1 << dom.size) - 1, items, dom.n)
+    s, certs = _least_exact_cover(dom, _cells(f, dom))
     return s, {"certificates": certs}
 
 
@@ -172,76 +190,54 @@ def subcube_partition_complexity(f: LabeledFunction):
     if dom.n > _SC_MAX_N:
         raise ResourceCapError(f"SC capped at n <= {_SC_MAX_N}")
     cube = whole_cube(dom.n)
-    cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
-    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
-    cells = []
-    for zeros, ones in product(range(1 << dom.n), repeat=2):
-        if zeros & ones:
-            continue
-        S = consistent_set(ones_at, full, zeros, ones)
-        if not S or f.is_single_label(S):
-            cell = consistent_set(cube_at, points, zeros, ones)
-            cells.append(((zeros | ones).bit_count(), zeros, ones, cell))
-    s, parts = _least_exact_cover(points, cells, dom.n)
+    s, parts = _least_exact_cover(cube, _cells(f, cube))
     return s, {"subcubes": parts}
-
-
-def _least_exact_cover(full: int, items, n: int):
-    """Least s such that the sets of the (size, zeros, ones, set) items of
-    size <= s exactly cover full, with the chosen assignments as JSON."""
-    items = sorted(items)
-    for s in range(n + 1):
-        usable = [item for item in items if item[0] <= s]
-        chosen = exact_cover(full, [item[3] for item in usable])
-        if chosen is not None:
-            return s, [
-                Assignment(usable[i][1], usable[i][2]).to_json_obj() for i in chosen
-            ]
-    raise AssertionError("full assignments always cover exactly")
 
 
 # -- balanced certificates ------------------------------------------------------
 
 
-def balanced_certificate(f: LabeledFunction, min_mode: bool = False):
-    """BC(f) (default max mode) or mBC(f) (min_mode=True).
+def balanced_certificate(
+    f: LabeledFunction, x: int | None = None, min_mode: bool = False
+):
+    """BC(f) or BC(f, x), or mBC(f) with min_mode=True; returns (value,
+    witness).
 
     Only balanced assignments (equal fixed 0s and 1s) are admitted, so the
-    domain must be a balanced slice.  Returns (value, witness).
+    domain must be a balanced slice.  Witness: {"input", "zeros", "ones"},
+    a least balanced certificate at x, or else at the lowest-rank input
+    attaining the max (min).
     """
-    best = None
-    witness = None
-    for xm in f.domain.members():
-        v, w = balanced_certificate_at(f, xm)
-        if best is None or (v < best if min_mode else v > best):
-            best, witness = v, w
-    return best, witness
-
-
-def balanced_certificate_at(f: LabeledFunction, xm: int):
-    """BC(f, x): the least balanced certificate at the member x, as
-    (value, witness)."""
     dom = f.domain
     if not dom.is_balanced_slice:
         raise DomainError("balanced certificates need a balanced slice domain")
     if not f.is_boolean:
         raise DomainError("balanced certificates need a Boolean function")
-    ones_at = position_rank_bitsets(dom)
-    full = (1 << dom.size) - 1
-    want = f.label_bitsets[f.table[dom.rank(xm)]]
-    one_pos = [p for p in range(dom.n) if xm >> p & 1]
-    zero_pos = [p for p in range(dom.n) if not xm >> p & 1]
-    for h in range(dom.k + 1):
-        for ones_pick in combinations(one_pos, h):
-            S_ones = full
-            for p in ones_pick:
-                S_ones &= ones_at[p]
-            for zeros_pick in combinations(zero_pos, h):
-                S = S_ones
-                for p in zeros_pick:
-                    S &= ~ones_at[p]
-                if not S & ~want:
-                    w = {"input": mask_to_string(xm, dom.n)}
-                    w.update(Assignment.of(zeros_pick, ones_pick).to_json_obj())
-                    return 2 * h, w
-    raise AssertionError("the full input is always a balanced certificate")
+    members, table, labels = member_masks(dom), f.table, f.label_bitsets
+    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
+    all_positions = (1 << dom.n) - 1
+
+    def at(r: int):
+        xm = members[r]
+        others = full ^ labels[table[r]]
+        one_pos, zero_pos = mask_positions(xm), mask_positions(all_positions ^ xm)
+        for h in range(dom.k + 1):
+            for ones_pick in combinations(one_pos, h):
+                S_ones = full
+                for p in ones_pick:
+                    S_ones &= ones_at[p]
+                for zeros_pick in combinations(zero_pos, h):
+                    S = S_ones
+                    for p in zeros_pick:
+                        S &= ~ones_at[p]
+                    if not S & others:
+                        return 2 * h, r, zeros_pick, ones_pick
+        raise AssertionError("the full input is always a balanced certificate")
+
+    # min and max keep the first of equal values, so the lowest rank wins
+    ranks = range(dom.size) if x is None else [dom.rank(x)]
+    pick = min if min_mode else max
+    value, r, zeros, ones = pick(map(at, ranks), key=lambda got: got[0])
+    w = {"input": mask_to_string(members[r], dom.n)}
+    w.update(Assignment.of(zeros, ones).to_json_obj())
+    return value, w

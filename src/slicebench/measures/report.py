@@ -10,14 +10,15 @@ accepts only distinct ints (not bools) in 0..n-1; trees.check_tree holds
 queries and leaves to the same rule, and reads and checks a D tree in one
 walk.  s, bs and bs2 witnesses are all checked as disjoint sensitive
 blocks: s's are one flip each, or one swap on a slice.  A C, BC or mBC
-certificate must also be a least one at its input, and C must also equal
-the recomputed max over inputs.  Measures with no check (deg, packing, m)
-are re-verified by recomputation.  verify_report also refuses values
-present together that break s <= bs2 <= bs <= C <= UC <= SC <= D <=
-nonadaptive or deg <= D.  C is checked on both sides; the other witnesses
-are one-sided: s, bs, bs2 and BC refuse a value above the optimum, D,
-nonadaptive, UC, SC and mBC one below it, and the other side passes unless
-the chain catches it.
+certificate must also be a least one at its input, and C and s must also
+equal their recomputed max over inputs.  UC and SC witnesses go through
+one partition check, _check_partition, over the domain and over the whole
+cube.  Measures with no check (deg, packing, m) are re-verified by
+recomputation.  verify_report also refuses values present together that
+break s <= bs2 <= bs <= C <= UC <= SC <= D <= nonadaptive or deg <= D.  C
+and s are checked on both sides; the other witnesses are one-sided: bs,
+bs2 and BC refuse a value above the optimum, D, nonadaptive, UC, SC and
+mBC one below it, and the other side passes unless the chain catches it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Any, Callable
 from ..errors import DomainError, MembershipError, VerificationError
 from ..slicecore import (
     Assignment,
+    Domain,
     LabeledFunction,
     consistent_set,
     member_masks,
@@ -43,7 +45,6 @@ from .algebra import degree
 from .bounds import max_one_subcube_intersection, packing_lower_bound
 from .certificates import (
     balanced_certificate,
-    balanced_certificate_at,
     certificate_complexity,
     subcube_partition_complexity,
     unambiguous_certificate_complexity,
@@ -238,51 +239,38 @@ def _check_certificate(f: LabeledFunction, value: int, witness: Any, balanced=Fa
     )
     if not f.is_single_label(S):
         _fail("assignment is not label-constant over consistent members")
-    least_at = balanced_certificate_at if balanced else certificate_complexity
-    _check_count("least certificate at the input", least_at(f, xm)[0], value)
+    least = (balanced_certificate if balanced else certificate_complexity)(f, xm)
+    _check_count("least certificate at the input", least[0], value)
     if not balanced:
         _check_count("largest least certificate", certificate_complexity(f)[0], value)
 
 
-def _check_uc(f: LabeledFunction, value: int, witness: Any) -> None:
-    ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
-    covered = 0
-    worst = 0
-    for obj in _field(witness, "certificates"):
+def _check_partition(
+    f: LabeledFunction, value: int, cells: Any, universe: Domain, noun: str
+) -> None:
+    """The cells are assignments whose consistent sets in universe are
+    nonempty, label-constant where they meet the domain, and pairwise
+    disjoint; together they cover universe, and the largest has value
+    positions.  UC covers the domain and SC the whole cube."""
+    dom_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
+    cell_at, points = position_rank_bitsets(universe), (1 << universe.size) - 1
+    covered = worst = 0
+    for obj in cells:
         a = _assignment(f, obj)
-        S = consistent_set(ones_at, full, a.zeros, a.ones)
-        if not S:
-            _fail("certificate consistent with no member")
-        if not f.is_single_label(S):
-            _fail("certificate is not label-constant")
-        if covered & S:
-            _fail("certificates overlap")
-        covered |= S
-        worst = max(worst, a.size)
-    if covered != full:
-        _fail("certificates do not cover the domain")
-    _check_count("largest certificate", worst, value)
-
-
-def _check_sc(f: LabeledFunction, value: int, witness: Any) -> None:
-    cube = whole_cube(f.domain.n)
-    cube_at, points = position_rank_bitsets(cube), (1 << cube.size) - 1
-    ones_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
-    covered = 0
-    worst = 0
-    for obj in _field(witness, "subcubes"):
-        a = _assignment(f, obj)
-        worst = max(worst, a.size)
-        cell = consistent_set(cube_at, points, a.zeros, a.ones)
-        if covered & cell:
-            _fail("subcubes overlap")
-        covered |= cell
-        S = consistent_set(ones_at, full, a.zeros, a.ones)
+        cell = consistent_set(cell_at, points, a.zeros, a.ones)
+        if not cell:
+            _fail(f"{noun} consistent with no member")
+        S = consistent_set(dom_at, full, a.zeros, a.ones)
         if S and not f.is_single_label(S):
-            _fail("a subcube mixes labels on the domain")
+            _fail(f"{noun} is not label-constant")
+        if covered & cell:
+            _fail(f"{noun}s overlap")
+        covered |= cell
+        worst = max(worst, a.size)
     if covered != points:
-        _fail("subcubes do not partition the cube")
-    _check_count("largest subcube", worst, value)
+        whole = "domain" if universe is f.domain else "cube"
+        _fail(f"{noun}s do not cover the {whole}")
+    _check_count(f"largest {noun}", worst, value)
 
 
 def _check_blocks(
@@ -312,15 +300,18 @@ def _check_blocks(
 
 def _check_sensitivity(f: LabeledFunction, value: int, witness: Any) -> None:
     """s is bs over the domain's single moves: on a slice blocks of one
-    swap, written 1's position first, and elsewhere blocks of one flip."""
+    swap, written 1's position first, and elsewhere blocks of one flip.
+    The blocks show s(f) >= value; s(f) is then recomputed, so s is
+    checked on both sides."""
     if f.domain.kind != "slice":
         flips = _field(witness, "positions")
         _check_blocks(f, witness, [[p] for p in flips], value, 1)
-        return
-    swaps = _field(witness, "swaps")
-    xm = _check_blocks(f, witness, swaps, value, 2)
-    if not all(xm >> i & 1 for i, _ in swaps):
-        _fail("a swap does not name its 1's position first")
+    else:
+        swaps = _field(witness, "swaps")
+        xm = _check_blocks(f, witness, swaps, value, 2)
+        if not all(xm >> i & 1 for i, _ in swaps):
+            _fail("a swap does not name its 1's position first")
+    _check_count("largest sensitivity", sensitivity(f)[0], value)
 
 
 def _check_bs(f: LabeledFunction, value: int, witness: Any, cap: int | None = None):
@@ -333,8 +324,18 @@ MEASURES: dict[str, Measure] = {
     "D": Measure(_measure_depth, _check_tree),
     "nonadaptive": Measure(_measure_nonadaptive, _check_nonadaptive),
     "C": Measure(certificate_complexity, _check_certificate),
-    "UC": Measure(unambiguous_certificate_complexity, _check_uc),
-    "SC": Measure(subcube_partition_complexity, _check_sc),
+    "UC": Measure(
+        unambiguous_certificate_complexity,
+        lambda f, value, w: _check_partition(
+            f, value, _field(w, "certificates"), f.domain, "certificate"
+        ),
+    ),
+    "SC": Measure(
+        subcube_partition_complexity,
+        lambda f, value, w: _check_partition(
+            f, value, _field(w, "subcubes"), whole_cube(f.domain.n), "subcube"
+        ),
+    ),
     "s": Measure(sensitivity, _check_sensitivity),
     "bs": Measure(block_sensitivity, _check_bs),
     "bs2": Measure(partial(block_sensitivity, max_block_size=2), partial(_check_bs, cap=2)),

@@ -16,7 +16,6 @@ from slicebench.adversary import (
     eq_algorithm,
     forced_query_count,
     optimal_tree_player,
-    replay_answers,
     run_match,
     weight1_algorithm,
     weight2_algorithm,
@@ -130,7 +129,8 @@ def test_eq_adversary_answers_alternate_and_stay_consistent():
     assert adv.answer(2) == 0
     clone = adv.clone()
     assert clone.answer(6) == adv.answer(6) == 0
-    assert replay_answers(eq_adversary(1), [0, 2, 1, 3]) == [0, 0, 1, 1]
+    fresh = eq_adversary(1)
+    assert [fresh.answer(p) for p in (0, 2, 1, 3)] == [0, 0, 1, 1]
 
 
 def test_run_match_budget_and_exhaustion():
@@ -259,7 +259,7 @@ def _weights_games():
     for n in range(1, 11):
         for m in range(1, 10 // n + 1):
             for k in range(n * m + 1):
-                for mode in ("basic", "balanced", "m2_low", "m2_high"):
+                for mode in ("basic", "balanced", "m2"):
                     try:
                         weights_adversary(n, m, k, mode=mode)
                     except DomainError:
@@ -356,9 +356,8 @@ def test_adversary_replay_consistency_with_match():
     f = weights_task(4, 2, 4)
     adv = weights_adversary(4, 2, 4, mode="balanced")
     t = run_match(weights_alg_B(4, 2, 4), adv.clone(), f)
-    positions = [p for p, _ in t.pairs]
-    answers = [b for _, b in t.pairs]
-    assert replay_answers(adv.clone(), positions) == answers
+    fresh = adv.clone()
+    assert [fresh.answer(p) for p, _ in t.pairs] == [b for _, b in t.pairs]
 
 
 def test_weights_adversary_validation():

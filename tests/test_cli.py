@@ -806,6 +806,29 @@ def test_verify_refuses_a_c_below_the_largest_least_certificate(capsys, tmp_path
     assert json.loads(err)["message"] == "C: largest least certificate 3 != stated value 2"
 
 
+def _drop_last_swap(entries):
+    entries["s"]["witness"]["swaps"].pop()
+    entries["s"]["value"] -= 1
+
+
+def _s_of_0_with_no_swaps(entries):
+    entries["s"]["witness"]["swaps"] = []
+    entries["s"]["value"] = 0
+
+
+# eq:k=1 has s = 2; each tampered witness is valid blocks of its stated
+# size, so only the recomputed s refuses it
+@pytest.mark.parametrize(
+    "tamper, stated",
+    [(_drop_last_swap, 1), (_s_of_0_with_no_swaps, 0)],
+    ids=["one-swap-dropped", "s-0-no-swaps"],
+)
+def test_verify_refuses_an_s_below_the_true_value(capsys, tmp_path, tamper, stated):
+    code, err = _verify_tampered(capsys, tmp_path, "s", tamper)
+    assert code == 2
+    assert json.loads(err)["message"] == f"s: largest sensitivity 2 != stated value {stated}"
+
+
 def _refine_largest_subcube(entries):
     """Split SC's largest cell on one more position: still a partition
     into label-constant cells, now one position larger."""

@@ -1,5 +1,6 @@
 """Measure engines against the naive oracles, witness checks, and caps."""
 
+import json
 import math
 import random
 
@@ -326,15 +327,15 @@ def _add_position_9(cells):
     return [{"zeros": cells[0]["zeros"] + [9], "ones": cells[0]["ones"]}] + cells[1:]
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (_overlap, "overlap"),
-        (_drop_one, "do not partition"),
-        (_one_cell, "mixes labels"),
-        (_add_position_9, "outside the domain"),
-    ],
-)
+_CELL_MUTATIONS = [
+    (_overlap, "overlap"),
+    (_drop_one, "do not cover"),
+    (_one_cell, "is not label-constant"),
+    (_add_position_9, "outside the domain"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", _CELL_MUTATIONS)
 def test_sc_check_refuses_mutated_partitions(mutate, message):
     f = make_eq(1)
     value, witness = subcube_partition_complexity(f)
@@ -343,6 +344,69 @@ def test_sc_check_refuses_mutated_partitions(mutate, message):
     worst = max(len(c["zeros"]) + len(c["ones"]) for c in cells)
     with pytest.raises(VerificationError, match=message):
         verify_entry(f, "SC", {"value": worst, "witness": {"subcubes": cells}})
+
+
+@pytest.mark.parametrize("mutate, message", _CELL_MUTATIONS)
+def test_uc_check_refuses_mutated_covers(mutate, message):
+    f = make_eq(1)
+    value, witness = unambiguous_certificate_complexity(f)
+    verify_entry(f, "UC", {"value": value, "witness": witness})
+    cells = mutate(witness["certificates"])
+    worst = max(len(c["zeros"]) + len(c["ones"]) for c in cells)
+    with pytest.raises(VerificationError, match=message):
+        verify_entry(f, "UC", {"value": worst, "witness": {"certificates": cells}})
+
+
+# (value, witness) of UC and SC as JSON; the order of the cells pins the
+# walk's order and its choice of one assignment per cell
+_UC_SC_PINS = {
+    "ed:k=3,l=2": (
+        '[3,{"certificates":[{"zeros":[1,3,5],"ones":[]},{"zeros":[],"ones":[1,2,4]},'
+        '{"zeros":[1,2,5],"ones":[]},{"zeros":[],"ones":[1,3,4]},{"zeros":[1,3,4],"ones":[]},'
+        '{"zeros":[],"ones":[1,2,5]},{"zeros":[1,2,4],"ones":[]},{"zeros":[],"ones":[1,3,5]},'
+        '{"zeros":[],"ones":[0,1]},{"zeros":[],"ones":[2,3]},{"zeros":[],"ones":[4,5]}]}]',
+        '[4,{"subcubes":[{"zeros":[],"ones":[0,2,4]},{"zeros":[0,3,5],"ones":[]},'
+        '{"zeros":[4,5],"ones":[0]},{"zeros":[2,3],"ones":[0,4]},{"zeros":[2],"ones":[0,3,4]},'
+        '{"zeros":[4],"ones":[0,1,5]},{"zeros":[1,4],"ones":[0,5]},{"zeros":[0],"ones":[1,3,4]},'
+        '{"zeros":[0,3],"ones":[4,5]},{"zeros":[0,2,4],"ones":[3]},{"zeros":[0,4],"ones":[2,3]},'
+        '{"zeros":[0,1],"ones":[3,4]},{"zeros":[0,3,4],"ones":[5]}]}]',
+    ),
+    "rubinstein-variant:n=4": (
+        '[4,{"certificates":[{"zeros":[0,2],"ones":[]},{"zeros":[2],"ones":[0,1]},'
+        '{"zeros":[0],"ones":[2,3]},{"zeros":[],"ones":[0,1,2,3]},{"zeros":[1],"ones":[0]},'
+        '{"zeros":[0,3],"ones":[2]},{"zeros":[3],"ones":[0,1,2]}]}]',
+        '[4,{"subcubes":[{"zeros":[0,2],"ones":[]},{"zeros":[2],"ones":[0,1]},'
+        '{"zeros":[0],"ones":[2,3]},{"zeros":[],"ones":[0,1,2,3]},{"zeros":[1],"ones":[0]},'
+        '{"zeros":[0,3],"ones":[2]},{"zeros":[3],"ones":[0,1,2]}]}]',
+    ),
+    "random:n=6,k=3,seed=1": (
+        '[3,{"certificates":[{"zeros":[1,3,4],"ones":[]},{"zeros":[],"ones":[1,2,5]},'
+        '{"zeros":[],"ones":[2,4,5]},{"zeros":[4,5],"ones":[1]},{"zeros":[],"ones":[2,3,4]},'
+        '{"zeros":[],"ones":[1,2,4]},{"zeros":[],"ones":[1,3,4]},{"zeros":[],"ones":[1,3,5]},'
+        '{"zeros":[],"ones":[1,4,5]},{"zeros":[2],"ones":[0,5]},{"zeros":[],"ones":[2,3,5]},'
+        '{"zeros":[],"ones":[3,4,5]},{"zeros":[1,5],"ones":[0]},{"zeros":[2,3,5],"ones":[]}]}]',
+        '[4,{"subcubes":[{"zeros":[],"ones":[0,2,5]},{"zeros":[0],"ones":[1,2,4]},'
+        '{"zeros":[0,4],"ones":[1,3]},{"zeros":[0,1],"ones":[2,4]},{"zeros":[2],"ones":[1,3,4]},'
+        '{"zeros":[2,4],"ones":[0,5]},{"zeros":[2,3],"ones":[0,4]},{"zeros":[1,2],"ones":[3,4]},'
+        '{"zeros":[4,5],"ones":[0,1]},{"zeros":[5],"ones":[0,2,4]},{"zeros":[1,4,5],"ones":[]},'
+        '{"zeros":[0,3,4],"ones":[1]},{"zeros":[0,2,3],"ones":[4]},{"zeros":[0,1,4],"ones":[5]}]}]',
+    ),
+    "or-first-half:n=6": (
+        '[1,{"certificates":[{"zeros":[],"ones":[0]},{"zeros":[],"ones":[1]},'
+        '{"zeros":[],"ones":[2]},{"zeros":[],"ones":[3]},{"zeros":[],"ones":[4]},'
+        '{"zeros":[],"ones":[5]}]}]',
+        '[3,{"subcubes":[{"zeros":[0,1,2],"ones":[]},{"zeros":[],"ones":[0]},'
+        '{"zeros":[0],"ones":[1]},{"zeros":[0,1],"ones":[2]}]}]',
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_UC_SC_PINS))
+def test_uc_and_sc_witnesses_match_their_pins(spec):
+    f = parse_construction(spec).build()
+    uc, sc = _UC_SC_PINS[spec]
+    assert list(unambiguous_certificate_complexity(f)) == json.loads(uc)
+    assert list(subcube_partition_complexity(f)) == json.loads(sc)
 
 
 def test_verify_rejects_foreign_witness():
@@ -602,6 +666,21 @@ def test_a_certificate_grown_past_the_least_at_its_input_is_refused(f):
                 verify_entry(f, name, {"value": stated, "witness": grown})
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_functions().filter(lambda f: f.is_boolean), st.data())
+def test_an_s_witness_short_of_one_move_is_refused(f, data):
+    # the shortened witness is still valid blocks; only the recomputed s
+    # shows that value - 1 is too low
+    value, witness = sensitivity(f)
+    assume(value > 0)
+    verify_entry(f, "s", {"value": value, "witness": witness})
+    key = "swaps" if f.domain.kind == "slice" else "positions"
+    drop = data.draw(st.integers(0, value - 1))
+    short = dict(witness, **{key: witness[key][:drop] + witness[key][drop + 1 :]})
+    with pytest.raises(VerificationError, match="largest sensitivity"):
+        verify_entry(f, "s", {"value": value - 1, "witness": short})
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_functions())
 def test_exact_depth_matches_minimax_oracle(f):
@@ -754,10 +833,16 @@ def test_sensitivity_matches_oracle_and_verifies(f):
     # the witness is the lowest-rank input attaining the maximum
     first = next(x for x in f.domain.members() if sensitivity_at(f, x) == value)
     assert witness["input"] == mask_to_string(first, f.domain.n)
+    # a pointwise witness holds valid blocks, so only the recomputed s(f)
+    # refuses one below the max
     for x in f.domain.members():
         vx, wx = sensitivity(f, x)
         assert vx == sensitivity_at(f, x)
-        verify_entry(f, "s", {"value": vx, "witness": wx})
+        if vx == value:
+            verify_entry(f, "s", {"value": vx, "witness": wx})
+        else:
+            with pytest.raises(VerificationError, match="largest sensitivity"):
+                verify_entry(f, "s", {"value": vx, "witness": wx})
 
 
 @settings(max_examples=100, deadline=None)
