@@ -6,7 +6,6 @@ from .errors import (
     AdversaryExhaustedError,
     AdversaryInvalidError,
     DomainError,
-    EmptyRestrictionError,
     FormatError,
     MatchProtocolError,
     MembershipError,
@@ -22,7 +21,6 @@ from .slicecore import (
     SliceGraph,
     from_graph,
     mask_to_string,
-    restrict,
     string_to_mask,
     to_graph,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "BOOLEAN",
     "Domain",
     "DomainError",
-    "EmptyRestrictionError",
     "ENGINE_VERSION",
     "FormatError",
     "LabeledFunction",
@@ -46,7 +43,6 @@ __all__ = [
     "VerificationError",
     "from_graph",
     "mask_to_string",
-    "restrict",
     "string_to_mask",
     "to_graph",
 ]

@@ -24,12 +24,9 @@ from .measures.bounds import monochromatic_number
 from .measures.depth import DepthSolver
 from .measures.trees import Node
 from .slicecore import (
-    Assignment,
     LabeledFunction,
     position_move_tables,
     position_rank_bitsets,
-    residual_positions,
-    restrict,
     string_to_mask,
     to_graph,
 )
@@ -59,13 +56,11 @@ class AdversaryPlayer:
 # Each builder checks its parameters when called and returns a fresh generator.
 
 
-def _tree_walk(tree, alphabet, positions=None) -> Algorithm:
-    """Follows a decision tree and claims the leaf's label; a node's position
-    p is queried as positions[p] when a position map is given."""
+def _tree_walk(tree, alphabet) -> Algorithm:
+    """Follows a decision tree and claims the leaf's label."""
     node = tree
     while isinstance(node, Node):
-        p = node.position
-        bit = yield p if positions is None else positions[p]
+        bit = yield node.position
         node = node.on_one if bit else node.on_zero
     return alphabet[node.label_index]
 
@@ -134,8 +129,9 @@ def weight2_algorithm(f: LabeledFunction) -> Algorithm:
 
     Scans the positions outside a maximum monochromatic set T of the
     one-edge graph until a one appears.  No one means both ones lie inside
-    T, so the answer is T's color; otherwise the leftover weight-1
-    restriction is finished with an optimal subtree.
+    T, so the answer is T's color; otherwise the weight-1 sub-game left by
+    the answers so far is finished with its optimal subtree, read from one
+    DepthSolver of f in f's own positions.
     """
     dom = f.domain
     if dom.kind != "slice" or dom.k != 2:
@@ -144,16 +140,15 @@ def weight2_algorithm(f: LabeledFunction) -> Algorithm:
         raise DomainError("weight2_algorithm needs Boolean labels")
     _, wit = monochromatic_number(to_graph(f))
     inside = set(wit["vertices"])
+    solver = DepthSolver(f)
 
     def script():
-        zeros: list[int] = []
+        zeros = 0
         for p in (p for p in range(dom.n) if p not in inside):
             if (yield p):
-                a = Assignment.of(zeros=zeros, ones=[p])
-                tree = DepthSolver(restrict(f, a)).build_tree()
-                back = residual_positions(dom.n, a)
-                return (yield from _tree_walk(tree, f.alphabet, back))
-            zeros.append(p)
+                tree = solver.build_tree(zeros, 1 << p)
+                return (yield from _tree_walk(tree, f.alphabet))
+            zeros |= 1 << p
         return 1 if wit["kind"] == "clique" else 0
 
     return script()

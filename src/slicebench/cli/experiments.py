@@ -49,6 +49,7 @@ from ..slicecore import (
     LabeledFunction,
     SliceGraph,
     from_graph,
+    member_masks,
     string_to_mask,
 )
 
@@ -444,7 +445,8 @@ class RubinsteinGap(Experiment):
         bs_wit, _ = block_sensitivity(f, witness)
         rng = random.Random(seed)
         ranks = sorted(rng.sample(range(dom.size), samples))
-        masks = {dom.unrank(r) for r in ranks} | {witness}
+        members = member_masks(dom)
+        masks = {members[r] for r in ranks} | {witness}
         s0 = s1 = 0
         for x in sorted(masks):
             sx, _ = sensitivity(f, x)

@@ -299,11 +299,12 @@ def main(argv=None) -> int:
         # every other package error is a bad input or parameter
         _error("input", str(e))
         return _EXIT_INPUT
-    except FileNotFoundError as e:
-        _error("input", f"no such file: {e.filename}")
-        return _EXIT_INPUT
-    except IsADirectoryError as e:
-        _error("input", f"path is a directory: {e.filename}")
+    except OSError as e:
+        # a path that cannot be read or written is a bad input; an OSError
+        # that names no file is not about the input
+        if e.filename is None:
+            raise
+        _error("input", f"{e.strerror}: {e.filename}")
         return _EXIT_INPUT
 
 

@@ -13,10 +13,6 @@ class MembershipError(SliceBenchError):
     """A string is not a member of the domain it was used with."""
 
 
-class EmptyRestrictionError(SliceBenchError):
-    """A partial assignment is consistent with no domain member."""
-
-
 class ResourceCapError(SliceBenchError):
     """A documented size or work cap was exceeded."""
 

@@ -30,7 +30,7 @@ counted, and a position that does not split S is skipped.
 
 from __future__ import annotations
 
-from ..errors import ResourceCapError
+from ..errors import DomainError, ResourceCapError
 from ..kernels import min_hitting_set
 from ..slicecore import (
     LabeledFunction,
@@ -57,8 +57,9 @@ class DepthSolver:
     position constant on the live set never helps.  On slices and cubes
     the live set is every member consistent with the key, so every free
     position splits it, all into the same two sizes, and which side goes
-    first is fixed per state.  build_tree solves first, and its tree takes
-    the lowest position that reaches the optimum.
+    first is fixed per state.  build_tree builds the tree of any state, the
+    root or a sub-game, and takes the lowest position that reaches the
+    optimum.
     """
 
     def __init__(self, f: LabeledFunction):
@@ -352,9 +353,20 @@ class DepthSolver:
             self.tt[0] = hi << self.width | lo
         return self._resolve(S, 0, 0)
 
-    def build_tree(self) -> Tree:
-        self.solve()
-        return self._build(self.full, 0, 0)
+    def build_tree(self, zeros: int = 0, ones: int = 0) -> Tree:
+        """An optimal tree of the state where the positions in the mask
+        zeros were answered 0 and those in ones were answered 1, querying
+        only free positions.  The root goes through solve() and its packing
+        hint; a state that no member is consistent with raises DomainError."""
+        if not zeros | ones:
+            self.solve()
+            return self._build(self.full, 0, 0)
+        S = consistent_set(self.ones_at, self.full, zeros, ones)
+        if not S:
+            raise DomainError(
+                f"no member of {self.f.domain.describe()} is consistent with the state"
+            )
+        return self._build(S, zeros, ones)
 
     def _build(self, S: int, zeros: int, ones: int) -> Tree:
         if self.f.is_single_label(S):

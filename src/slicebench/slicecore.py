@@ -3,14 +3,16 @@
 Strings of length n are stored as machine-word bitmasks: bit i of the mask is
 the character at position i, so the textual form "1100" has positions {0, 1}
 set.  Domains enumerate their members in a fixed order (colexicographic for
-slices, numeric for the cube, list order for explicit domains) and expose
-rank/unrank between members and table indices.  A labeled function is its
-domain, its alphabet and its table: the tuple of each member's alphabet
-index in rank order.  Its per-label rank bitsets are derived from the table
-on first use; packing a table into bytes belongs to the file format
-(fileio).  consistent_set maps a partial assignment to the rank bitset of
-the members consistent with it; restriction and the callers that check or
-build certificates and subcube partitions all go through it.
+slices, numeric for the cube, list order for explicit domains); a member's
+rank is its table index.  A labeled function is its domain, its alphabet
+and its table: the tuple of each member's alphabet index in rank order.
+Its per-label rank bitsets are derived from the table on first use;
+packing a table into bytes belongs to the file format (fileio).
+consistent_set maps a partial assignment to the rank bitset of the members
+consistent with it.  A function is never copied to a sub-problem: the
+callers that check or build certificates and subcube partitions, and
+DepthSolver.build_tree on a sub-game, all go through consistent_set in the
+function's own positions and ranks.
 
 Small domains are enumerated once per domain value: equal domains share one
 view holding the members (member_masks: a range for cubes, else a tuple),
@@ -29,12 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    DomainError,
-    EmptyRestrictionError,
-    MembershipError,
-    ResourceCapError,
-)
+from .errors import DomainError, MembershipError, ResourceCapError
 
 MAX_POSITIONS = 64
 MAX_DOMAIN_SIZE = 1 << 26
@@ -69,14 +66,18 @@ def mask_to_string(mask: int, n: int) -> str:
 
 
 def iter_colex_masks(n: int, k: int) -> Iterator[int]:
-    """All weight-k masks on n positions in colexicographic order."""
-    if k == 0:
-        yield 0
-        return
-    for top in range(k - 1, n):
-        bit = 1 << top
-        for rest in iter_colex_masks(top, k - 1):
-            yield rest | bit
+    """All weight-k masks on n positions in colexicographic order, which for
+    masks of one weight is ascending numeric order: each next mask is
+    Gosper's step from the last."""
+    m = (1 << k) - 1
+    top = 1 << n
+    while m < top:
+        yield m
+        low = m & -m
+        if not low:  # k = 0: the empty mask is the only one
+            return
+        ripple = m + low
+        m = ripple | ((m ^ ripple) >> 2) // low
 
 
 def colex_rank(mask: int) -> int:
@@ -89,18 +90,6 @@ def colex_rank(mask: int) -> int:
         j += 1
         mask ^= low
     return r
-
-
-def colex_unrank(r: int, n: int, k: int) -> int:
-    mask = 0
-    c = n - 1
-    for j in range(k, 0, -1):
-        while math.comb(c, j) > r:
-            c -= 1
-        mask |= 1 << c
-        r -= math.comb(c, j)
-        c -= 1
-    return mask
 
 
 @dataclass(frozen=True)
@@ -196,15 +185,6 @@ class Domain:
                 f"{mask_to_string(mask, self.n)} not in {self.describe()}"
             )
         return member_ranks(self)[mask]
-
-    def unrank(self, r: int) -> int:
-        if not 0 <= r < self.size:
-            raise MembershipError(f"rank {r} out of range for {self.describe()}")
-        if self.kind == "slice":
-            return colex_unrank(r, self.n, self.k)
-        if self.kind == "cube":
-            return r
-        return self.explicit_members[r]
 
     @cached_property
     def _explicit_index(self) -> dict[int, int]:
@@ -486,13 +466,7 @@ def _normalize_alphabet(alphabet: Sequence[Label]) -> tuple[Label, ...]:
     return tuple(labs)
 
 
-# -- restriction -------------------------------------------------------------
-
-
-def residual_positions(n: int, a: Assignment) -> list[int]:
-    """Unfixed positions in increasing order; residual position j of a
-    restriction is original position residual_positions(n, a)[j]."""
-    return [p for p in range(n) if not a.fixed >> p & 1]
+# -- partial assignments as rank sets ----------------------------------------
 
 
 def consistent_set(ones_at: Sequence[int], full: int, zeros: int, ones: int) -> int:
@@ -519,38 +493,6 @@ def whole_cube(n: int) -> Domain:
     """{0,1}^n as a domain in which each point's rank is the point itself:
     cube(n), or the one-point explicit domain when n = 0."""
     return Domain.cube(n) if n else Domain.explicit(0, (0,))
-
-
-def restrict(f: LabeledFunction, a: Assignment) -> LabeledFunction:
-    """Restriction of f by a partial assignment.
-
-    Residual positions are renumbered in increasing original order (see
-    residual_positions); the alphabet is kept whole so labels keep their
-    indices.  Deleting the fixed positions keeps colex, numeric and list
-    order, so the restricted table is f's labels on the consistent members
-    in rank order.  Raises EmptyRestrictionError when nothing is consistent.
-    """
-    dom = f.domain
-    S = consistent_set(position_rank_bitsets(dom), (1 << dom.size) - 1, a.zeros, a.ones)
-    if not S:
-        raise EmptyRestrictionError(
-            f"no member of {dom.describe()} is consistent with the assignment"
-        )
-    kept = bin(S)[:1:-1]  # character r is bit r of S
-    table = [v for v, b in zip(f.table, kept) if b == "1"]
-    rp = residual_positions(dom.n, a)
-    k2 = dom.k - a.ones.bit_count() if dom.kind == "slice" else None
-    if dom.kind == "cube":
-        sub = whole_cube(len(rp))
-    elif k2 is not None and 1 <= k2 < len(rp):
-        sub = Domain.slice(len(rp), k2)
-    else:
-        # explicit domains, and slices left with one forced member
-        sub = Domain.explicit(len(rp), [
-            sum(1 << j for j, p in enumerate(rp) if x >> p & 1)
-            for x, b in zip(member_masks(dom), kept) if b == "1"
-        ])
-    return LabeledFunction.from_indices(sub, f.alphabet, table)
 
 
 # -- weight-2 slice <-> graph correspondence ---------------------------------

@@ -294,17 +294,6 @@ def mono_number_oracle(g):
     return best
 
 
-def expand_member(residual_mask, residual, a):
-    """Embed a member of a restriction's domain back into the original
-    positions: residual position j is original position residual[j], and
-    the positions a fixes to 1 are set."""
-    x = a.ones
-    for j, p in enumerate(residual):
-        if residual_mask >> j & 1:
-            x |= 1 << p
-    return x
-
-
 def forced_oracle(adv, f):
     """Forced query count by plain minimax over every unqueried position in
     ascending order: 0 once the live members carry one label, 1 once the

@@ -1,5 +1,7 @@
 """Players, the referee, replays, and forced-query certification."""
 
+import hashlib
+import json
 from functools import partial
 
 import pytest
@@ -38,7 +40,13 @@ from slicebench.errors import (
     MatchProtocolError,
 )
 from slicebench.measures.depth import exact_depth
-from slicebench.slicecore import BOOLEAN, Domain, LabeledFunction, from_graph
+from slicebench.slicecore import (
+    BOOLEAN,
+    Domain,
+    LabeledFunction,
+    from_graph,
+    member_masks,
+)
 
 
 def ScriptedAlgorithm(positions, claim):
@@ -119,6 +127,27 @@ def test_weight2_algorithm():
     for seed in range(10):
         g = random_slice_function(6, 2, seed)
         assert replay_everywhere(lambda: weight2_algorithm(g), g) <= 4
+
+
+# sha256 of the run_match transcripts of weight2_algorithm on every graph on
+# 5 vertices (the Boolean function on slice(5, 2) whose value at rank r is
+# bit r of the code), each played against every member as a fixed input
+_WEIGHT2_PIN = "b1ea50a81dac4a7214b21bbec0f191d5769d7adee6f2610333e2386dc9f45703"
+
+
+def test_weight2_transcripts_on_every_graph_on_5_vertices_are_pinned():
+    dom = Domain.slice(5, 2)
+    digest = hashlib.sha256()
+    for code in range(1 << dom.size):
+        f = LabeledFunction.from_indices(
+            dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
+        )
+        for x in dom.members():
+            t = run_match(weight2_algorithm(f), FixedInputAdversary(x), f)
+            assert t.correct
+            line = json.dumps(t.to_json_obj(), sort_keys=True) + "\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == _WEIGHT2_PIN
 
 
 def test_eq_adversary_answers_alternate_and_stay_consistent():
@@ -287,7 +316,7 @@ def forced_games(draw):
         n = draw(st.integers(2, 6))
         k = draw(st.integers(1, n - 1))
         f = random_slice_function(n, k, draw(st.integers(0, 99)))
-        x = f.domain.unrank(draw(st.integers(0, f.domain.size - 1)))
+        x = member_masks(f.domain)[draw(st.integers(0, f.domain.size - 1))]
         return partial(FixedInputAdversary, x), f
     games = _WEIGHTS_GAMES if kind == "weights" else _SEEDED_GAMES
     n, m, k, mode = draw(st.sampled_from(games))

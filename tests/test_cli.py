@@ -21,7 +21,7 @@ from slicebench.cli.main import main
 from slicebench.errors import (
     AdversaryExhaustedError,
     DomainError,
-    EmptyRestrictionError,
+    MembershipError,
     SliceBenchError,
 )
 from slicebench.fileio import read_function
@@ -186,6 +186,41 @@ def test_measure_missing_file_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "eq:k=1", "--out", "{plain}/x.json"),
+        ("measure", "--function", "{plain}/x.json"),
+        ("verify", "--construct", "eq:k=1", "--report", "{plain}/r.json"),
+        ("experiment", "--spec", "{plain}/s.json"),
+        ("experiment", "eq-depth", "--set", "ks=1", "--out", "{plain}/r.json"),
+        ("measure", "--function", "{tmp}/" + "a" * 300),
+    ],
+    ids=[
+        "construct-out", "measure-function", "verify-report", "experiment-spec",
+        "experiment-out", "long-file-name",
+    ],
+)
+def test_a_path_that_cannot_be_read_or_written_is_an_input_error(
+    capsys, tmp_path, argv
+):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = [a.format(plain=plain, tmp=tmp_path) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert json.loads(err)["error"] == "input"
+
+
+def test_an_os_error_naming_no_file_is_not_an_input_error(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OSError("no file involved")
+
+    monkeypatch.setattr(cli_main, "compute_measures", fail)
+    with pytest.raises(OSError, match="no file involved"):
+        main(["measure", "--construct", "eq:k=1", "--no-cache"])
+
+
 def test_measure_resource_cap_exit_code(capsys):
     code, _, err = run(
         capsys,
@@ -224,7 +259,7 @@ def test_cli_module_runs_with_dash_m_without_warnings():
     assert proc.stderr == ""
 
 
-@pytest.mark.parametrize("error", [EmptyRestrictionError, AdversaryExhaustedError])
+@pytest.mark.parametrize("error", [MembershipError, AdversaryExhaustedError])
 def test_every_package_error_maps_to_the_input_code(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("raised inside the measure step")

@@ -21,6 +21,7 @@ from oracles import (
     mono_number_oracle,
     sensitivity_at,
     sensitivity_max,
+    tree_depth,
     tree_evaluate,
     tree_from_json_obj,
 )
@@ -61,7 +62,7 @@ from slicebench.measures.report import (
     verify_report,
 )
 from slicebench.measures.sensitivity import block_sensitivity, sensitivity
-from slicebench.measures.trees import check_tree
+from slicebench.measures.trees import Node, check_tree
 from slicebench.slicecore import (
     BOOLEAN,
     Domain,
@@ -794,6 +795,36 @@ def test_tt_keys_decode_and_bounds_bracket_the_true_depth(f):
     _assert_tt_sound(f, solver)
     solver.build_tree()
     _assert_tt_sound(f, solver)
+
+
+def _tree_positions(t):
+    if isinstance(t, Node):
+        yield t.position
+        yield from _tree_positions(t.on_zero)
+        yield from _tree_positions(t.on_one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions(), st.data())
+def test_build_tree_of_a_sub_state_is_optimal_and_queries_free_positions(f, data):
+    full = (1 << f.domain.n) - 1
+    zeros = data.draw(st.integers(0, full), label="zeros")
+    ones = data.draw(st.integers(0, full), label="ones")
+    if data.draw(st.integers(0, 4), label="overlap") > 0:
+        ones &= ~zeros
+    members = member_masks(f.domain)
+    live = [r for r, x in enumerate(members) if not x & zeros and x & ones == ones]
+    solver = DepthSolver(f)
+    if not live:
+        # overlapping masks leave no member either
+        with pytest.raises(DomainError):
+            solver.build_tree(zeros, ones)
+        return
+    tree = solver.build_tree(zeros, ones)
+    assert tree_depth(tree) == minimax_depth(f, zeros, ones)
+    assert not any((zeros | ones) >> p & 1 for p in _tree_positions(tree))
+    for r in live:
+        assert tree_evaluate(tree, members[r]) == f.table[r]
 
 
 def _parity(n):
