@@ -49,6 +49,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an output path whose directory does not exist, before any work
+    that would be thrown away when the report cannot be written."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise DomainError(f"cannot write {out}: {Path(out).parent} is not a directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -179,8 +186,9 @@ def _cmd_experiment(args) -> int:
             f"give an experiment name or --spec FILE; known: "
             f"{', '.join(experiment_names())}"
         )
-    report = run_experiment(spec, jobs=args.jobs)
     out = args.out if args.out is not None else spec.out
+    _check_out(out)
+    report = run_experiment(spec, jobs=args.jobs)
     text = _experiment_csv(report) if args.csv else json_text(report)
     _emit(text, out)
     if report["failures"] > 0:
@@ -285,6 +293,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.handler(args)
     except FormatError as e:
         _error("format", str(e), line=e.line)

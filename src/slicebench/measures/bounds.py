@@ -3,13 +3,35 @@
 Any depth-D tree splits the domain into at most 2^D subcube traces, and each
 all-ones trace holds at most m ones, where m is the largest number of
 1-inputs any 1-monochromatic subcube captures.  Hence D >= ceil(log2(ones/m)).
+
+m is found by a depth-first search that decides each position in turn as
+free, fixed to 0 or fixed to 1, in that order, and records a node that is
+1-monochromatic with more 1-inputs than the best so far.  A node is cut
+when the 1-inputs it could still count are no more than the best.  Those
+leave out the dead ones: a 1-input x is dead once a 0-input z = x ^ D is one
+elementary move away (a swap on a slice, a flip on the cube or an explicit
+domain, as in sensitivity) and every position of D has been left free, for
+every subcube below the node that holds x then holds z too.  At a position
+constant on the node's members, the one nonempty fixed branch has, node for
+node, the members of the free branch searched just before it, so it is not
+searched.  Both cuts drop only subtrees with no node above the best, so the
+nodes that set a record, and with them the value and the witness (the first
+node in free/0/1 preorder to reach the maximum), are those of the uncut
+search.
 """
 
 from __future__ import annotations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import max_clique, max_independent_set
-from ..slicecore import LabeledFunction, SliceGraph, mask_positions, position_rank_bitsets
+from ..slicecore import (
+    LabeledFunction,
+    SliceGraph,
+    mask_positions,
+    member_masks,
+    member_ranks,
+    position_rank_bitsets,
+)
 
 _SUBCUBE_MAX_N = 14
 _MONO_MAX_N = 40
@@ -30,31 +52,74 @@ def max_one_subcube_intersection(f: LabeledFunction):
         return 0, None
     ones_at = position_rank_bitsets(dom)
     full = (1 << dom.size) - 1
+    zeros_set = full ^ ones_set
+    kills = _kill_table(f, full)
     best = {"count": 0, "zeros": 0, "ones": 0}
 
-    def rec(p: int, zeros: int, ones: int, S: int) -> None:
-        live = (S & ones_set).bit_count()
-        if live <= best["count"]:
+    def rec(p: int, zeros: int, ones: int, S: int, alive: int) -> None:
+        count = (S & alive).bit_count()
+        if count <= best["count"]:
             return
-        if not S & ~ones_set:
-            # already 1-monochromatic; shrinking it further cannot help
-            best["count"] = live
+        if not S & zeros_set:
+            # already 1-monochromatic, so nothing in it is dead; shrinking
+            # it further cannot help
+            best["count"] = count
             best["zeros"], best["ones"] = zeros, ones
             return
         if p == dom.n:
             return
         bit = 1 << p
-        rec(p + 1, zeros, ones, S)
-        S0 = S & ~ones_at[p]
-        if S0:
-            rec(p + 1, zeros | bit, ones, S0)
+        # with p left free, each move whose positions are all free kills
+        free = (2 * bit - 1) & ~(zeros | ones)
+        spared = alive
+        for move, survivors in kills[p]:
+            if not move & ~free:
+                spared &= survivors
+        rec(p + 1, zeros, ones, S, spared)
         S1 = S & ones_at[p]
-        if S1:
-            rec(p + 1, zeros, ones | bit, S1)
+        if S1 and S1 != S:
+            rec(p + 1, zeros | bit, ones, S ^ S1, alive)
+            rec(p + 1, zeros, ones | bit, S1, alive)
 
-    rec(0, 0, 0, full)
+    rec(0, 0, 0, full, ones_set)
     zeros, ones = mask_positions(best["zeros"]), mask_positions(best["ones"])
     return best["count"], {"zeros": zeros, "ones": ones}
+
+
+def _kill_table(f: LabeledFunction, full: int) -> list[list[tuple[int, int]]]:
+    """Per position p, a (move, survivors) pair for each elementary move
+    whose highest position is p and that joins some 1-input x to a 0-input
+    x ^ move: survivors is the rank bitset of the members it leaves alive,
+    all but those x."""
+    dom = f.domain
+    ranks, table, size = member_ranks(dom), f.table, dom.size
+    bits = [1 << p for p in range(dom.n)]
+    hits: dict[int, list[int]] = {}
+    for r, x in enumerate(member_masks(dom)):
+        if table[r] != 1:
+            continue
+        if dom.kind == "slice":
+            # swap the 1 at b with the 0 at c
+            zero_bits = [c for c in bits if not x & c]
+            for b in bits:
+                if x & b:
+                    xb = x ^ b
+                    for c in zero_bits:
+                        if not table[ranks[xb | c]]:
+                            hits.setdefault(b | c, []).append(r)
+        else:
+            for b in bits:
+                y = x ^ b
+                if y in ranks and not table[ranks[y]]:
+                    hits.setdefault(b, []).append(r)
+    kills: list[list[tuple[int, int]]] = [[] for _ in range(dom.n)]
+    for move, rs in hits.items():
+        # the killed ranks as a binary numeral, highest rank first
+        digits = bytearray(b"0" * size)
+        for r in rs:
+            digits[size - 1 - r] = ord("1")
+        kills[move.bit_length() - 1].append((move, full ^ int(digits, 2)))
+    return kills
 
 
 def packing_lower_bound(f: LabeledFunction):

@@ -13,12 +13,15 @@ blocks: s's are one flip each, or one swap on a slice.  A C, BC or mBC
 certificate must also be a least one at its input, and C and s must also
 equal their recomputed max over inputs.  UC and SC witnesses go through
 one partition check, _check_partition, over the domain and over the whole
-cube.  Measures with no check (deg, packing, m) are re-verified by
-recomputation.  verify_report also refuses values present together that
-break s <= bs2 <= bs <= C <= UC <= SC <= D <= nonadaptive or deg <= D.  C
-and s are checked on both sides; the other witnesses are one-sided: bs,
-bs2 and BC refuse a value above the optimum, D, nonadaptive, UC, SC and
-mBC one below it, and the other side passes unless the chain catches it.
+cube.  An m witness must be a 1-monochromatic assignment holding value
+1-inputs, and a packing witness must state |f^-1(1)| and m.  deg has no
+witness and is re-verified by recomputation.  verify_report also refuses
+values present together that break s <= bs2 <= bs <= C <= UC <= SC <= D <=
+nonadaptive or deg <= D.  C, s, m and packing are checked on both sides, as
+their values are recomputed after the witness check; the other witnesses
+are one-sided: bs, bs2 and BC refuse a value above the optimum, D,
+nonadaptive, UC, SC and mBC one below it, and the other side passes unless
+the chain catches it.
 """
 
 from __future__ import annotations
@@ -318,6 +321,39 @@ def _check_bs(f: LabeledFunction, value: int, witness: Any, cap: int | None = No
     _check_blocks(f, witness, _field(witness, "blocks"), value, cap)
 
 
+def _check_subcube(f: LabeledFunction, value: int, witness: Any) -> None:
+    """A 1-monochromatic assignment whose consistent members hold value
+    1-inputs shows m >= value, and the witness None is for a function with
+    no 1-inputs.  m(f) is then recomputed, so m is checked on both sides."""
+    if not f.is_boolean:
+        _fail("m needs a Boolean function")
+    ones_set = f.label_bitsets[1]
+    if witness is None and not ones_set:
+        count = 0
+    else:
+        a = _assignment(f, witness)
+        S = consistent_set(
+            position_rank_bitsets(f.domain), (1 << f.domain.size) - 1, a.zeros, a.ones
+        )
+        if S & ~ones_set:
+            _fail("assignment is not 1-monochromatic over consistent members")
+        count = S.bit_count()
+    _check_count("1-inputs in the subcube", count, value)
+    _check_count("recomputed value", max_one_subcube_intersection(f)[0], value)
+
+
+def _check_packing(f: LabeledFunction, value: int, witness: Any) -> None:
+    """The witness must state |f^-1(1)| and m as recomputed, and value is
+    then ceil(log2(ones / m)) of them."""
+    want, fields = packing_lower_bound(f)
+    for key, count in fields.items():
+        stated = _field(witness, key)
+        if type(stated) is not int:
+            _fail(f"{key} {stated!r} is not an int")
+        _check_count(f"recomputed {key}", count, stated)
+    _check_count("recomputed value", want, value)
+
+
 _check_bc = partial(_check_certificate, balanced=True)
 
 MEASURES: dict[str, Measure] = {
@@ -342,6 +378,6 @@ MEASURES: dict[str, Measure] = {
     "BC": Measure(balanced_certificate, _check_bc),
     "mBC": Measure(partial(balanced_certificate, min_mode=True), _check_bc),
     "deg": Measure(degree),
-    "packing": Measure(packing_lower_bound),
-    "m": Measure(max_one_subcube_intersection),
+    "packing": Measure(packing_lower_bound, _check_packing),
+    "m": Measure(max_one_subcube_intersection, _check_subcube),
 }

@@ -5,7 +5,7 @@ Fraction arithmetic.  Slow but easy to audit, so only run on tiny domains.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError, DomainError
 from slicebench.measures.trees import Leaf, Node
@@ -291,6 +291,23 @@ def mono_number_oracle(g):
                 g.has_edge(u, v) for u, v in pairs
             ):
                 best = max(best, size)
+    return best
+
+
+def one_subcube_oracle(f):
+    """Largest number of 1-inputs in a subcube whose members are all
+    1-inputs, trying each of the 3^n assignments; n <= 7."""
+    n = f.domain.n
+    if n > 7:
+        raise DomainError(f"the 3^n subcube scan is for n <= 7, not {n}")
+    points = [(x, f.evaluate(x)) for x in f.domain.members()]
+    best = 0
+    for fixed in product((None, 0, 1), repeat=n):
+        ones = sum(1 << p for p, v in enumerate(fixed) if v == 1)
+        zeros = sum(1 << p for p, v in enumerate(fixed) if v == 0)
+        inside = [label for x, label in points if x & ones == ones and not x & zeros]
+        if all(label == 1 for label in inside):
+            best = max(best, len(inside))
     return best
 
 

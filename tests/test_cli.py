@@ -212,6 +212,42 @@ def test_a_path_that_cannot_be_read_or_written_is_an_input_error(
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "eq:k=1", "--out", "{out}"),
+        ("measure", "--construct", "eq:k=1", "--no-cache", "--out", "{out}"),
+        ("match", "--construct", "eq:k=1", "--algorithm", "optimal",
+         "--adversary", "eq:k=1", "--out", "{out}"),
+        ("experiment", "eq-depth", "--out", "{out}"),
+        ("experiment", "--spec", "{spec}"),
+        ("verify", "--construct", "eq:k=1", "--report", "{spec}", "--out", "{out}"),
+    ],
+    ids=["construct", "measure", "match", "experiment", "experiment-spec-out", "verify"],
+)
+@pytest.mark.parametrize("parent", ["plain", "missing"])
+def test_an_out_path_with_no_directory_fails_before_the_work(
+    capsys, monkeypatch, tmp_path, argv, parent
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    # loading the function and the work itself
+    for name in (
+        "parse_construction", "read_function", "compute_measures", "run_match",
+        "run_experiment", "verify_report",
+    ):
+        monkeypatch.setattr(cli_main, name, must_not_run)
+    (tmp_path / "plain").write_text("")
+    out = tmp_path / parent / "r.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "eq-depth", "out": str(out)}))
+    argv = [a.format(out=out, spec=spec) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert json.loads(err)["error"] == "input"
+
+
 def test_an_os_error_naming_no_file_is_not_an_input_error(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise OSError("no file involved")

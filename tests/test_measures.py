@@ -1,5 +1,6 @@
 """Measure engines against the naive oracles, witness checks, and caps."""
 
+import hashlib
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from oracles import (
     hitting_set_oracle,
     minimax_depth,
     mono_number_oracle,
+    one_subcube_oracle,
     sensitivity_at,
     sensitivity_max,
     tree_depth,
@@ -69,10 +71,12 @@ from slicebench.slicecore import (
     Assignment,
     LabeledFunction,
     SliceGraph,
+    consistent_set,
     from_graph,
     mask_positions,
     mask_to_string,
     member_masks,
+    member_ranks,
     position_move_tables,
     position_rank_bitsets,
     string_to_mask,
@@ -262,6 +266,127 @@ def test_max_one_subcube_on_graph_function():
     assert isinstance(witness, dict)
 
 
+# sha256 of the JSON list [spec, m, m's witness, packing, packing's witness]
+# over these functions, as the plain scan (pruned by the 1-count alone)
+# computed them: the certify-mix functions that pin m, at seeds 1-3, and five
+# larger ones.  The scan's cuts must keep every value and witness.
+_SUBCUBE_PIN_SPECS = [
+    "eq:k=2", "kml:r=3", "gs:n=10,k=4", "gs:n=10,k=5", "paley:q=13",
+    "ed:k=3,l=2", "ed:k=4,l=2", "or-first-half:n=10", "rubinstein-variant:n=4",
+    *(
+        template.format(seed)
+        for seed in (1, 2, 3)
+        for template in (
+            "random:n=6,k=3,seed={}", "random:n=8,k=4,seed={}",
+            "random:n=10,k=4,seed={}", "random:n=10,k=5,seed={}",
+            "random-graph:n=10,seed={}",
+        )
+    ),
+    "gs:n=12,k=6", "eq:k=3", "ed:k=4,l=3", "random:n=12,k=6,seed=1",
+    "random-graph:n=14,seed=3",
+]
+_SUBCUBE_PIN = "b0e9a04f1a46808e8a75f0cfe3ece21685601f05182f3ed9eaf48602a66c14dc"
+
+
+def test_m_and_packing_witnesses_are_pinned():
+    rows = []
+    for spec in _SUBCUBE_PIN_SPECS:
+        f = parse_construction(spec).build()
+        rows.append([spec, *max_one_subcube_intersection(f), *packing_lower_bound(f)])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == _SUBCUBE_PIN
+
+
+@st.composite
+def subcube_functions(draw):
+    """A Boolean function on a slice or explicit domain with n <= 7, or a
+    cube with n <= 6; half the time its 1-inputs are thinned by a second
+    random draw."""
+    kind = draw(st.sampled_from(["slice", "cube", "explicit"]))
+    if kind == "slice":
+        n = draw(st.integers(2, 7))
+        dom = Domain.slice(n, draw(st.integers(1, n - 1)))
+    elif kind == "cube":
+        dom = Domain.cube(draw(st.integers(1, 6)))
+    else:
+        n = draw(st.integers(1, 7))
+        members = draw(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40, unique=True)
+        )
+        dom = Domain.explicit(n, members)
+    code = draw(st.integers(0, (1 << dom.size) - 1))
+    if draw(st.booleans()):
+        code &= draw(st.integers(0, (1 << dom.size) - 1))
+    return LabeledFunction.from_indices(
+        dom, BOOLEAN, [code >> r & 1 for r in range(dom.size)]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(subcube_functions())
+def test_m_matches_the_oracle_and_both_sides_are_checked(f):
+    value, witness = max_one_subcube_intersection(f)
+    assert value == one_subcube_oracle(f)
+    ones_set = f.label_bitsets[1]
+    if not ones_set:
+        assert witness is None
+    else:
+        a = Assignment.of(witness["zeros"], witness["ones"])
+        full = (1 << f.domain.size) - 1
+        S = consistent_set(position_rank_bitsets(f.domain), full, a.zeros, a.ones)
+        assert not S & ~ones_set
+        assert S.bit_count() == value
+    for name, (v, w) in (("m", (value, witness)), ("packing", packing_lower_bound(f))):
+        verify_entry(f, name, {"value": v, "witness": w})
+        for wrong in (v - 1, v + 1):
+            with pytest.raises(VerificationError):
+                verify_entry(f, name, {"value": wrong, "witness": w})
+
+
+def _elementary_neighbours(dom, x):
+    """The members one swap (on a slice) or one flip (on a cube) from x."""
+    if dom.kind == "slice":
+        return [
+            x ^ (1 << i | 1 << j)
+            for i in range(dom.n) if x >> i & 1
+            for j in range(dom.n) if not x >> j & 1
+        ]
+    return [x ^ (1 << p) for p in range(dom.n)]
+
+
+@st.composite
+def slice_and_cube_functions(draw):
+    """A Boolean function with a 1-input on a slice or cube with n <= 9;
+    half the time, 1-inputs are dropped in rank order until no swap or
+    flip joins two of them."""
+    n = draw(st.integers(2, 9))
+    dom = Domain.slice(n, draw(st.integers(1, n - 1))) if draw(st.booleans()) else Domain.cube(n)
+    members, ranks = member_masks(dom), member_ranks(dom)
+    table = [draw(st.integers(0, 1)) for _ in range(dom.size)]
+    if draw(st.booleans()):
+        for r, x in enumerate(members):
+            if table[r] and any(table[ranks[y]] for y in _elementary_neighbours(dom, x)):
+                table[r] = 0
+    table[draw(st.integers(0, dom.size - 1))] = 1
+    return LabeledFunction.from_indices(dom, BOOLEAN, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(slice_and_cube_functions())
+def test_m_is_one_exactly_when_no_swap_or_flip_joins_two_one_inputs(f):
+    """A 1-monochromatic subcube holding two 1-inputs holds a path of swaps
+    (on a slice) or flips (on a cube) between them, so m(f) = 1 iff the
+    1-inputs are independent in the graph of elementary moves."""
+    dom, ranks = f.domain, member_ranks(f.domain)
+    joined = any(
+        f.table[ranks[y]]
+        for r, x in enumerate(member_masks(dom))
+        if f.table[r]
+        for y in _elementary_neighbours(dom, x)
+    )
+    assert (max_one_subcube_intersection(f)[0] == 1) == (not joined)
+
+
 def test_resource_caps():
     big = or_first_half(21)
     with pytest.raises(ResourceCapError):
@@ -310,6 +435,29 @@ def test_verify_rejects_tampered_entries():
         entry["value"] = entry["value"] + 1
         with pytest.raises(VerificationError):
             verify_entry(f, name, entry)
+
+
+@pytest.mark.parametrize(
+    "name, value, witness, message",
+    [
+        ("m", 4, {"zeros": [], "ones": []}, "not 1-monochromatic"),
+        ("m", 4, "garbage", "not an object"),
+        ("m", 4, None, "not an object"),
+        ("m", 4, {"zeros": [0, 1, 4, 5], "ones": []}, "1-inputs in the subcube 0"),
+        ("m", 3, {"zeros": [4, 5], "ones": [2]}, "recomputed value 4"),
+        ("packing", 2, {"ones": 99, "subcube_max": 1}, "recomputed ones 12"),
+        ("packing", 2, {"ones": 12, "subcube_max": 3}, "recomputed subcube_max 4"),
+        ("packing", 2, {"ones": 12.0, "subcube_max": 4}, "is not an int"),
+        ("packing", 3, {"ones": 12, "subcube_max": 4}, "recomputed value 2"),
+    ],
+)
+def test_verify_refuses_m_and_packing_witnesses_that_do_not_prove_the_value(
+    name, value, witness, message
+):
+    # ed:k=3,l=2 has 12 1-inputs and m = 4, so packing = 2
+    f = make_ed(3, 2)
+    with pytest.raises(VerificationError, match=message):
+        verify_entry(f, name, {"value": value, "witness": witness})
 
 
 def _overlap(cells):
