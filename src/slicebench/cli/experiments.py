@@ -50,6 +50,7 @@ from ..slicecore import (
     SliceGraph,
     from_graph,
     member_masks,
+    neighbours,
     string_to_mask,
 )
 
@@ -176,7 +177,7 @@ class JohnsonIndependent(Experiment):
         partition = total == len(class_of) == dom.size and all(
             x in dom for x in class_of
         )
-        independent = partition and _independent(class_of, n)
+        independent = partition and _independent(class_of, dom)
         largest = len(classes[best])
         big_enough = largest * n >= dom.size
         return (
@@ -186,16 +187,12 @@ class JohnsonIndependent(Experiment):
         )
 
 
-def _independent(class_of: dict[int, int], n: int) -> bool:
+def _independent(class_of: dict[int, int], dom: Domain) -> bool:
     """True when no transposition (swap a 1 with a 0) stays in a class."""
     for x, j in class_of.items():
-        holes = [1 << b for b in range(n) if not x >> b & 1]
-        for a in range(n):
-            if x >> a & 1:
-                xa = x ^ (1 << a)
-                for hole in holes:
-                    if class_of[xa | hole] == j:
-                        return False
+        for y in neighbours(dom, x):
+            if class_of[y] == j:
+                return False
     return True
 
 

@@ -18,12 +18,7 @@ from itertools import combinations
 
 from ..errors import DomainError, ResourceCapError
 from ..kernels import SpanBasis
-from ..slicecore import (
-    LabeledFunction,
-    mask_positions,
-    member_masks,
-    member_ranks,
-)
+from ..slicecore import LabeledFunction, member_masks, member_ranks, neighbours
 
 _DEG_MAX_SIZE = 1 << 14
 
@@ -67,12 +62,8 @@ def _degree_slice(f: LabeledFunction):
     dom = f.domain
     n, k = dom.n, dom.k
     ranks = member_ranks(dom)
-    # Johnson neighbours of x: swap one of its 1s with one of its 0s
-    near = []
-    for x in member_masks(dom):
-        ones = [x ^ 1 << p for p in mask_positions(x)]
-        zeros = [1 << p for p in range(n) if not x >> p & 1]
-        near.append([ranks[y | b] for y in ones for b in zeros])
+    # the Johnson graph's adjacency lists, by rank
+    near = [[ranks[y] for y in neighbours(dom, x)] for x in member_masks(dom)]
     h = list(f.table)
     for d in range(min(k, n - k) + 1):
         lam = (k - d) * (n - k - d) - d

@@ -9,8 +9,8 @@ free, fixed to 0 or fixed to 1, in that order, and records a node that is
 1-monochromatic with more 1-inputs than the best so far.  A node is cut
 when the 1-inputs it could still count are no more than the best.  Those
 leave out the dead ones: a 1-input x is dead once a 0-input z = x ^ D is one
-elementary move away (a swap on a slice, a flip on the cube or an explicit
-domain, as in sensitivity) and every position of D has been left free, for
+elementary move away (one of slicecore.neighbours: a swap on a slice, a
+flip elsewhere) and every position of D has been left free, for
 every subcube below the node that holds x then holds z too.  At a position
 constant on the node's members, the one nonempty fixed branch has, node for
 node, the members of the free branch searched just before it, so it is not
@@ -30,6 +30,7 @@ from ..slicecore import (
     mask_positions,
     member_masks,
     member_ranks,
+    neighbours,
     position_rank_bitsets,
 )
 
@@ -93,25 +94,12 @@ def _kill_table(f: LabeledFunction, full: int) -> list[list[tuple[int, int]]]:
     all but those x."""
     dom = f.domain
     ranks, table, size = member_ranks(dom), f.table, dom.size
-    bits = [1 << p for p in range(dom.n)]
     hits: dict[int, list[int]] = {}
     for r, x in enumerate(member_masks(dom)):
-        if table[r] != 1:
-            continue
-        if dom.kind == "slice":
-            # swap the 1 at b with the 0 at c
-            zero_bits = [c for c in bits if not x & c]
-            for b in bits:
-                if x & b:
-                    xb = x ^ b
-                    for c in zero_bits:
-                        if not table[ranks[xb | c]]:
-                            hits.setdefault(b | c, []).append(r)
-        else:
-            for b in bits:
-                y = x ^ b
-                if y in ranks and not table[ranks[y]]:
-                    hits.setdefault(b, []).append(r)
+        if table[r] == 1:
+            for y in neighbours(dom, x):
+                if not table[ranks[y]]:
+                    hits.setdefault(x ^ y, []).append(r)
     kills: list[list[tuple[int, int]]] = [[] for _ in range(dom.n)]
     for move, rs in hits.items():
         # the killed ranks as a binary numeral, highest rank first

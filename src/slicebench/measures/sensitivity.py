@@ -1,10 +1,10 @@
 """Pointwise and block sensitivity.
 
-On a slice the elementary moves are transpositions (swap a 1 with a 0), so
-pointwise sensitivity is a maximum matching between swap partners.  On a cube
-it is the usual count of label-changing bit flips; explicit domains count
-only flips that land back inside the domain.  Block sensitivity packs
-disjoint label-changing flip sets and is domain-generic.
+Pointwise sensitivity reads the elementary moves of slicecore.neighbours.
+On a slice they are transpositions (swap a 1 with a 0), so it is a maximum
+matching between swap partners; elsewhere it is the count of label-changing
+flips that stay in the domain.  Block sensitivity packs disjoint
+label-changing flip sets and is domain-generic.
 
 Both are a pointwise search plus certificates.max_over_inputs, whose skip
 holds since s(f, x) <= bs(f, x) <= C(f, x); bs never skips an input with
@@ -26,6 +26,7 @@ from ..slicecore import (
     mask_to_string,
     member_masks,
     member_ranks,
+    neighbours,
 )
 from .certificates import max_over_inputs
 
@@ -90,26 +91,16 @@ def _most_sensitive_cube_input(n, labels):
 def _sensitivity_at(dom, ranks, table, xm):
     """(s(f, xm), its sensitive swap pairs or flip positions)."""
     fx = table[ranks[xm]]
-    if dom.kind == "slice":
-        one_pos = mask_positions(xm)
-        zero_bits = [1 << j for j in range(dom.n) if not xm >> j & 1]
-        zero_mask_by_one: dict[int, int] = {}
-        for i in one_pos:
-            xi = xm ^ (1 << i)
-            hits = 0
-            for b in zero_bits:
-                if table[ranks[xi | b]] != fx:
-                    hits |= b
-            if hits:
-                zero_mask_by_one[i] = hits
-        return max_bipartite_matching(one_pos, zero_mask_by_one)
-    positions = []
-    for p in range(dom.n):
-        # explicit domains skip flips that leave the domain
-        y = xm ^ (1 << p)
-        if y in ranks and table[ranks[y]] != fx:
-            positions.append(p)
-    return len(positions), positions
+    moves = [xm ^ y for y in neighbours(dom, xm) if table[ranks[y]] != fx]
+    if dom.kind != "slice":
+        positions = [move.bit_length() - 1 for move in moves]
+        return len(positions), positions
+    # per 1's position, the mask of the 0 positions it swaps with sensitively
+    partners: dict[int, int] = {}
+    for move in moves:
+        i = (move & xm).bit_length() - 1
+        partners[i] = partners.get(i, 0) | move & ~xm
+    return max_bipartite_matching(mask_positions(xm), partners)
 
 
 def block_sensitivity(

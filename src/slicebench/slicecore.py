@@ -18,9 +18,11 @@ Small domains are enumerated once per domain value: equal domains share one
 view holding the members (member_masks: a range for cubes, else a tuple),
 the per-position rank bitsets (position_rank_bitsets), the mask-to-rank
 index (member_ranks) and the position move tables (position_move_tables); the
-last few are kept, and the last of a larger domain.  Neighbour loops read a
-label as table[ranks[y]] through that index; cubes index by range(size),
-explicit domains by their own dict, and larger slices by colex_rank.
+last few are kept, and the last of a larger domain.  neighbours lists the
+members one elementary move from a member (a swap on a slice, a flip that
+stays in the domain elsewhere); its callers read each one's label as
+table[ranks[y]] through that index.  Cubes index by range(size), explicit
+domains by their own dict, and larger slices by colex_rank.
 """
 
 from __future__ import annotations
@@ -442,6 +444,27 @@ def member_ranks(dom: Domain) -> Mapping[int, int]:
     return _ColexRanks()
 
 
+def neighbours(dom: Domain, x: int) -> list[int]:
+    """The members one elementary move from member x; a caller reads the
+    move as x ^ y.  On a slice the moves are the swaps of a 1 with a 0,
+    listed by the 1's position and then the 0's, both ascending; elsewhere
+    they are the flips, by position ascending, that land in dom."""
+    if dom.kind != "slice":
+        flips = [x ^ 1 << p for p in range(dom.n)]
+        if dom.kind == "cube":
+            return flips
+        return [y for y in flips if y in dom._explicit_index]
+    # x less one of its 1s, and each 0 that can take that 1
+    lows, zeros = [], []
+    for p in range(dom.n):
+        b = 1 << p
+        if x & b:
+            lows.append(x ^ b)
+        else:
+            zeros.append(b)
+    return [y | b for y in lows for b in zeros]
+
+
 def _label_sort_key(lab: Label):
     # ints sort before tuples so mixed alphabets stay deterministic
     if isinstance(lab, tuple):
@@ -528,16 +551,8 @@ class SliceGraph:
             adj[v] |= 1 << u
         return cls(n=n, adj=tuple(adj))
 
-    @classmethod
-    def complete(cls, n: int) -> "SliceGraph":
-        full = (1 << n) - 1
-        return cls(n=n, adj=tuple(full ^ (1 << u) for u in range(n)))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
 
 def from_graph(g: SliceGraph) -> LabeledFunction:

@@ -25,6 +25,7 @@ from slicebench.errors import (
     SliceBenchError,
 )
 from slicebench.fileio import read_function
+from slicebench.slicecore import Domain
 from test_fileio import write_with_reversed_alphabet
 
 
@@ -535,6 +536,16 @@ def test_johnson_independent_fails_classes_that_are_not_a_partition(monkeypatch,
     monkeypatch.undo()
     _, _, ok = experiments.JohnsonIndependent().run_case({}, 6, 2)
     assert ok is True
+
+
+def test_johnson_independent_refuses_a_class_holding_a_swap():
+    dom = Domain.slice(7, 3)
+    classes, _, _ = graham_sloane(7, 3)
+    class_of = {x: j for j, members in enumerate(classes) for x in members}
+    assert experiments._independent(class_of, dom)
+    # position sums 0 and 1 (mod 7) merged: moving a 1 up by one joins them
+    merged = {x: max(j, 1) for x, j in class_of.items()}
+    assert not experiments._independent(merged, dom)
 
 
 def test_experiment_spec_flag_is_exclusive(capsys, tmp_path):
@@ -1284,8 +1295,9 @@ def _max_depths(*modes):
 
 # Pinned reports of small runs through both kinds of mbc-exhaustive case and
 # both branches of maxdepth-by-weight: the third run samples slice(4, 2),
-# whose 2^6 functions exceed its exhaustive limit of 32.  The last three go
-# through every kind of weights-m2, lift-preservation and rubinstein-gap case.
+# whose 2^6 functions exceed its exhaustive limit of 32.  The next three go
+# through every kind of weights-m2, lift-preservation and rubinstein-gap case,
+# and the last checks the Johnson-graph classes up to n = 10.
 @pytest.mark.parametrize(
     "argv, case_count, observed, sha256",
     [
@@ -1326,10 +1338,16 @@ def _max_depths(*modes):
             None,
             "531d84fa9165b5985e76ac4d59bdd259f579bbda3ad983f8f1a838864125fe68",
         ),
+        (
+            ("johnson-independent", "--set", "max_n=10"),
+            25,
+            None,
+            "0ee177efe08085458a3ac60060d6abdcd7f8b2e9fa8062f4df87dea04e82862e",
+        ),
     ],
     ids=[
         "mbc-exhaustive", "maxdepth-by-weight", "maxdepth-by-weight-sampled",
-        "weights-m2", "lift-preservation", "rubinstein-gap",
+        "weights-m2", "lift-preservation", "rubinstein-gap", "johnson-independent",
     ],
 )
 def test_small_runs_of_code_function_experiments_are_pinned(

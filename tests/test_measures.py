@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -246,7 +247,9 @@ def test_monochromatic_number_matches_oracle_on_small_graphs():
         else:
             assert not any(g.has_edge(u, v) for u, v in pairs)
     assert monochromatic_number(paley_weight2(5))[0] == 2
-    assert monochromatic_number(SliceGraph.complete(5))[0] == 5
+    complete = SliceGraph.from_edges(5, combinations(range(5), 2))
+    clique = {"kind": "clique", "vertices": [0, 1, 2, 3, 4]}
+    assert monochromatic_number(complete) == (5, clique)
     assert monochromatic_number(SliceGraph.from_edges(5, []))[0] == 5
 
 
@@ -266,6 +269,17 @@ def test_max_one_subcube_on_graph_function():
     assert isinstance(witness, dict)
 
 
+# the seeded certify-mix functions at seeds 1-3
+_SEEDED_CERTIFY_SPECS = [
+    template.format(seed)
+    for seed in (1, 2, 3)
+    for template in (
+        "random:n=6,k=3,seed={}", "random:n=8,k=4,seed={}",
+        "random:n=10,k=4,seed={}", "random:n=10,k=5,seed={}",
+        "random-graph:n=10,seed={}",
+    )
+]
+
 # sha256 of the JSON list [spec, m, m's witness, packing, packing's witness]
 # over these functions, as the plain scan (pruned by the 1-count alone)
 # computed them: the certify-mix functions that pin m, at seeds 1-3, and five
@@ -273,15 +287,7 @@ def test_max_one_subcube_on_graph_function():
 _SUBCUBE_PIN_SPECS = [
     "eq:k=2", "kml:r=3", "gs:n=10,k=4", "gs:n=10,k=5", "paley:q=13",
     "ed:k=3,l=2", "ed:k=4,l=2", "or-first-half:n=10", "rubinstein-variant:n=4",
-    *(
-        template.format(seed)
-        for seed in (1, 2, 3)
-        for template in (
-            "random:n=6,k=3,seed={}", "random:n=8,k=4,seed={}",
-            "random:n=10,k=4,seed={}", "random:n=10,k=5,seed={}",
-            "random-graph:n=10,seed={}",
-        )
-    ),
+    *_SEEDED_CERTIFY_SPECS,
     "gs:n=12,k=6", "eq:k=3", "ed:k=4,l=3", "random:n=12,k=6,seed=1",
     "random-graph:n=14,seed=3",
 ]
@@ -295,6 +301,30 @@ def test_m_and_packing_witnesses_are_pinned():
         rows.append([spec, *max_one_subcube_intersection(f), *packing_lower_bound(f)])
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == _SUBCUBE_PIN
+
+
+# sha256 of the JSON list [name, s, s's witness, deg] (deg None off Boolean
+# alphabets) over every certify-mix function at seeds 1-3, a random cube(6)
+# function and a random explicit-domain function, as the per-measure swap
+# and flip loops computed them before one neighbour list served them all.
+_S_DEG_PIN_SPECS = [
+    "eq:k=2", "kml:r=3", "gs:n=10,k=4", "gs:n=10,k=5", "paley:q=13",
+    "ed:k=3,l=2", "ed:k=4,l=2", "weights:n=4,m=2,k=4", "or-first-half:n=10",
+    "rubinstein-variant:n=4", *_SEEDED_CERTIFY_SPECS,
+]
+_S_DEG_PIN = "34db3a22563625adfe11140c731cd283481bf81d3ef6326265d898e97532e28b"
+
+
+def test_s_and_deg_witnesses_are_pinned():
+    named = [(spec, parse_construction(spec).build()) for spec in _S_DEG_PIN_SPECS]
+    named.append(("cube(6), seed 1", _random_cube_function(6, 1)))
+    named.append(("explicit(7, 60), seed 2", _random_explicit_function(7, 60, 2)))
+    rows = [
+        [name, *sensitivity(f), degree(f)[0] if f.is_boolean else None]
+        for name, f in named
+    ]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == _S_DEG_PIN
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from slicebench.slicecore import (
     mask_to_string,
     member_masks,
     member_ranks,
+    neighbours,
     position_rank_bitsets,
     string_to_mask,
     to_graph,
@@ -254,6 +256,40 @@ def test_rank_index_matches_enumeration_order(drawn, data):
         sensitivity(f, outside)
 
 
+@st.composite
+def move_domains(draw):
+    """A slice, cube or explicit domain with n <= 8."""
+    kind = draw(st.sampled_from(["slice", "cube", "explicit"]))
+    if kind == "slice":
+        n = draw(st.integers(2, 8))
+        return Domain.slice(n, draw(st.integers(1, n - 1)))
+    if kind == "cube":
+        return Domain.cube(draw(st.integers(1, 8)))
+    n = draw(st.integers(1, 8))
+    members = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=80, unique=True)
+    )
+    return Domain.explicit(n, members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(move_domains())
+def test_neighbours_are_the_members_one_move_away(dom):
+    on_slice = dom.kind == "slice"
+    for x in member_masks(dom):
+        near = [
+            y for y in range(1 << dom.n)
+            if y in dom and (x ^ y).bit_count() == (2 if on_slice else 1)
+        ]
+        # a swap by its 1's position, then its 0's; a flip by its position
+        if on_slice:
+            near.sort(key=lambda y: ((x ^ y) & x, (x ^ y) & ~x))
+            assert len(near) == dom.k * (dom.n - dom.k)
+        else:
+            near.sort(key=lambda y: x ^ y)
+        assert neighbours(dom, x) == near
+
+
 def test_slice_above_view_limit_ranks_through_colex_rank(monkeypatch):
     dom = Domain.slice(40, 4)
     assert dom.size > slicecore._VIEW_MAX_SIZE
@@ -355,9 +391,10 @@ def test_graph_round_trip():
     assert f.evaluate(string_to_mask("11000")) == 1
     assert f.evaluate(string_to_mask("10100")) == 0
     assert to_graph(f) == g
-    assert g.edge_count() == 5
-    assert SliceGraph.complete(4).edge_count() == 6
-    assert SliceGraph.from_edges(3, []).edge_count() == 0
+    assert sum(row.bit_count() for row in g.adj) == 2 * 5
+    complete = SliceGraph.from_edges(4, combinations(range(4), 2))
+    assert complete.adj == (0b1110, 0b1101, 0b1011, 0b0111)
+    assert SliceGraph.from_edges(3, []).adj == (0, 0, 0)
 
 
 def test_graph_validation():
