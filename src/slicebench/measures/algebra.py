@@ -16,11 +16,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..errors import DomainError, ResourceCapError
 from ..kernels import SpanBasis
 from ..slicecore import LabeledFunction, member_masks, member_ranks, neighbours
-
-_DEG_MAX_SIZE = 1 << 14
 
 
 def degree(f: LabeledFunction):
@@ -30,10 +27,6 @@ def degree(f: LabeledFunction):
     {"monomial": [positions]}.  Slice and explicit domains have no canonical
     monomial support, so their witness is None.
     """
-    if not f.is_boolean:
-        raise DomainError("degree is defined here for Boolean functions only")
-    if f.domain.size > _DEG_MAX_SIZE:
-        raise ResourceCapError(f"degree capped at domain size <= {_DEG_MAX_SIZE}")
     if f.domain.kind == "cube":
         return _degree_cube(f)
     if f.domain.kind == "slice":

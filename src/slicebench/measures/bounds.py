@@ -22,7 +22,7 @@ search.
 
 from __future__ import annotations
 
-from ..errors import DomainError, ResourceCapError
+from ..errors import ResourceCapError
 from ..kernels import max_clique, max_independent_set
 from ..slicecore import (
     LabeledFunction,
@@ -34,7 +34,6 @@ from ..slicecore import (
     position_rank_bitsets,
 )
 
-_SUBCUBE_MAX_N = 14
 _MONO_MAX_N = 40
 
 
@@ -44,10 +43,6 @@ def max_one_subcube_intersection(f: LabeledFunction):
     Returns (count, witness assignment or None when f has no 1-inputs).
     """
     dom = f.domain
-    if not f.is_boolean:
-        raise DomainError("1-subcube scan needs a Boolean function")
-    if dom.n > _SUBCUBE_MAX_N:
-        raise ResourceCapError(f"subcube scan capped at n <= {_SUBCUBE_MAX_N}")
     ones_set = f.label_bitsets[1]
     if not ones_set:
         return 0, None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..errors import DomainError, ResourceCapError
 from ..kernels import exact_cover, greedy_cover, min_hitting_set
 from ..slicecore import (
     Assignment,
@@ -33,10 +32,6 @@ from ..slicecore import (
     position_rank_bitsets,
     whole_cube,
 )
-
-_UC_MAX_SIZE = 64
-_UC_MAX_N = 12
-_SC_MAX_N = 6
 
 
 def certificate_complexity(f: LabeledFunction, x: int | None = None):
@@ -169,14 +164,7 @@ def _least_exact_cover(universe: Domain, items):
 def unambiguous_certificate_complexity(f: LabeledFunction):
     """UC(f): smallest s admitting an exact cover of the domain by
     label-constant certificates of size <= s.  Returns (value, witness)."""
-    dom = f.domain
-    if not f.is_boolean:
-        raise DomainError("unambiguous certificates need a Boolean function")
-    if dom.size > _UC_MAX_SIZE:
-        raise ResourceCapError(f"UC capped at domain size <= {_UC_MAX_SIZE}")
-    if dom.n > _UC_MAX_N:
-        raise ResourceCapError(f"UC capped at n <= {_UC_MAX_N}")
-    s, certs = _least_exact_cover(dom, _cells(f, dom))
+    s, certs = _least_exact_cover(f.domain, _cells(f, f.domain))
     return s, {"certificates": certs}
 
 
@@ -184,12 +172,7 @@ def subcube_partition_complexity(f: LabeledFunction):
     """SC(f): partition the whole cube into subcubes, each either missing the
     domain or label-constant on it, minimizing the max fixed-position count.
     Returns (value, witness)."""
-    dom = f.domain
-    if not f.is_boolean:
-        raise DomainError("subcube partitions need a Boolean function")
-    if dom.n > _SC_MAX_N:
-        raise ResourceCapError(f"SC capped at n <= {_SC_MAX_N}")
-    cube = whole_cube(dom.n)
+    cube = whole_cube(f.domain.n)
     s, parts = _least_exact_cover(cube, _cells(f, cube))
     return s, {"subcubes": parts}
 
@@ -204,15 +187,11 @@ def balanced_certificate(
     witness).
 
     Only balanced assignments (equal fixed 0s and 1s) are admitted, so the
-    domain must be a balanced slice.  Witness: {"input", "zeros", "ones"},
-    a least balanced certificate at x, or else at the lowest-rank input
-    attaining the max (min).
+    domain must be a balanced slice; f must be Boolean.  Witness: {"input",
+    "zeros", "ones"}, a least balanced certificate at x, or else at the
+    lowest-rank input attaining the max (min).
     """
     dom = f.domain
-    if not dom.is_balanced_slice:
-        raise DomainError("balanced certificates need a balanced slice domain")
-    if not f.is_boolean:
-        raise DomainError("balanced certificates need a Boolean function")
     members, table, labels = member_masks(dom), f.table, f.label_bitsets
     ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
     all_positions = (1 << dom.n) - 1

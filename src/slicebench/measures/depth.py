@@ -30,7 +30,7 @@ counted, and a position that does not split S is skipped.
 
 from __future__ import annotations
 
-from ..errors import DomainError, ResourceCapError
+from ..errors import DomainError
 from ..kernels import min_hitting_set
 from ..slicecore import (
     LabeledFunction,
@@ -42,8 +42,6 @@ from ..slicecore import (
 )
 from .trees import Leaf, Node, Tree
 
-_NONADAPTIVE_MAX_N = 20
-_NONADAPTIVE_MAX_SIZE = 4096
 _HINT_MAX_SIZE = 1 << 20
 _HINT_MAX_SIDE = 256
 
@@ -402,12 +400,6 @@ def nonadaptive_positions(f: LabeledFunction) -> tuple[int, list[int]]:
     """Fewest positions that, read all at once, always determine the label,
     with one optimal position set."""
     dom = f.domain
-    if dom.n > _NONADAPTIVE_MAX_N:
-        raise ResourceCapError(f"nonadaptive depth capped at n <= {_NONADAPTIVE_MAX_N}")
-    if dom.size > _NONADAPTIVE_MAX_SIZE:
-        raise ResourceCapError(
-            f"nonadaptive depth capped at domain size <= {_NONADAPTIVE_MAX_SIZE}"
-        )
     members = member_masks(dom)
     table = f.table
     diffs = set()

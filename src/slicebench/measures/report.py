@@ -1,6 +1,8 @@
 """Measure table, report assembly, and witness re-verification.
 
-MEASURES holds one entry per name, with its compute and its witness check.
+MEASURES holds one entry per name, with its compute, its witness check,
+and the domain and caps that _admit checks before any work: what measure
+refuses to compute, verify refuses to check.
 A report maps measure names to {"value", "witness", "nodes", "millis"}
 entries.  verify_entry checks that an entry's value is an int, that its
 witness is valid for f, and that the value equals the witness's size: a
@@ -14,14 +16,14 @@ certificate must also be a least one at its input, and C and s must also
 equal their recomputed max over inputs.  UC and SC witnesses go through
 one partition check, _check_partition, over the domain and over the whole
 cube.  An m witness must be a 1-monochromatic assignment holding value
-1-inputs, and a packing witness must state |f^-1(1)| and m.  deg has no
-witness and is re-verified by recomputation.  verify_report also refuses
-values present together that break s <= bs2 <= bs <= C <= UC <= SC <= D <=
-nonadaptive or deg <= D.  C, s, m and packing are checked on both sides, as
-their values are recomputed after the witness check; the other witnesses
-are one-sided: bs, bs2 and BC refuse a value above the optimum, D,
-nonadaptive, UC, SC and mBC one below it, and the other side passes unless
-the chain catches it.
+1-inputs, and a packing witness must state |f^-1(1)| and m.  A deg witness
+is a monomial of value positions with a nonzero coefficient on a cube and
+None elsewhere.  verify_report also refuses values present together that
+break s <= bs2 <= bs <= C <= UC <= SC <= D <= nonadaptive or deg <= D.  C,
+s, deg, m and packing are checked on both sides, as their values are
+recomputed after the witness check; the other witnesses are one-sided: bs,
+bs2 and BC refuse a value above the optimum, D, nonadaptive, UC, SC and mBC
+one below it, and the other side passes unless the chain catches it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import partial
 from itertools import combinations
 from typing import Any, Callable
 
-from ..errors import DomainError, MembershipError, VerificationError
+from ..errors import DomainError, MembershipError, ResourceCapError, VerificationError
 from ..slicecore import (
     Assignment,
     Domain,
@@ -63,10 +65,16 @@ Entry = dict[str, Any]
 class Measure:
     """compute(f) gives (value, witness), or (value, witness, nodes) for D;
     check(f, value, witness) raises VerificationError on a witness that
-    does not prove value.  A functools.wraps wrapper keeps both fields."""
+    does not prove value.  f must be Boolean if boolean is set, on a balanced
+    slice if balanced is, and within max_n positions and max_size members
+    where given.  A functools.wraps wrapper keeps every field."""
 
     compute: Callable[[LabeledFunction], tuple]
-    check: Callable[[LabeledFunction, int, Any], None] | None = None
+    check: Callable[[LabeledFunction, int, Any], None]
+    boolean: bool = False
+    balanced: bool = False
+    max_n: int | None = None
+    max_size: int | None = None
 
     def __call__(self, f: LabeledFunction) -> tuple[int, Any, int]:
         value, witness, *nodes = self.compute(f)
@@ -78,6 +86,20 @@ def _measure(name: str) -> Measure:
         known = ", ".join(sorted(MEASURES))
         raise DomainError(f"unknown measure {name!r}; known: {known}")
     return MEASURES[name]
+
+
+def _admit(f: LabeledFunction, name: str, measure: Measure) -> None:
+    """Raise DomainError when f is outside measure's domain and
+    ResourceCapError when it is past a cap; only fields are read."""
+    dom = f.domain
+    if measure.balanced and not dom.is_balanced_slice:
+        raise DomainError(f"{name}'s balanced certificates need a balanced slice domain")
+    if measure.boolean and not f.is_boolean:
+        raise DomainError(f"{name} needs a Boolean function")
+    if measure.max_n is not None and dom.n > measure.max_n:
+        raise ResourceCapError(f"{name} capped at n <= {measure.max_n}")
+    if measure.max_size is not None and dom.size > measure.max_size:
+        raise ResourceCapError(f"{name} capped at domain size <= {measure.max_size}")
 
 
 def _measure_depth(f: LabeledFunction):
@@ -103,14 +125,15 @@ def compute_measures(
     put(f, name, entry); hits return the stored entry verbatim.
     """
     names = list(names)
-    for name in names:
-        _measure(name)
+    requested = [_measure(name) for name in names]
+    for name, measure in zip(names, requested):
+        _admit(f, name, measure)
     measures: dict[str, Entry] = {}
-    for name in names:
+    for name, measure in zip(names, requested):
         entry = cache.get(f, name) if cache is not None else None
         if entry is None:
             t0 = time.perf_counter()
-            value, witness, nodes = MEASURES[name](f)
+            value, witness, nodes = measure(f)
             millis = int((time.perf_counter() - t0) * 1000)
             entry = {"value": value, "witness": witness, "nodes": nodes, "millis": millis}
             if cache is not None:
@@ -124,16 +147,14 @@ def compute_measures(
 
 def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
     """Re-check a stored entry against f; raises VerificationError, its
-    message led by the measure's name, on failure."""
+    message led by the measure's name, on failure (ResourceCapError past a cap)."""
     measure = _measure(name)
     try:
+        _admit(f, name, measure)
         value = entry.get("value") if isinstance(entry, dict) else None
         if type(value) is not int:
             _fail("entry has no integer value")
-        if measure.check is not None:
-            measure.check(f, value, entry.get("witness"))
-        else:
-            _check_count("recomputed value", measure.compute(f)[0], value)
+        measure.check(f, value, entry.get("witness"))
     except VerificationError as e:
         raise VerificationError(f"{name}: {e}") from None
     except (DomainError, MembershipError, KeyError, TypeError, ValueError) as e:
@@ -325,8 +346,6 @@ def _check_subcube(f: LabeledFunction, value: int, witness: Any) -> None:
     """A 1-monochromatic assignment whose consistent members hold value
     1-inputs shows m >= value, and the witness None is for a function with
     no 1-inputs.  m(f) is then recomputed, so m is checked on both sides."""
-    if not f.is_boolean:
-        _fail("m needs a Boolean function")
     ones_set = f.label_bitsets[1]
     if witness is None and not ones_set:
         count = 0
@@ -354,30 +373,51 @@ def _check_packing(f: LabeledFunction, value: int, witness: Any) -> None:
     _check_count("recomputed value", want, value)
 
 
+def _check_degree(f: LabeledFunction, value: int, witness: Any) -> None:
+    """On a cube a monomial S of value positions with a nonzero coefficient,
+    the sum over T in S of (-1)^|S - T| f(T), shows deg >= value (the zero
+    function names [] at 0); elsewhere the witness is None.  deg(f) is then
+    recomputed, so deg is checked on both sides."""
+    if f.domain.kind != "cube":
+        if witness is not None:
+            _fail("a witness off the cube must be None")
+    else:
+        S = _position_mask(f, _field(witness, "monomial"))
+        _check_count("monomial size", S.bit_count(), value)
+        subsets = (T for T in range(S + 1) if T & S == T)
+        if S and not sum((-1) ** (S ^ T).bit_count() * f.evaluate(T) for T in subsets):
+            _fail("monomial has coefficient 0")
+    _check_count("recomputed value", degree(f)[0], value)
+
+
 _check_bc = partial(_check_certificate, balanced=True)
 
 MEASURES: dict[str, Measure] = {
     "D": Measure(_measure_depth, _check_tree),
-    "nonadaptive": Measure(_measure_nonadaptive, _check_nonadaptive),
+    "nonadaptive": Measure(_measure_nonadaptive, _check_nonadaptive, max_n=20, max_size=4096),
     "C": Measure(certificate_complexity, _check_certificate),
     "UC": Measure(
         unambiguous_certificate_complexity,
         lambda f, value, w: _check_partition(
             f, value, _field(w, "certificates"), f.domain, "certificate"
         ),
+        boolean=True, max_n=12, max_size=64,
     ),
     "SC": Measure(
         subcube_partition_complexity,
         lambda f, value, w: _check_partition(
             f, value, _field(w, "subcubes"), whole_cube(f.domain.n), "subcube"
         ),
+        boolean=True, max_n=6,
     ),
     "s": Measure(sensitivity, _check_sensitivity),
     "bs": Measure(block_sensitivity, _check_bs),
     "bs2": Measure(partial(block_sensitivity, max_block_size=2), partial(_check_bs, cap=2)),
-    "BC": Measure(balanced_certificate, _check_bc),
-    "mBC": Measure(partial(balanced_certificate, min_mode=True), _check_bc),
-    "deg": Measure(degree),
-    "packing": Measure(packing_lower_bound, _check_packing),
-    "m": Measure(max_one_subcube_intersection, _check_subcube),
+    "BC": Measure(balanced_certificate, _check_bc, boolean=True, balanced=True),
+    "mBC": Measure(
+        partial(balanced_certificate, min_mode=True), _check_bc, boolean=True, balanced=True
+    ),
+    "deg": Measure(degree, _check_degree, boolean=True, max_size=1 << 14),
+    "packing": Measure(packing_lower_bound, _check_packing, boolean=True, max_n=14),
+    "m": Measure(max_one_subcube_intersection, _check_subcube, boolean=True, max_n=14),
 }

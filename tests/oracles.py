@@ -2,6 +2,8 @@
 
 Deliberately naive on purpose: bare recursion, no memoization, no pruning,
 Fraction arithmetic.  Slow but easy to audit, so only run on tiny domains.
+depth_by_state alone memoizes, so that the depth checks reach n = 10; it
+still has no bounds or pruning.
 """
 
 from fractions import Fraction
@@ -37,6 +39,49 @@ def minimax_depth(f, zeros=0, ones=0):
     answered = zeros | ones
     free = frozenset(p for p in range(f.domain.n) if not answered >> p & 1)
     return solve(live, free)
+
+
+def depth_by_state(f):
+    """value(zeros, ones), the worst-case optimal query count of the state
+    where the positions in zeros were answered 0 and those in ones 1: the
+    recursion of minimax_depth memoized on the (zeros, ones) key, with each
+    state's live set read from the member list as a bitset of list indices.
+    No bounds, no cutoffs, no hint.  Only a position that splits the live
+    set is queried; one that does not leaves the same game a query dearer."""
+    members = list(f.domain.members())
+    n = f.domain.n
+    at = [sum(1 << i for i, x in enumerate(members) if x >> p & 1) for p in range(n)]
+    by_label = {}
+    for i, x in enumerate(members):
+        label = f.evaluate(x)
+        by_label[label] = by_label.get(label, 0) | 1 << i
+    memo = {}
+
+    def solve(live, zeros, ones):
+        key = zeros | ones << n
+        if key not in memo:
+            if any(live & same == live for same in by_label.values()):
+                memo[key] = 0
+            else:
+                costs = []
+                for p in range(n):
+                    bit, one = 1 << p, live & at[p]
+                    if not (zeros | ones) & bit and one and one != live:
+                        zero_side = solve(live ^ one, zeros | bit, ones)
+                        costs.append(1 + max(zero_side, solve(one, zeros, ones | bit)))
+                memo[key] = min(costs)
+        return memo[key]
+
+    def value(zeros=0, ones=0):
+        live = (1 << len(members)) - 1
+        for p in range(n):
+            if zeros >> p & 1:
+                live &= ~at[p]
+            if ones >> p & 1:
+                live &= at[p]
+        return solve(live, zeros, ones)
+
+    return value
 
 
 def tree_from_json_obj(obj, n, depth=0):

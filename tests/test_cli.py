@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import slicebench
 import slicebench.cli.experiments as experiments
 import slicebench.cli.main as cli_main
+import slicebench.measures.report as measures_report
 from slicebench.catalog import graham_sloane
 from slicebench.cli.main import main
 from slicebench.errors import (
@@ -266,6 +267,116 @@ def test_measure_resource_cap_exit_code(capsys):
     )
     assert code == 3
     assert json.loads(err)["error"] == "resource-cap"
+
+
+# Each domain condition and cap of each MEASURES entry: exit 4 outside a
+# domain, 3 past a cap, and 0 at an n cap's bound.
+@pytest.mark.parametrize(
+    "spec, name, code",
+    [
+        ("or-first-half:n=20", "nonadaptive", 0),
+        ("or-first-half:n=21", "nonadaptive", 3),
+        ("rubinstein-variant:n=16", "nonadaptive", 3),
+        ("weights:n=2,m=2,k=2", "UC", 4),
+        ("or-first-half:n=12", "UC", 0),
+        ("or-first-half:n=13", "UC", 3),
+        ("eq:k=2", "UC", 3),
+        ("weights:n=2,m=2,k=2", "SC", 4),
+        ("or-first-half:n=6", "SC", 0),
+        ("or-first-half:n=7", "SC", 3),
+        ("weights:n=2,m=2,k=2", "BC", 4),
+        ("or-first-half:n=6", "BC", 4),
+        ("weights:n=2,m=2,k=2", "mBC", 4),
+        ("rubinstein-variant:n=4", "mBC", 4),
+        ("weights:n=2,m=2,k=2", "deg", 4),
+        ("rubinstein-variant:n=16", "deg", 3),
+        ("weights:n=2,m=2,k=2", "m", 4),
+        ("or-first-half:n=14", "m", 0),
+        ("or-first-half:n=15", "m", 3),
+        ("weights:n=2,m=2,k=2", "packing", 4),
+        ("or-first-half:n=15", "packing", 3),
+    ],
+)
+def test_measure_admits_each_domain_and_cap(capsys, spec, name, code):
+    got, _, err = run(capsys, "measure", "--construct", spec, "--measures", name, "--no-cache")
+    assert got == code
+    if code:
+        assert json.loads(err)["error"] == ("resource-cap" if code == 3 else "input")
+
+
+def test_measure_refuses_past_a_cap_before_any_compute(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("D was computed before SC's cap was checked")
+
+    monkeypatch.setattr(measures_report, "DepthSolver", must_not_run)
+    code, _, err = run(
+        capsys, "measure", "--construct", "eq:k=4", "--measures", "D,SC", "--no-cache"
+    )
+    assert code == 3
+    assert json.loads(err)["message"] == "SC capped at n <= 6"
+
+
+def _own_cells(n, k=None):
+    """Each member of slice(n, k), or each point of the n-cube when k is
+    None, as its own cell: a full assignment of the n positions."""
+    return [
+        {
+            "zeros": [p for p in range(n) if not x >> p & 1],
+            "ones": [p for p in range(n) if x >> p & 1],
+        }
+        for x in range(1 << n)
+        if k is None or x.bit_count() == k
+    ]
+
+
+# Witnesses that are valid but for a function outside the measure's domain
+# (exit 2) or past a cap (exit 3): every member (UC) or every point of the
+# cube (SC) as its own cell, and nonadaptive reading every position.  What
+# measure refuses to compute, verify refuses to check.
+@pytest.mark.parametrize(
+    "spec, name, value, witness, code",
+    [
+        ("weights:n=2,m=2,k=2", "UC", 4, {"certificates": _own_cells(4, 2)}, 2),
+        ("weights:n=2,m=2,k=2", "SC", 4, {"subcubes": _own_cells(4)}, 2),
+        ("or-first-half:n=13", "UC", 13, {"certificates": _own_cells(13, 1)}, 3),
+        ("eq:k=2", "UC", 8, {"certificates": _own_cells(8, 4)}, 3),
+        ("or-first-half:n=7", "SC", 7, {"subcubes": _own_cells(7)}, 3),
+        ("or-first-half:n=21", "nonadaptive", 21, {"positions": list(range(21))}, 3),
+        ("rubinstein-variant:n=16", "nonadaptive", 16, {"positions": list(range(16))}, 3),
+    ],
+)
+def test_verify_refuses_what_measure_refuses(
+    capsys, tmp_path, spec, name, value, witness, code
+):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"measures": {name: {"value": value, "witness": witness}}}))
+    got, _, err = run(capsys, "verify", "--construct", spec, "--report", str(path))
+    assert got == code
+    assert json.loads(err)["error"] == ("resource-cap" if code == 3 else "verification")
+
+
+# rubinstein-variant:n=4 is a cube function of degree 4, and its monomials
+# [1] and [0, 1, 3] have coefficient 0; eq:k=1 is on a slice.
+@pytest.mark.parametrize(
+    "spec, monomial, value, message",
+    [
+        ("rubinstein-variant:n=4", "garbage", 4, "positions 'garbage' are not a list"),
+        ("rubinstein-variant:n=4", [0, 1, 2], 4, "monomial size 3 != stated value 4"),
+        ("rubinstein-variant:n=4", [0, 1, 3], 3, "monomial has coefficient 0"),
+        ("rubinstein-variant:n=4", [1], 1, "monomial has coefficient 0"),
+        ("rubinstein-variant:n=4", [0, 1, 2], 3, "recomputed value 4 != stated value 3"),
+        ("eq:k=1", [0, 1], 2, "a witness off the cube must be None"),
+    ],
+)
+def test_verify_checks_the_degree_monomial(
+    capsys, tmp_path, spec, monomial, value, message
+):
+    def tamper(entries):
+        entries["deg"].update(value=value, witness={"monomial": monomial})
+
+    code, err = _verify_tampered(capsys, tmp_path, "deg", tamper, spec=spec)
+    assert code == 2
+    assert "deg: " + message in json.loads(err)["message"]
 
 
 def test_measure_runs_without_an_unusable_cache(capsys, monkeypatch, tmp_path):

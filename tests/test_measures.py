@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     certificate_max,
     check_tree_oracle,
     degree_oracle,
+    depth_by_state,
     greedy_hitting_oracle,
     hitting_set_oracle,
     minimax_depth,
@@ -180,6 +182,40 @@ def test_constant_function_measures_are_zero():
     assert sensitivity(f)[0] == 0
     assert block_sensitivity(f)[0] == 0
     assert degree(f)[0] == 0
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+def test_a_constant_cube_function_names_the_empty_monomial(constant):
+    """The zero function's empty monomial has coefficient 0, and it still
+    proves deg = 0."""
+    f = LabeledFunction.from_callable(Domain.cube(3), lambda x: constant, BOOLEAN)
+    entry = compute_measures(f, ["deg"], None)["measures"]["deg"]
+    assert (entry["value"], entry["witness"]) == (0, {"monomial": []})
+    verify_entry(f, "deg", entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_a_degree_monomial_passes_exactly_when_its_coefficient_is_nonzero(n, data):
+    table = data.draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    f = LabeledFunction.from_indices(Domain.cube(n), BOOLEAN, table)
+    # the multilinear coefficients by a whole-table Mobius transform
+    coef = list(table)
+    for p in range(n):
+        for m in range(1 << n):
+            if m >> p & 1:
+                coef[m] -= coef[m ^ 1 << p]
+    deg = degree(f)[0]
+    verify_entry(f, "deg", compute_measures(f, ["deg"], None)["measures"]["deg"])
+    for S in range(1 << n):
+        if S.bit_count() != deg:
+            continue
+        entry = {"value": deg, "witness": {"monomial": mask_positions(S)}}
+        if coef[S] or not S:
+            verify_entry(f, "deg", entry)
+        else:
+            with pytest.raises(VerificationError, match="coefficient 0"):
+                verify_entry(f, "deg", entry)
 
 
 def test_depth_tree_witness_validates():
@@ -420,13 +456,15 @@ def test_m_is_one_exactly_when_no_swap_or_flip_joins_two_one_inputs(f):
 def test_resource_caps():
     big = or_first_half(21)
     with pytest.raises(ResourceCapError):
-        nonadaptive_positions(big)
+        compute_measures(big, ["nonadaptive"], None)
     wide = LabeledFunction.from_callable(Domain.slice(13, 1), lambda x: x & 1, BOOLEAN)
     with pytest.raises(ResourceCapError):
-        unambiguous_certificate_complexity(wide)
+        compute_measures(wide, ["UC"], None)
     with pytest.raises(ResourceCapError):
-        subcube_partition_complexity(
-            LabeledFunction.from_callable(Domain.slice(7, 1), lambda x: x & 1, BOOLEAN)
+        compute_measures(
+            LabeledFunction.from_callable(Domain.slice(7, 1), lambda x: x & 1, BOOLEAN),
+            ["SC"],
+            None,
         )
 
 
@@ -950,16 +988,16 @@ def test_a_least_certificate_below_the_largest_is_refused_as_c(f):
                 verify_entry(f, "C", entry)
 
 
-def _assert_tt_sound(f, solver):
+def _assert_tt_sound(solver, depth_of):
     """Each TT key splits into disjoint zeros/ones masks inside n bits, and
-    its packed bounds bracket that state's true depth, which is at least 1
-    because no single-label state is stored."""
-    n = f.domain.n
+    its packed bounds bracket that state's true depth, depth_of(zeros,
+    ones), which is at least 1 because no single-label state is stored."""
+    n = solver.n
     for key in solver.tt:
         zeros, ones = key & ((1 << n) - 1), key >> n
         assert ones >> n == 0 and not zeros & ones
         lo, hi = solver.bounds(key)
-        assert 1 <= lo <= minimax_depth(f, zeros, ones) <= hi
+        assert 1 <= lo <= depth_of(zeros, ones) <= hi
 
 
 @settings(max_examples=150, deadline=None)
@@ -970,9 +1008,52 @@ def test_tt_keys_decode_and_bounds_bracket_the_true_depth(f):
     if value:
         # the root, keyed 0, is solved exactly
         assert solver.bounds(0) == (value, value)
-    _assert_tt_sound(f, solver)
+    _assert_tt_sound(solver, partial(minimax_depth, f))
     solver.build_tree()
-    _assert_tt_sound(f, solver)
+    _assert_tt_sound(solver, partial(minimax_depth, f))
+
+
+@st.composite
+def functions_to_n9(draw):
+    """A function on a slice, cube or explicit domain with n <= 9, over the
+    Boolean alphabet or three labels, its table and explicit members drawn
+    uniformly from a seed; half the time label 0 is made commoner."""
+    kind = draw(st.sampled_from(["slice", "cube", "explicit"]))
+    n = draw(st.integers(2, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "slice":
+        dom = Domain.slice(n, draw(st.integers(1, n - 1)))
+    elif kind == "cube":
+        dom = Domain.cube(n)
+    else:
+        dom = Domain.explicit(n, mask_positions(rng.getrandbits(1 << n) or 1))
+    alphabet = draw(st.sampled_from([BOOLEAN, (0, 1, 2)]))
+    codes = [rng.getrandbits(dom.size) for _ in alphabet[1:]]
+    if draw(st.booleans()):
+        codes = [c & rng.getrandbits(dom.size) for c in codes]
+    table = [sum(c >> r & 1 for c in codes) for r in range(dom.size)]
+    return LabeledFunction.from_indices(dom, alphabet, table)
+
+
+def _assert_depth_matches_the_memoized_oracle(f):
+    depth_of = depth_by_state(f)
+    solver = DepthSolver(f)
+    assert solver.solve() == depth_of()
+    _assert_tt_sound(solver, depth_of)
+    solver.build_tree()
+    _assert_tt_sound(solver, depth_of)
+    return depth_of()
+
+
+@settings(max_examples=40, deadline=None)
+@given(functions_to_n9())
+def test_depth_and_every_tt_bound_match_the_memoized_oracle_to_n9(f):
+    _assert_depth_matches_the_memoized_oracle(f)
+
+
+def test_the_memoized_oracle_reaches_the_balanced_slice_of_n10():
+    f = parse_construction("gs:n=10,k=5").build()
+    assert _assert_depth_matches_the_memoized_oracle(f) == 7
 
 
 def _tree_positions(t):
