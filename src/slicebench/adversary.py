@@ -699,6 +699,8 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
     n = dom.n
     low_moves, high_moves = position_move_tables(dom)
     lbs, table = f.label_bitsets, f.table
+    boolean = f.is_boolean
+    lb1 = lbs[1] if boolean else 0
     memo: dict[int, int] | None = {} if adv.memo_safe else None
 
     def rec(live: int, key: int, state: AdversaryPlayer, cap: int) -> int:
@@ -715,7 +717,13 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
                 raise AdversaryInvalidError(
                     "no domain member is consistent with the answers"
                 )
-            if not X & ~lbs[table[(X & -X).bit_length() - 1]]:
+            if boolean:
+                # single-label when its 1-ranks are none or all of it
+                T = X & lb1
+                leaf = not T or T == X
+            else:
+                leaf = not X & ~lbs[table[(X & -X).bit_length() - 1]]
+            if leaf:
                 return 1
             children.append((X, key | bit << n if one else key | bit, child))
         if cap <= 2:

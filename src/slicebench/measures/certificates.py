@@ -15,6 +15,15 @@ UC and SC are one search over two universes: the least s such that cells of
 at most s fixed positions, each label-constant where it meets the domain,
 exactly cover the universe.  UC's universe is the domain and SC's the whole
 cube; _cells walks every assignment once and _least_exact_cover searches.
+
+BC and mBC decide each input at one level.  The level lemma: when h < n/2,
+a balanced certificate at x with h fixed ones and h fixed zeros grows into
+one with h + 1 of each (fix one more 1 and one more 0 of x; the consistent
+set only shrinks), so BC(f, x) <= 2h exactly when x has a balanced
+certificate at level h.  The scan runs the least search at the first input;
+every later input gets one yes/no question from balanced_level, at level
+best/2 for BC and best/2 - 1 for mBC, and the least search only when it
+beats the running extreme.
 """
 
 from __future__ import annotations
@@ -190,17 +199,27 @@ def balanced_certificate(
     domain must be a balanced slice; f must be Boolean.  Witness: {"input",
     "zeros", "ones"}, a least balanced certificate at x, or else at the
     lowest-rank input attaining the max (min).
+
+    The least search at an input tries levels h = 0, 1, ... in turn, each
+    as h ones picks then h zeros picks in combinations order.  By the level
+    lemma, BC(f, x) <= 2h exactly when x has a balanced certificate at level
+    h, so over the inputs one yes/no question decides whether x beats the
+    running extreme 2h: for the max, whether x lacks one at level h; for the
+    min, whether x has one at level h - 1.  Only an input that beats it gets
+    the least search, so the lowest-rank winner and its witness are those of
+    the least search at every input.
     """
     dom = f.domain
     members, table, labels = member_masks(dom), f.table, f.label_bitsets
     ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
     all_positions = (1 << dom.n) - 1
 
-    def at(r: int):
+    def least(r: int, lo: int = 0):
+        # levels below lo are known to hold no certificate at x
         xm = members[r]
         others = full ^ labels[table[r]]
         one_pos, zero_pos = mask_positions(xm), mask_positions(all_positions ^ xm)
-        for h in range(dom.k + 1):
+        for h in range(lo, dom.k + 1):
             for ones_pick in combinations(one_pos, h):
                 S_ones = full
                 for p in ones_pick:
@@ -213,10 +232,72 @@ def balanced_certificate(
                         return 2 * h, r, zeros_pick, ones_pick
         raise AssertionError("the full input is always a balanced certificate")
 
-    # min and max keep the first of equal values, so the lowest rank wins
-    ranks = range(dom.size) if x is None else [dom.rank(x)]
-    pick = min if min_mode else max
-    value, r, zeros, ones = pick(map(at, ranks), key=lambda got: got[0])
+    if x is not None:
+        value, r, zeros, ones = least(dom.rank(x))
+    else:
+        # a later input replaces the extreme only when strictly beyond it,
+        # so the lowest rank wins ties
+        has_level = balanced_level(f)
+        value, r, zeros, ones = least(0)
+        for s in range(1, dom.size):
+            h = value // 2 - 1 if min_mode else value // 2
+            if has_level(s, h) is min_mode:
+                value, r, zeros, ones = least(s, 0 if min_mode else h + 1)
     w = {"input": mask_to_string(members[r], dom.n)}
     w.update(Assignment.of(zeros, ones).to_json_obj())
     return value, w
+
+
+def balanced_level(f: LabeledFunction):
+    """has_level(r, h): True when x = members[r] has a balanced certificate
+    at level h, with h fixed ones and h fixed zeros; f's domain must be a
+    balanced slice.
+
+    The search picks h of x's ones, then h of its zeros, each in ascending
+    position order, carrying the running AND of the position rank bitsets
+    (or their complements) over the members labelled unlike x.  It says yes
+    at the first pick, partial or full, whose AND is empty, since by the
+    level lemma such a pick grows into a full one, and it drops a branch
+    whose AND meets the members agreeing with x on every position still
+    open to it.
+    """
+    dom = f.domain
+    k = dom.k
+    members, table, labels = member_masks(dom), f.table, f.label_bitsets
+    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
+    all_positions = (1 << dom.n) - 1
+
+    def has_level(r: int, h: int) -> bool:
+        if not 0 <= h < k:
+            return h == k
+        xm = members[r]
+        # per position of x, ones first, the ranks agreeing with x there
+        cols = [ones_at[p] for p in mask_positions(xm)]
+        cols += [full ^ ones_at[p] for p in mask_positions(all_positions ^ xm)]
+        # agree[i]: the ranks agreeing with x on every position of cols[i:],
+        # which no picks from there can drop
+        agree = [full] * (2 * k + 1)
+        for i in range(2 * k - 1, -1, -1):
+            agree[i] = agree[i + 1] & cols[i]
+
+        def pick(i: int, a: int, b: int, T: int) -> bool:
+            # can a more ones from cols[i:k], then b zeros from cols[k:] (b
+            # more from cols[i:] once a is 0), drop every rank of T?
+            if T & agree[i]:
+                return False
+            if a:
+                for j in range(i, k - a + 1):
+                    U = T & cols[j]
+                    if not U or pick(j + 1 if a > 1 else k, a - 1, b, U):
+                        return True
+                return False
+            for j in range(i, 2 * k - b + 1):
+                U = T & cols[j]
+                if not U or b > 1 and pick(j + 1, 0, b - 1, U):
+                    return True
+            return False
+
+        others = full ^ labels[table[r]]
+        return not others or h > 0 and pick(0, h, h, others)
+
+    return has_level

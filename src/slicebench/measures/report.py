@@ -151,6 +151,9 @@ def verify_entry(f: LabeledFunction, name: str, entry: Entry) -> None:
     measure = _measure(name)
     try:
         _admit(f, name, measure)
+    except DomainError as e:
+        raise VerificationError(f"{name}: {e}") from None
+    try:
         value = entry.get("value") if isinstance(entry, dict) else None
         if type(value) is not int:
             _fail("entry has no integer value")

@@ -11,7 +11,14 @@ from itertools import combinations, product
 
 from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError, DomainError
 from slicebench.measures.trees import Leaf, Node
-from slicebench.slicecore import mask_positions, mask_to_string, member_masks
+from slicebench.slicecore import (
+    Assignment,
+    LabeledFunction,
+    mask_positions,
+    mask_to_string,
+    member_masks,
+    position_rank_bitsets,
+)
 
 
 def minimax_depth(f, zeros=0, ones=0):
@@ -395,3 +402,45 @@ def forced_oracle(adv, f):
         return best
 
     return solve(list(range(len(members))), 0, 0, adv)
+
+
+def balanced_certificate_oracle(
+    f: LabeledFunction, x: int | None = None, min_mode: bool = False
+):
+    """BC(f) or BC(f, x), or mBC(f) with min_mode=True; returns (value,
+    witness).  The full ascending search at every input, with no pruning.
+
+    Only balanced assignments (equal fixed 0s and 1s) are admitted, so the
+    domain must be a balanced slice; f must be Boolean.  Witness: {"input",
+    "zeros", "ones"}, a least balanced certificate at x, or else at the
+    lowest-rank input attaining the max (min).
+    """
+    dom = f.domain
+    members, table, labels = member_masks(dom), f.table, f.label_bitsets
+    ones_at, full = position_rank_bitsets(dom), (1 << dom.size) - 1
+    all_positions = (1 << dom.n) - 1
+
+    def at(r: int):
+        xm = members[r]
+        others = full ^ labels[table[r]]
+        one_pos, zero_pos = mask_positions(xm), mask_positions(all_positions ^ xm)
+        for h in range(dom.k + 1):
+            for ones_pick in combinations(one_pos, h):
+                S_ones = full
+                for p in ones_pick:
+                    S_ones &= ones_at[p]
+                for zeros_pick in combinations(zero_pos, h):
+                    S = S_ones
+                    for p in zeros_pick:
+                        S &= ~ones_at[p]
+                    if not S & others:
+                        return 2 * h, r, zeros_pick, ones_pick
+        raise AssertionError("the full input is always a balanced certificate")
+
+    # min and max keep the first of equal values, so the lowest rank wins
+    ranks = range(dom.size) if x is None else [dom.rank(x)]
+    pick = min if min_mode else max
+    value, r, zeros, ones = pick(map(at, ranks), key=lambda got: got[0])
+    w = {"input": mask_to_string(members[r], dom.n)}
+    w.update(Assignment.of(zeros, ones).to_json_obj())
+    return value, w

@@ -352,7 +352,10 @@ def test_verify_refuses_what_measure_refuses(
     path.write_text(json.dumps({"measures": {name: {"value": value, "witness": witness}}}))
     got, _, err = run(capsys, "verify", "--construct", spec, "--report", str(path))
     assert got == code
-    assert json.loads(err)["error"] == ("resource-cap" if code == 3 else "verification")
+    obj = json.loads(err)
+    assert obj["error"] == ("resource-cap" if code == 3 else "verification")
+    if code == 2:
+        assert obj["message"] == f"{name}: {name} needs a Boolean function"
 
 
 # rubinstein-variant:n=4 is a cube function of degree 4, and its monomials

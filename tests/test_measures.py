@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    balanced_certificate_oracle,
     block_sensitivity_at,
     block_sensitivity_max,
     certificate_at,
@@ -55,6 +56,7 @@ from slicebench.measures.bounds import (
 )
 from slicebench.measures.certificates import (
     balanced_certificate,
+    balanced_level,
     certificate_complexity,
     certificate_skip,
     subcube_partition_complexity,
@@ -258,6 +260,68 @@ def test_balanced_certificate_bounds():
         assert c <= bc
         assert mbc % 2 == 0 and bc % 2 == 0
         assert exact_depth(f) >= mbc - 1
+
+
+@st.composite
+def balanced_slice_functions(draw):
+    """A Boolean function on a balanced slice with n <= 8, its 1-inputs
+    thinned or thickened a third of the time each."""
+    k = draw(st.integers(1, 4))
+    dom = Domain.slice(2 * k, k)
+    full = (1 << dom.size) - 1
+    code = draw(st.integers(0, full))
+    shape = draw(st.sampled_from(["plain", "sparse", "dense"]))
+    if shape == "sparse":
+        code &= draw(st.integers(0, full))
+    elif shape == "dense":
+        code |= draw(st.integers(0, full))
+    table = [code >> r & 1 for r in range(dom.size)]
+    return LabeledFunction.from_indices(dom, BOOLEAN, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_slice_functions(), st.data())
+def test_balanced_certificate_matches_the_oracle(f, data):
+    """Values and witnesses, max, min and at one input, are the full
+    ascending search's."""
+    assert balanced_certificate(f) == balanced_certificate_oracle(f)
+    assert balanced_certificate(f, min_mode=True) == balanced_certificate_oracle(
+        f, min_mode=True
+    )
+    x = member_masks(f.domain)[data.draw(st.integers(0, f.domain.size - 1))]
+    assert balanced_certificate(f, x) == balanced_certificate_oracle(f, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(balanced_slice_functions())
+def test_balanced_level_holds_exactly_from_half_bc_up(f):
+    """The level lemma: x has a balanced certificate at level h <= n/2
+    exactly when 2h >= BC(f, x)."""
+    has_level = balanced_level(f)
+    for r, x in enumerate(member_masks(f.domain)):
+        bc, _ = balanced_certificate_oracle(f, x)
+        for h in range(f.domain.k + 1):
+            assert has_level(r, h) == (2 * h >= bc)
+
+
+# sha256 of [spec, BC, mBC, BC witness, mBC witness] over certify-mix's
+# balanced-slice functions at seeds 1-3, as the full ascending search at
+# every input computed them
+_BC_SPECS = ["eq:k=2", "kml:r=3", "gs:n=10,k=5", "ed:k=3,l=2", "ed:k=4,l=2"] + [
+    f"random:n={n},k={n // 2},seed={seed}" for seed in (1, 2, 3) for n in (6, 8, 10)
+]
+_BC_PIN = "dab530e0217dfd24950b15f693c171861b80cee2567a8b428533f958ceb25788"
+
+
+def test_balanced_certificates_match_their_pin():
+    rows = []
+    for spec in _BC_SPECS:
+        f = parse_construction(spec).build()
+        bc, bc_witness = balanced_certificate(f)
+        mbc, mbc_witness = balanced_certificate(f, min_mode=True)
+        rows.append([spec, bc, mbc, bc_witness, mbc_witness])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == _BC_PIN
 
 
 def test_uc_sc_chain_exhaustive_slice42():
