@@ -17,10 +17,14 @@ node, the members of the free branch searched just before it, so it is not
 searched.  Both cuts drop only subtrees with no node above the best, so the
 nodes that set a record, and with them the value and the witness (the first
 node in free/0/1 preorder to reach the maximum), are those of the uncut
-search.
+search.  The scan runs once per function: its result is kept for the last
+few functions, so m, packing and both their checks share it, and each call
+builds its own witness.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from ..errors import ResourceCapError
 from ..kernels import max_clique, max_independent_set
@@ -35,6 +39,8 @@ from ..slicecore import (
 )
 
 _MONO_MAX_N = 40
+# subcube scans are kept for the last _SCAN_SLOTS functions
+_SCAN_SLOTS = 4
 
 
 def max_one_subcube_intersection(f: LabeledFunction):
@@ -42,10 +48,18 @@ def max_one_subcube_intersection(f: LabeledFunction):
 
     Returns (count, witness assignment or None when f has no 1-inputs).
     """
+    if not f.label_bitsets[1]:
+        return 0, None
+    count, zeros, ones = _subcube_scan(f)
+    return count, {"zeros": mask_positions(zeros), "ones": mask_positions(ones)}
+
+
+@lru_cache(maxsize=_SCAN_SLOTS)
+def _subcube_scan(f: LabeledFunction) -> tuple[int, int, int]:
+    """(m, zeros, ones) for a Boolean f with 1-inputs: the first node in
+    free/0/1 preorder to reach the maximum, as position masks."""
     dom = f.domain
     ones_set = f.label_bitsets[1]
-    if not ones_set:
-        return 0, None
     ones_at = position_rank_bitsets(dom)
     full = (1 << dom.size) - 1
     zeros_set = full ^ ones_set
@@ -78,8 +92,7 @@ def max_one_subcube_intersection(f: LabeledFunction):
             rec(p + 1, zeros, ones | bit, S1, alive)
 
     rec(0, 0, 0, full, ones_set)
-    zeros, ones = mask_positions(best["zeros"]), mask_positions(best["ones"])
-    return best["count"], {"zeros": zeros, "ones": ones}
+    return best["count"], best["zeros"], best["ones"]
 
 
 def _kill_table(f: LabeledFunction, full: int) -> list[list[tuple[int, int]]]:

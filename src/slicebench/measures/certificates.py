@@ -10,6 +10,9 @@ inputs in rank order, and certificate_skip drops x before any exact work
 when a greedy hitting set of x's difference masks, taken on the position
 rank bitsets, is no larger than the running maximum; every input that may
 set a new maximum still gets its exact value, and the lowest rank wins ties.
+The greedy sizes are computed once per function, on its first scan, and
+kept for the last few functions, so C, s, bs, bs2 and the recomputes in
+verify read one vector.
 
 UC and SC are one search over two universes: the least s such that cells of
 at most s fixed positions, each label-constant where it meets the domain,
@@ -28,6 +31,7 @@ beats the running extreme.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from ..kernels import exact_cover, greedy_cover, min_hitting_set
@@ -41,6 +45,9 @@ from ..slicecore import (
     position_rank_bitsets,
     whole_cube,
 )
+
+# per-function results are kept for the last _SCAN_SLOTS functions scanned
+_SCAN_SLOTS = 4
 
 
 def certificate_complexity(f: LabeledFunction, x: int | None = None):
@@ -96,28 +103,42 @@ def certificate_skip(f: LabeledFunction, max_others: int | None = None):
 
     That holds when a greedy hitting set of x's difference masks has at most
     beat positions, since s(f, x) <= bs(f, x) <= C(f, x) <= any such hitting
-    set (Buhrman and de Wolf, TCS 2002).  The items are the ranks of the
-    members labelled unlike x, and position p hits the ranks whose bit p
-    differs from x_p, so the greedy runs on the position rank bitsets
-    without building a difference list.  No x with more than max_others
-    such members is skipped.
+    set (Buhrman and de Wolf, TCS 2002).  No x with more than max_others
+    members labelled unlike it is skipped.
+    """
+    sizes, table = _greedy_sizes(f), f.table
+    others = [f.domain.size - lb.bit_count() for lb in f.label_bitsets]
+
+    def skip(r: int, beat: int) -> bool:
+        if beat < 0 or max_others is not None and others[table[r]] > max_others:
+            return False
+        return sizes[r] <= beat
+
+    return skip
+
+
+@lru_cache(maxsize=_SCAN_SLOTS)
+def _greedy_sizes(f: LabeledFunction) -> tuple[int, ...]:
+    """Per rank r, the size of the greedy hitting set of members[r]'s
+    difference masks, or n + 1 where none exists.
+
+    The items are the ranks of the members labelled unlike x, and position
+    p hits the ranks whose bit p differs from x_p, so the greedy runs on the
+    position rank bitsets without building a difference list.  It picks
+    the same positions whatever its limit, so greedy_cover(cols, others,
+    beat) succeeds exactly when the size is at most beat.
     """
     dom = f.domain
-    members, table = member_masks(dom), f.table
     full = (1 << dom.size) - 1
     # pairs[p][b]: the ranks whose bit p differs from b
     pairs = [(ones, full ^ ones) for ones in position_rank_bitsets(dom)]
     others_by_label = [full ^ lb for lb in f.label_bitsets]
-
-    def skip(r: int, beat: int) -> bool:
-        others = others_by_label[table[r]]
-        if beat < 0 or max_others is not None and others.bit_count() > max_others:
-            return False
-        xm = members[r]
+    sizes = []
+    for xm, label in zip(member_masks(dom), f.table):
         cols = [pair[xm >> p & 1] for p, pair in enumerate(pairs)]
-        return greedy_cover(cols, others, beat) >= 0
-
-    return skip
+        chosen = greedy_cover(cols, others_by_label[label], dom.n)
+        sizes.append(chosen.bit_count() if chosen >= 0 else dom.n + 1)
+    return tuple(sizes)
 
 
 # -- unambiguous certificates and subcube partitions -------------------------------

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError, DomainError
+from slicebench.kernels import greedy_cover
 from slicebench.measures.trees import Leaf, Node
 from slicebench.slicecore import (
     Assignment,
@@ -167,6 +168,28 @@ def greedy_hitting_oracle(masks, n):
         chosen |= 1 << p
         rem = [m for m in rem if not m >> p & 1]
     return chosen.bit_count(), chosen
+
+
+def per_call_certificate_skip(f, max_others=None):
+    """certificate_skip with the greedy run afresh, up to beat picks, at
+    every question: skip(r, beat) holds when the greedy hitting set of
+    members[r]'s difference masks needs at most beat positions, and never
+    for beat < 0 or an input with more than max_others unlike members."""
+    dom = f.domain
+    members, table = member_masks(dom), f.table
+    full = (1 << dom.size) - 1
+    pairs = [(ones, full ^ ones) for ones in position_rank_bitsets(dom)]
+    others_by_label = [full ^ lb for lb in f.label_bitsets]
+
+    def skip(r, beat):
+        others = others_by_label[table[r]]
+        if beat < 0 or max_others is not None and others.bit_count() > max_others:
+            return False
+        xm = members[r]
+        cols = [pair[xm >> p & 1] for p, pair in enumerate(pairs)]
+        return greedy_cover(cols, others, beat) >= 0
+
+    return skip
 
 
 def hitting_set_oracle(masks, n, cutoff=-1):

@@ -25,6 +25,7 @@ from oracles import (
     minimax_depth,
     mono_number_oracle,
     one_subcube_oracle,
+    per_call_certificate_skip,
     sensitivity_at,
     sensitivity_max,
     tree_depth,
@@ -41,6 +42,7 @@ from slicebench.catalog import (
     random_slice_function,
 )
 from slicebench import slicecore
+from slicebench.measures import bounds, certificates
 from slicebench.errors import DomainError, ResourceCapError, VerificationError
 from slicebench.kernels import (
     greedy_cover,
@@ -1360,6 +1362,75 @@ def test_certificate_skip_is_admissible(f):
         for beat in range(-1, f.domain.n + 1):
             if skip(r, beat):
                 assert certificate_at(f, x) <= beat
+
+
+def _skips_agree(f, max_others):
+    shared = certificate_skip(f, max_others)
+    per_call = per_call_certificate_skip(f, max_others)
+    for r in range(f.domain.size):
+        for beat in range(-1, f.domain.n + 2):
+            assert shared(r, beat) == per_call(r, beat), (r, beat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_functions(), st.data())
+def test_certificate_skip_decides_as_the_per_call_greedy(f, data):
+    # the greedy sizes are computed once per function; a skip must still say
+    # exactly what the greedy run up to beat picks at that question said
+    max_others = data.draw(st.none() | st.integers(0, f.domain.size))
+    _skips_agree(f, max_others)
+
+
+@pytest.mark.parametrize("max_others", [None, 0, 20, 59])
+def test_certificate_skip_decides_as_the_per_call_greedy_on_three_labels(max_others):
+    _skips_agree(_random_explicit_function(7, 60, 2, labels=3), max_others)
+
+
+def test_scan_measures_and_their_checks_share_one_greedy_and_one_subcube_scan(
+    monkeypatch,
+):
+    f = parse_construction("gs:n=10,k=5").build()
+    certificates._greedy_sizes.cache_clear()
+    bounds._subcube_scan.cache_clear()
+    calls = {"greedy": 0, "kills": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(certificates, "greedy_cover", counted("greedy", greedy_cover))
+    monkeypatch.setattr(bounds, "_kill_table", counted("kills", bounds._kill_table))
+    names = ["C", "s", "bs", "bs2", "m", "packing"]
+    for name, entry in compute_measures(f, names, None)["measures"].items():
+        verify_entry(f, name, entry)
+    assert calls["greedy"] <= f.domain.size
+    assert calls["kills"] == 1
+    _, witness = max_one_subcube_intersection(f)
+    kept = json.dumps(witness)
+    witness["zeros"].append(99)
+    witness["ones"] = []
+    assert json.dumps(max_one_subcube_intersection(f)[1]) == kept
+
+
+# sha256 of the JSON list [spec, C, C's witness, bs, bs's witness, bs2,
+# bs2's witness] over every certify-mix function at seeds 1-3, as the skip
+# that ran the greedy afresh at every question computed them.
+_C_BS_PIN = "1508d0be1b336b4c2c232a0b288dc16dc39445efeb33f11b6c442063705ebaee"
+
+
+def test_c_bs_and_bs2_witnesses_are_pinned():
+    rows = []
+    for spec in _S_DEG_PIN_SPECS:
+        f = parse_construction(spec).build()
+        rows.append([
+            spec, *certificate_complexity(f), *block_sensitivity(f),
+            *block_sensitivity(f, max_block_size=2),
+        ])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == _C_BS_PIN
 
 
 @settings(max_examples=200, deadline=None)
