@@ -70,15 +70,16 @@ def _error(kind: str, message: str, **extra) -> None:
 
 
 def _load_function(args):
-    """Resolve --function/--construct into (function, stable reference)."""
-    if getattr(args, "construct", None):
+    """Resolve exactly one of --function/--construct into (function, stable
+    reference)."""
+    if (args.function is None) == (args.construct is None):
+        raise DomainError("give exactly one of --function FILE and --construct SPEC")
+    if args.construct is not None:
         spec = parse_construction(args.construct)
         return spec.build(), {"construction": spec.to_string()}
-    if getattr(args, "function", None):
-        f = read_function(args.function)
-        digest = hashlib.sha256(canonical_function_bytes(f)).hexdigest()
-        return f, {"sha256": digest}
-    raise DomainError("give either --function FILE or --construct SPEC")
+    f = read_function(args.function)
+    digest = hashlib.sha256(canonical_function_bytes(f)).hexdigest()
+    return f, {"sha256": digest}
 
 
 def _flat_cell(value) -> str:

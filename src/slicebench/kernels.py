@@ -7,8 +7,9 @@ witnesses.
 greedy_cover is the one greedy hitting set: items are bit indices, and each
 position is given as the bitset of the items it hits, so a round is one
 popcount per position.  min_hitting_set starts from it and runs its branch
-and bound on the same bitsets, the unhit masks as one int; the measures'
-input scan uses it as an upper bound on C(f, x) to skip inputs.
+and bound on the same bitsets, the unhit masks as one int, and is always
+exact; the measures' input scan reads greedy_cover's sizes as its one skip
+rule, an upper bound on C(f, x).
 """
 
 from __future__ import annotations
@@ -31,15 +32,13 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int, int]:
+def min_hitting_set(masks: Sequence[int], n: int) -> tuple[int, int]:
     """Smallest set of positions meeting every mask.
 
-    Returns (size, chosen_positions_mask).  Masks must be nonzero.  When the
-    greedy hitting set has at most cutoff positions it is returned as is:
-    the minimum is then at most cutoff too, but may be smaller.  Otherwise
-    the branch and bound keeps the first least set it meets, branching on
-    the first unhit minimal mask and trying its positions in ascending
-    order.
+    Returns (size, chosen_positions_mask).  Masks must be nonzero.  The
+    branch and bound starts from the greedy hitting set and keeps the first
+    least set it meets, branching on the first unhit minimal mask and trying
+    its positions in ascending order.
     """
     # hitting a subset hits the superset, so only minimal masks matter
     minimal = minimal_masks(masks)
@@ -52,10 +51,8 @@ def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int
     for i, m in enumerate(minimal):
         for p in mask_positions(m):
             cols[p] |= 1 << i
-    best = greedy_cover(cols, (1 << len(minimal)) - 1, n)
+    best = greedy_cover(cols, (1 << len(minimal)) - 1)
     size = best.bit_count()
-    if size <= cutoff:
-        return size, best
 
     def go(alive: int, chosen: int, count: int) -> None:
         nonlocal best, size
@@ -77,18 +74,14 @@ def min_hitting_set(masks: Sequence[int], n: int, cutoff: int = -1) -> tuple[int
     return size, best
 
 
-def greedy_cover(cols: Sequence[int], alive: int, limit: int) -> int:
+def greedy_cover(cols: Sequence[int], alive: int) -> int:
     """Greedy hitting set over bitsets: cols[p] is the set of items position
     p hits.  Each round picks the position hitting the most alive items, the
     lowest p on ties.  Returns the mask of the picked positions once every
-    alive item is hit, or -1 as soon as that needs more than limit picks (or
-    some alive item is hit by no position)."""
-    if limit < 0:
-        return -1
+    alive item is hit, or -1 when some alive item is hit by no position.
+    Its size is the measures' one skip rule (certificates.certificate_skip)."""
     chosen = 0
-    for _ in range(limit):
-        if not alive:
-            break
+    while alive:
         counts = [(col & alive).bit_count() for col in cols]
         top = max(counts, default=0)
         if not top:
@@ -96,7 +89,7 @@ def greedy_cover(cols: Sequence[int], alive: int, limit: int) -> int:
         p = counts.index(top)
         chosen |= 1 << p
         alive &= ~cols[p]
-    return -1 if alive else chosen
+    return chosen
 
 
 # -- maximum disjoint packing ------------------------------------------------

@@ -5,14 +5,14 @@ consistent domain members all carry the input's label.  The variants differ
 in what collection structure is demanded (none / exact cover of the domain /
 partition of the whole cube / balanced assignments only).
 
-C, s, bs and bs2 share one input scan, max_over_inputs.  It visits the
-inputs in rank order, and certificate_skip drops x before any exact work
-when a greedy hitting set of x's difference masks, taken on the position
-rank bitsets, is no larger than the running maximum; every input that may
-set a new maximum still gets its exact value, and the lowest rank wins ties.
-The greedy sizes are computed once per function, on its first scan, and
-kept for the last few functions, so C, s, bs, bs2 and the recomputes in
-verify read one vector.
+C, s, bs and bs2 share one input scan, max_over_inputs, with one skip
+rule.  It visits the inputs in rank order, and certificate_skip drops x
+before any exact work when a greedy hitting set of x's difference masks,
+taken on the position rank bitsets, is no larger than the running maximum;
+every other input is searched exactly, and the lowest rank wins ties.  The
+greedy sizes are computed once per function, on its first scan, and kept
+for the last few functions, so C, s, bs, bs2 and the recomputes in verify
+read one vector.
 
 UC and SC are one search over two universes: the least s such that cells of
 at most s fixed positions, each label-constant where it meets the domain,
@@ -59,12 +59,10 @@ def certificate_complexity(f: LabeledFunction, x: int | None = None):
     dom = f.domain
     members, table = member_masks(dom), f.table
 
-    def at(r: int, beat: int):
-        # a value at most beat may be the size of a larger certificate than
-        # x's least, which the max never needs
+    def at(r: int):
         xm, fx = members[r], table[r]
         diffs = [xm ^ ym for ym, label in zip(members, table) if label != fx]
-        return min_hitting_set(diffs, dom.n, beat) if diffs else (0, 0)
+        return min_hitting_set(diffs, dom.n) if diffs else (0, 0)
 
     value, r, mask = max_over_inputs(f, x, at)
     xm = members[r]
@@ -77,23 +75,22 @@ def max_over_inputs(f: LabeledFunction, x: int | None, at, max_others=None):
     """(value, rank, found) for the input x, or else for the lowest-rank
     input that maximizes a pointwise measure.
 
-    at(r, beat) gives (value, found) for the input of rank r, or None when
-    its value is at most beat; with x given it is called once, at beat -1.
-    The max visits the ranks in order and drops those certificate_skip(f,
-    max_others) rules out at the running maximum, which only a strictly
-    larger value replaces.
+    at(r) gives the exact (value, found) for the input of rank r; with x
+    given it is called once.  The max visits the ranks in order and drops
+    those certificate_skip(f, max_others) rules out at the running maximum,
+    the one skip rule, which only a strictly larger value replaces.
     """
     if x is not None:
         r = f.domain.rank(x)
-        value, found = at(r, -1)
+        value, found = at(r)
         return value, r, found
     skip = certificate_skip(f, max_others)
     best = (-1, None, None)
     for r in range(f.domain.size):
         if not skip(r, best[0]):
-            got = at(r, best[0])
-            if got is not None and got[0] > best[0]:
-                best = (got[0], r, got[1])
+            value, found = at(r)
+            if value > best[0]:
+                best = (value, r, found)
     return best
 
 
@@ -124,9 +121,7 @@ def _greedy_sizes(f: LabeledFunction) -> tuple[int, ...]:
 
     The items are the ranks of the members labelled unlike x, and position
     p hits the ranks whose bit p differs from x_p, so the greedy runs on the
-    position rank bitsets without building a difference list.  It picks
-    the same positions whatever its limit, so greedy_cover(cols, others,
-    beat) succeeds exactly when the size is at most beat.
+    position rank bitsets without building a difference list.
     """
     dom = f.domain
     full = (1 << dom.size) - 1
@@ -136,7 +131,7 @@ def _greedy_sizes(f: LabeledFunction) -> tuple[int, ...]:
     sizes = []
     for xm, label in zip(member_masks(dom), f.table):
         cols = [pair[xm >> p & 1] for p, pair in enumerate(pairs)]
-        chosen = greedy_cover(cols, others_by_label[label], dom.n)
+        chosen = greedy_cover(cols, others_by_label[label])
         sizes.append(chosen.bit_count() if chosen >= 0 else dom.n + 1)
     return tuple(sizes)
 

@@ -6,12 +6,12 @@ matching between swap partners; elsewhere it is the count of label-changing
 flips that stay in the domain.  Block sensitivity packs disjoint
 label-changing flip sets and is domain-generic.
 
-Both are a pointwise search plus certificates.max_over_inputs, whose skip
-holds since s(f, x) <= bs(f, x) <= C(f, x); bs never skips an input with
-more unlike members than block_cap, so the cap still fires.  On a cube,
-s(f) counts every input's sensitive flips at once in bit-sliced counters
-over the label bitsets, and the scan checks only the first input with the
-top count.
+Both are a pointwise search plus certificates.max_over_inputs, whose one
+skip rule holds since s(f, x) <= bs(f, x) <= C(f, x); every input it keeps
+is searched exactly.  bs never skips an input with more unlike members than
+block_cap, so the cap still fires.  On a cube, s(f) counts every input's
+sensitive flips at once in bit-sliced counters over the label bitsets, and
+the scan checks only the first input with the top count.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def sensitivity(f: LabeledFunction, x: int | None = None):
     if x is None and dom.kind == "cube":
         x = _most_sensitive_cube_input(dom.n, f.label_bitsets)
     value, r, found = max_over_inputs(
-        f, x, lambda r, beat: _sensitivity_at(dom, ranks, table, members[r])
+        f, x, lambda r: _sensitivity_at(dom, ranks, table, members[r])
     )
     w = {"input": mask_to_string(members[r], dom.n)}
     if dom.kind == "slice":
@@ -124,24 +124,18 @@ def block_sensitivity(
     return value, {"input": mask_to_string(members[r], dom.n), "blocks": blocks}
 
 
-def _block_sensitivity_at(members, table, max_block_size, block_cap, r, beat):
-    """(bs(f, x), its blocks) for x = members[r], or None when bs(f, x) <= beat
-    is plain from the blocks' union and smallest size without packing them."""
+def _block_sensitivity_at(members, table, max_block_size, block_cap, r):
+    """(bs(f, x), its blocks) for x = members[r], by an exact packing of its
+    minimal blocks; the scan's one skip rule is certificate_skip's."""
     xm = members[r]
     fx = table[r]
     masks = []
-    union = 0
     for ym, label in zip(members, table):
         if label == fx:
             continue
         m = xm ^ ym
         if max_block_size is None or m.bit_count() <= max_block_size:
             masks.append(m)
-            union |= m
-    least = min(map(int.bit_count, masks), default=1)
-    # the cap counts minimal blocks, so a skip under this raw count hides no cap
-    if len(masks) <= block_cap and union.bit_count() // least <= beat:
-        return None
     minimal = minimal_masks(masks)
     if len(minimal) > block_cap:
         raise ResourceCapError(

@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from slicebench.errors import AdversaryExhaustedError, AdversaryInvalidError, DomainError
-from slicebench.kernels import greedy_cover
 from slicebench.measures.trees import Leaf, Node
 from slicebench.slicecore import (
     Assignment,
@@ -174,29 +173,36 @@ def per_call_certificate_skip(f, max_others=None):
     """certificate_skip with the greedy run afresh, up to beat picks, at
     every question: skip(r, beat) holds when the greedy hitting set of
     members[r]'s difference masks needs at most beat positions, and never
-    for beat < 0 or an input with more than max_others unlike members."""
+    for beat < 0 or an input with more than max_others unlike members.
+
+    The greedy is its own loop over the difference mask lists, each round
+    the position in the most unhit masks, the lowest on ties."""
     dom = f.domain
     members, table = member_masks(dom), f.table
-    full = (1 << dom.size) - 1
-    pairs = [(ones, full ^ ones) for ones in position_rank_bitsets(dom)]
-    others_by_label = [full ^ lb for lb in f.label_bitsets]
 
     def skip(r, beat):
-        others = others_by_label[table[r]]
-        if beat < 0 or max_others is not None and others.bit_count() > max_others:
+        xm, fx = members[r], table[r]
+        rem = [xm ^ ym for ym, label in zip(members, table) if label != fx]
+        if beat < 0 or max_others is not None and len(rem) > max_others:
             return False
-        xm = members[r]
-        cols = [pair[xm >> p & 1] for p, pair in enumerate(pairs)]
-        return greedy_cover(cols, others, beat) >= 0
+        for _ in range(beat):
+            if not rem:
+                break
+            counts = [0] * dom.n
+            for m in rem:
+                for p in mask_positions(m):
+                    counts[p] += 1
+            p = max(range(dom.n), key=lambda q: (counts[q], -q))
+            rem = [m for m in rem if not m >> p & 1]
+        return not rem
 
     return skip
 
 
-def hitting_set_oracle(masks, n, cutoff=-1):
-    """min_hitting_set on mask lists: the minimal masks by (size, value);
-    the greedy set when it has at most cutoff positions; else a branch and
-    bound on the least unhit mask, positions ascending, that keeps the
-    first strictly smaller set."""
+def hitting_set_oracle(masks, n):
+    """min_hitting_set on mask lists: the minimal masks by (size, value),
+    then a branch and bound from the greedy set on the least unhit mask,
+    positions ascending, that keeps the first strictly smaller set."""
     minimal = []
     for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
         if not any(m & k == k for k in minimal):
@@ -207,8 +213,6 @@ def hitting_set_oracle(masks, n, cutoff=-1):
         raise ValueError("empty mask cannot be hit")
 
     best_size, best_mask = greedy_hitting_oracle(minimal, n)
-    if best_size <= cutoff:
-        return best_size, best_mask
     state = {"size": best_size, "mask": best_mask}
 
     def packing_bound(rem):

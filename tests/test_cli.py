@@ -180,6 +180,34 @@ def test_measure_needs_a_function_source(capsys):
     assert "construct" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--no-cache"),
+        ("match", "--algorithm", "optimal", "--adversary", "fixed:x=0110"),
+        ("verify", "--report", "{tmp}/r.json"),
+    ],
+    ids=["measure", "match", "verify"],
+)
+def test_function_and_construct_together_are_refused_before_any_work(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # neither source is read: the refusal comes before the file or the spec
+    def no_work(*args):
+        raise AssertionError("loaded a function")
+
+    monkeypatch.setattr(cli_main, "read_function", no_work)
+    monkeypatch.setattr(cli_main, "parse_construction", no_work)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(
+        capsys, *argv, "--function", str(tmp_path / "eq1.json"), "--construct", "kml:r=3"
+    )
+    assert (code, out) == (4, "")
+    payload = json.loads(err)
+    assert payload["error"] == "input"
+    assert "exactly one of --function" in payload["message"]
+
+
 def test_measure_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "measure", "--function", str(tmp_path / "absent.json")
@@ -623,6 +651,17 @@ def test_experiment_failure_exits_with_counterexample(capsys, tmp_path):
     assert payload["error"] == "assertion"
     assert payload["counterexample"]["aggregate"]["pass"] is False
     assert json.loads(report.read_text())["failures"] == 1
+
+
+def test_a_passing_aggregate_counts_as_one_pass(capsys):
+    # ramsey-random's cases carry no verdict of their own; its aggregate does
+    code, out, err = run(
+        capsys, "experiment", "ramsey-random", "--set", "seeds=3", "--set", "min_count=0"
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["passes"], report["failures"]) == (1, 0)
+    assert report["aggregate"]["pass"] is True
 
 
 def test_experiment_override_validation(capsys):
@@ -1130,6 +1169,45 @@ def test_unparsable_input_files_are_format_errors(capsys, tmp_path, argv, conten
     assert json.loads(err)["error"] == "format"
 
 
+def _three_labels_with_a_short_table(obj):
+    obj["table"] = obj["table"][:-2]
+
+
+@pytest.mark.parametrize(
+    "spec, edit, kind, message",
+    [
+        ("eq:k=1", lambda obj: obj.update(alphabet=[]), "format", "nonempty list"),
+        (
+            "weights:n=3,m=3,k=4",
+            _three_labels_with_a_short_table,
+            "format",
+            "bytes, expected",
+        ),
+        # one index byte per member of slice(4, 2), so the table reads
+        (
+            "eq:k=1",
+            lambda obj: obj.update(alphabet=[2, 2], table="00" * 6),
+            "input",
+            "distinct",
+        ),
+    ],
+    ids=["empty-alphabet", "three-label-table-length", "repeated-label"],
+)
+def test_function_files_that_break_the_format_are_refused(
+    capsys, tmp_path, spec, edit, kind, message
+):
+    path = tmp_path / "f.json"
+    assert run(capsys, "construct", spec, "--out", str(path))[0] == 0
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "measure", "--no-cache", "--function", str(path))
+    assert (code, out) == (4, "")
+    payload = json.loads(err)
+    assert payload["error"] == kind and message in payload["message"]
+    assert "Traceback" not in err
+
+
 def _without_millis(report_text):
     report = json.loads(report_text)
     for entry in report["measures"].values():
@@ -1186,6 +1264,7 @@ _MATCH = ("match", "--construct", "eq:k=1")
         ("construct", "eq:z=1"),
         ("construct", "gs:n=6"),
         ("construct", "nope:k=1"),
+        ("construct", "gs:n=5,k=2,i=7"),
         _MATCH + ("--algorithm", "", "--adversary", "eq:k=1"),
         _MATCH + ("--algorithm", "nope", "--adversary", "eq:k=1"),
         _MATCH + ("--algorithm", "eq", "--adversary", "eq:k=1"),
