@@ -5,9 +5,12 @@ inputs, fixed by the positions answered 0 and those answered 1).  Iterative
 deepening with unit windows keeps most probes cheap; the transposition table
 survives across probes.  It maps a state's key, the one int
 ``zeros | ones << n`` of its answer masks, to its proven bounds packed into
-one int, ``hi << width | lo``.  Fail-soft convention: a return value v means
-the true value is exactly v when alpha < v < beta, at most v when
-v <= alpha, and at least v when v >= beta.
+one int, ``lo << width | hi``.  The layout is lo-major, so packed entries
+order as their lower bounds do: "the stored lo is at least b" is the one
+compare ``packed >= b << width``, which decides most child probes.
+Fail-soft convention: a return value v means the true value is exactly v
+when alpha < v < beta, at most v when v <= alpha, and at least v when
+v >= beta.
 
 A state being expanded probes each child it tries in the TT by the child's
 key, ``key | bit`` or ``key | bit << n``, before it makes the child's live
@@ -88,10 +91,12 @@ class DepthSolver:
             self.free_hi = list(range(self.n + 1))
         # state key: zeros | ones << n over the masks of positions answered 0
         # and 1; the live set is a function of the key, so the table is
-        # sound.  Value: hi << width | lo.  No depth exceeds n, so width =
-        # n.bit_length() keeps lo out of hi.
+        # sound.  Value: lo << width | hi.  No depth exceeds n, so width =
+        # n.bit_length() keeps hi out of lo, and a value is at least
+        # cb << width exactly when its lo is at least cb: the most common
+        # child cutoff in _expand is that one compare.
         self.width = self.n.bit_length()
-        self.lo_mask = (1 << self.width) - 1
+        self.hi_mask = (1 << self.width) - 1
         self.tt: dict[int, int] = {}
         self.nodes = 0
 
@@ -113,7 +118,7 @@ class DepthSolver:
     def bounds(self, key: int) -> tuple[int, int]:
         """Proven (lo, hi) of the state stored under key."""
         packed = self.tt[key]
-        return packed & self.lo_mask, packed >> self.width
+        return packed >> self.width, packed & self.hi_mask
 
     def _entry(self, S: int, key: int, nf: int) -> tuple[int, int]:
         """Bounds of a state with nf free positions, made on a miss."""
@@ -121,7 +126,7 @@ class DepthSolver:
             # a non-constant Boolean state has two labels, so lo = 1
             lo = 1 if self.is_boolean else self._label_lo(S)
             hi = min(self.free_hi[nf], S.bit_count() - 1)
-            self.tt[key] = hi << self.width | lo
+            self.tt[key] = lo << self.width | hi
         return self.bounds(key)
 
     # -- alpha-beta ---------------------------------------------------------
@@ -145,8 +150,14 @@ class DepthSolver:
         the cutoffs are expanded.  A probe reads the child's TT entry by key
         first; its set is made only on a miss, to check it for a single
         label and make its static entry, or to expand it.  That order rests
-        on the TT holding no single-label state.  The two probes are written
-        out in full because a call per child is the cost this saves.
+        on the TT holding no single-label state.  A hit whose stored lo
+        reaches cb cuts the move off, on either side, and one compare of the
+        packed entry decides it; a miss reads -1, which that compare never
+        passes because cb >= 0.  Such a hit only lowers the least pruned
+        bound, so the loop keeps the least such entry and folds it in after.
+        Misses and hits that do not cut go through the full test ladder.
+        The two probes are written out in full because a call per child is
+        the cost this saves.
         """
         self.nodes += 1
         n = self.n
@@ -165,9 +176,12 @@ class DepthSolver:
             else:
                 c1 = c * (self.k - (key >> n).bit_count()) // nf
             zeros_first = c1 + c1 <= c
-            xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
+            if zeros_first:
+                xc, yc, xs, ys = c - c1, c1, 0, n
+            else:
+                xc, yc, xs, ys = c1, c - c1, n, 0
         tt_get = tt.get
-        M = self.lo_mask
+        M = self.hi_mask
         lbs = self.label_bitsets
         table = self.table
         boolean = self.is_boolean
@@ -176,8 +190,10 @@ class DepthSolver:
         hi_free = self.free_hi[nf]
         best = hi + 1  # min over exact move costs found so far
         pruned = hi + 1  # min over lower bounds of pruned moves
+        least = hi << W  # least entry of a hit cut off by its stored lo
         ca = alpha - 1
         cb = (beta if beta < best else best) - 1  # a move must cost <= cb
+        cbw = cb << W  # an entry at least cbw has lo >= cb
         for bit, P in moves:
             if counted:
                 S1 = S & P
@@ -185,18 +201,22 @@ class DepthSolver:
                 if not c1 or c1 == c:
                     continue
                 zeros_first = c1 + c1 <= c
-                xc, yc = (c - c1, c1) if zeros_first else (c1, c - c1)
+                if zeros_first:
+                    xc, yc, xs, ys = c - c1, c1, 0, n
+                else:
+                    xc, yc, xs, ys = c1, c - c1, n, 0
             else:
                 S1 = 0  # made when first needed; a split never leaves it empty
             # the larger side goes first, and the other side is probed only
             # when the first does not cut the move off.  A leaf, found only
             # on a miss, reads as bounds 0, 0, which every test returns as 0
-            if zeros_first:
-                xk, yk = key | bit, key | bit << n
-            else:
-                xk, yk = key | bit << n, key | bit
-            e = tt_get(xk)
-            if e is None:
+            xk = key | bit << xs
+            e = tt_get(xk, -1)
+            if e >= cbw:
+                if e < least:
+                    least = e
+                continue
+            if e < 0:
                 if not S1:
                     S1 = S & P
                 X = S ^ S1 if zeros_first else S1
@@ -210,11 +230,11 @@ class DepthSolver:
                 else:
                     elo = 1 if boolean else self._label_lo(X)
                     ehi = hi_free if hi_free < xc else xc - 1
-                    tt[xk] = ehi << W | elo
+                    tt[xk] = elo << W | ehi
             else:
                 X = 0
-                elo = e & M
-                ehi = e >> W
+                elo = e >> W
+                ehi = e & M
             if elo >= cb:
                 v1 = elo
             elif ehi <= ca:
@@ -231,9 +251,14 @@ class DepthSolver:
                 if v1 + 1 < pruned:
                     pruned = v1 + 1
                 continue
+            yk = key | bit << ys
+            e = tt_get(yk, -1)
+            if e >= cbw:
+                if e < least:
+                    least = e
+                continue
             ya = v1 if v1 > ca else ca
-            e = tt_get(yk)
-            if e is None:
+            if e < 0:
                 if not S1:
                     S1 = S & P
                 Y = S1 if zeros_first else S ^ S1
@@ -247,11 +272,11 @@ class DepthSolver:
                 else:
                     elo = 1 if boolean else self._label_lo(Y)
                     ehi = hi_free if hi_free < yc else yc - 1
-                    tt[yk] = ehi << W | elo
+                    tt[yk] = elo << W | ehi
             else:
                 Y = 0
-                elo = e & M
-                ehi = e >> W
+                elo = e >> W
+                ehi = e & M
             if elo >= cb:
                 v2 = elo
             elif ehi <= ya:
@@ -267,21 +292,26 @@ class DepthSolver:
             cost = 1 + (v2 if v2 > v1 else v1)
             if cost <= alpha:
                 if cost < hi:
-                    tt[key] = cost << W | lo
+                    tt[key] = lo << W | cost
                 return cost
             if cost <= cb:
                 best = cost
                 cb = cost - 1
+                cbw = cb << W
             elif cost < pruned:
                 pruned = cost
         if best < beta:
             tt[key] = best << W | best
             return best
-        v = best if best < pruned else pruned
+        v = (least >> W) + 1
+        if v > pruned:
+            v = pruned
+        if v > best:
+            v = best
         if v > hi:
             raise AssertionError("state value crossed its proven upper bound")
         if v > lo:
-            tt[key] = hi << W | v
+            tt[key] = v << W | hi
         return v
 
     def _resolve(self, S: int, zeros: int, ones: int) -> int:
@@ -348,7 +378,7 @@ class DepthSolver:
             lo = max(lo, self._packing_hint())
             if lo > hi:
                 raise AssertionError("root bounds crossed")
-            self.tt[0] = hi << self.width | lo
+            self.tt[0] = lo << self.width | hi
         return self._resolve(S, 0, 0)
 
     def build_tree(self, zeros: int = 0, ones: int = 0) -> Tree:

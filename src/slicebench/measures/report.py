@@ -279,6 +279,8 @@ def _check_partition(
     nonempty, label-constant where they meet the domain, and pairwise
     disjoint; together they cover universe, and the largest has value
     positions.  UC covers the domain and SC the whole cube."""
+    if not isinstance(cells, list):
+        _fail(f"{noun}s are not a list")
     dom_at, full = position_rank_bitsets(f.domain), (1 << f.domain.size) - 1
     cell_at, points = position_rank_bitsets(universe), (1 << universe.size) - 1
     covered = worst = 0

@@ -955,6 +955,12 @@ def _rename_c_to_an_unknown_measure(entries):
         ),
         ("UC", _repeat_first_uc_certificate, "UC: certificates overlap"),
         ("UC", _drop_last_uc_certificate, "UC: certificates do not cover the domain"),
+        (
+            "UC",
+            _set_field("UC", ("certificates",), 5),
+            "UC: certificates are not a list",
+        ),
+        ("SC", _set_field("SC", ("subcubes",), 5), "SC: subcubes are not a list"),
         ("bs", _set_field("bs", ("blocks",), 5), "bs: blocks are not a list"),
         (
             "bs2",
@@ -979,7 +985,8 @@ def _rename_c_to_an_unknown_measure(entries):
         "C-lacks-input", "C-position-twice", "BC-unbalanced", "mBC-conflicts",
         "C-input-cut-short", "C-input-zero-padded",
         "C-not-label-constant", "UC-not-an-object", "UC-no-member",
-        "UC-not-label-constant", "UC-overlap", "UC-no-cover", "bs-not-a-list",
+        "UC-not-label-constant", "UC-overlap", "UC-no-cover", "UC-not-a-list",
+        "SC-not-a-list", "bs-not-a-list",
         "bs2-larger-than-2", "bs-not-disjoint", "bs-not-sensitive",
         "nonadaptive-undetermined", "deg-plus-one", "unknown-measure",
     ],

@@ -803,6 +803,64 @@ def test_depth_search_shape_is_pinned_off_slices(name):
     assert _search_shape(build()) == pinned
 
 
+# sha256 of the decoded TT, sorted (key, lo, hi) rows, after solve() and
+# after build_tree() on every function pinned above.  The counts alone would
+# pass a write that swaps lo and hi, or one that stores a looser bound.
+TT_CONTENT_PINS = {
+    "cube:n=7,seed=1": (
+        "fca89f291f1e9a65e2db2fa19f76a81e59977cb57e2ac65b198fd5371387a04a",
+        "171fa043a1af812c112a2c4d5b0c2192d53de5704e5fdf4d44ab47a1266170cc",
+    ),
+    "ed:k=3,l=2": (
+        "cace4ee80f9015d35175939459ececc39af75b6604b20f92a0d36dc4ab412cd7",
+        "95c892f9f266340e2c74b8c15b5e5eee4e605c50f030af9c696582c75b82b08a",
+    ),
+    "eq:k=2": (
+        "2abbc817e24af294e9d05843f3823a784af656fbfc6d9999f1c2ff14dcc3a24e",
+        "9b5501d3f73d52bb68631e00e18e7d5c52502424fc61f7bd4f8174bd1bbeae5c",
+    ),
+    "explicit:n=8,size=60,seed=1,labels=3": (
+        "b1a7f0d108250c7b7ae2de491cfe879b2f80b6945649513fadd4530f4a7bc43a",
+        "fcbcd44d5ef90ecb92543ff65330023db153ede9ef4b25fcbbb41c0225cd51d6",
+    ),
+    "explicit:n=9,size=100,seed=1": (
+        "9362a94bb85d6edbd62710f935bb4f76a399006eb5d0bb60f432b736d024b148",
+        "b183d3157e65cba40358fea0211f2e0ff1be31595292687464ff8b330f3b0e20",
+    ),
+    "gs:n=8,k=4": (
+        "b516840d2a5d7ecccb6d80b21a6c2e5e0a3b70e793926af6acfce8f7874c593a",
+        "d32666de9cd94edd5fd10f866964da830d215b71d4413c1a1ffca5ba16a1698b",
+    ),
+    "random:n=8,k=4,seed=1": (
+        "5c1e68360ec92995e2f5144e8b1217b76bbe85a25a7142db343a237028b6ffd5",
+        "52a874e6a233ab828834dc7bda987070c950e1d67cf142f7a53ceeba5d00be59",
+    ),
+    "weights:n=3,m=3,k=4": (
+        "c4309686531de66bfcd3da603fff70a8d1819daae297e6e9d0a3cd2dfb52d64c",
+        "b95113c819b385f9c82180dead656ea3cf3c4a343bb8f619ab68378bacd25916",
+    ),
+}
+
+
+def _tt_digest(solver):
+    rows = sorted((key, *solver.bounds(key)) for key in solver.tt)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TT_CONTENT_PINS))
+def test_depth_tt_contents_are_pinned(name):
+    assert set(TT_CONTENT_PINS) == set(SEARCH_SHAPE_PINS) | set(OFF_SLICE_SHAPE_PINS)
+    if name in OFF_SLICE_SHAPE_PINS:
+        f = OFF_SLICE_SHAPE_PINS[name][0]()
+    else:
+        f = parse_construction(name).build()
+    solver = DepthSolver(f)
+    solver.solve()
+    after_solve = _tt_digest(solver)
+    solver.build_tree()
+    assert (after_solve, _tt_digest(solver)) == TT_CONTENT_PINS[name]
+
+
 @pytest.mark.parametrize(
     "spec, hint", [("eq:k=2", 3), ("gs:n=8,k=4", 4), ("kml:r=3", 4)]
 )
