@@ -2,10 +2,12 @@
 
 An algorithm is a generator: it yields the positions it queries, is sent
 each answer, and returns its claim.  An AdversaryPlayer invents answers on
-the fly while keeping at least one domain member consistent.  run_match
-plays one against the other under a referee that tracks the consistent set
-online, and forced_query_count certifies lower bounds by a minimax over an
-adversary's answers that cuts only on proven bounds.
+the fly while keeping at least one domain member consistent; its peek tells
+what answer would return now without committing to it.  run_match plays one
+against the other under a referee that tracks the consistent set online,
+and forced_query_count certifies lower bounds by a minimax over an
+adversary's answers that cuts only on proven bounds, peeking at every
+child and cloning only the ones it searches.
 """
 
 from collections import Counter
@@ -40,12 +42,21 @@ class AdversaryPlayer:
 
     memo_safe means the reachable state is a function of which positions
     were queried and what was answered, so minimax may memoize on those.
+
+    peek(position) returns what answer(position) would return now, or
+    raises the exception it would raise, and leaves the player unchanged.
+    The default answers on a clone; a player that can decide the bit from
+    its state overrides it, and its answer is then that peek plus the
+    commit, so the decision rule is written once.
     """
 
     memo_safe: bool = True
 
     def answer(self, position: int) -> int:
         raise NotImplementedError
+
+    def peek(self, position: int) -> int:
+        return self.clone().answer(position)
 
     def clone(self) -> "AdversaryPlayer":
         raise NotImplementedError
@@ -255,10 +266,13 @@ class FixedInputAdversary(AdversaryPlayer):
             raise DomainError("member mask must be nonnegative")
         self.member = member
 
-    def answer(self, position: int) -> int:
+    def peek(self, position: int) -> int:
         if position < 0:
             raise DomainError("position must be nonnegative")
         return self.member >> position & 1
+
+    # answering commits nothing
+    answer = peek
 
     def clone(self) -> "FixedInputAdversary":
         return FixedInputAdversary(self.member)
@@ -282,14 +296,19 @@ class EqAdversary(AdversaryPlayer):
         self.z: list[int | None] = [None] * (2 * k)
         self.b = 0
 
-    def answer(self, position: int) -> int:
+    def peek(self, position: int) -> int:
         if not 0 <= position < 4 * self.k:
             raise DomainError(f"position {position} out of range")
+        z = self.z[position % (2 * self.k)]
+        return self.b if z is None else z
+
+    def answer(self, position: int) -> int:
+        bit = self.peek(position)
         i = position % (2 * self.k)
         if self.z[i] is None:
-            self.z[i] = self.b
+            self.z[i] = bit
             self.b ^= 1
-        return self.z[i]
+        return bit
 
     def clone(self) -> "EqAdversary":
         c = EqAdversary.__new__(EqAdversary)
@@ -329,7 +348,8 @@ class _BasicWeightsAdversary(AdversaryPlayer):
         rng.setstate(self.rng.getstate())
         return rng
 
-    def answer(self, position: int) -> int:
+    def _decide(self, position: int) -> int:
+        """The bit answer(position) gives, drawing from self.rng if seeded."""
         if not 0 <= position < self.total:
             raise DomainError(f"position {position} out of range")
         ones_left = self.k - self.ones
@@ -343,9 +363,21 @@ class _BasicWeightsAdversary(AdversaryPlayer):
             raise AdversaryExhaustedError(
                 "no answer keeps two ones and two zeros unrevealed"
             )
-        bit = self._pick(legal)
+        return self._pick(legal)
+
+    def _commit(self, position: int, bit: int) -> None:
         self.ones += bit
         self.zeros += 1 - bit
+
+    def peek(self, position: int) -> int:
+        if self.rng is not None:
+            # a seeded decision draws, so it is made on a clone's RNG copy
+            return super().peek(position)
+        return self._decide(position)
+
+    def answer(self, position: int) -> int:
+        bit = self._decide(position)
+        self._commit(position, bit)
         return bit
 
     def clone(self) -> "_BasicWeightsAdversary":
@@ -412,38 +444,46 @@ class _BalancedWeightsAdversary(_BasicWeightsAdversary):
         self.block_ones = [0] * n
         self.abandoned = False
 
-    def answer(self, position: int) -> int:
-        if self.abandoned:
-            return super().answer(position)
+    def _scripted(self, position: int) -> bool:
+        """Whether the script answers position: not once it is abandoned,
+        nor for a final bit queried when S is down to four."""
+        return not self.abandoned and not (
+            self.block_seen[position // self.m] == self.m - 1
+            and self.s_ones + self.s_zeros == 4
+        )
+
+    def _decide(self, position: int) -> int:
         if not 0 <= position < self.total:
             raise DomainError(f"position {position} out of range")
+        if not self._scripted(position):
+            return super()._decide(position)
         i = position // self.m
         if self.block_seen[i] == self.m - 1:
-            if self.s_ones + self.s_zeros == 4:
-                # the block counters are never read again
-                self.abandoned = True
-                return super().answer(position)
-            bit = self._pick(
+            return self._pick(
                 [b for b, s in ((0, self.s_zeros), (1, self.s_ones)) if s - 1 >= 2]
             )
-            if bit:
-                self.s_ones -= 1
-            else:
-                self.s_zeros -= 1
+        slots_left = (self.m - 1) - self.block_seen[i]
+        need = self.assignment[i] - self.block_ones[i]
+        if need == slots_left:
+            return 1
+        if need == 0:
+            return 0
+        return self._pick((0, 1))
+
+    def _commit(self, position: int, bit: int) -> None:
+        if self._scripted(position):
+            i = position // self.m
+            if self.block_seen[i] == self.m - 1:
+                if bit:
+                    self.s_ones -= 1
+                else:
+                    self.s_zeros -= 1
+            self.block_seen[i] += 1
+            self.block_ones[i] += bit
         else:
-            slots_left = (self.m - 1) - self.block_seen[i]
-            need = self.assignment[i] - self.block_ones[i]
-            if need == slots_left:
-                bit = 1
-            elif need == 0:
-                bit = 0
-            else:
-                bit = self._pick((0, 1))
-        self.block_seen[i] += 1
-        self.block_ones[i] += bit
-        self.ones += bit
-        self.zeros += 1 - bit
-        return bit
+            # the block counters are never read again
+            self.abandoned = True
+        super()._commit(position, bit)
 
     def clone(self) -> "_BalancedWeightsAdversary":
         c = _BalancedWeightsAdversary.__new__(_BalancedWeightsAdversary)
@@ -479,22 +519,26 @@ class _M2WeightsAdversary(AdversaryPlayer):
         self.untouched = n
         self.double_zero = 0
 
-    def answer(self, position: int) -> int:
+    def peek(self, position: int) -> int:
         if not 0 <= position < 2 * self.n:
             raise DomainError(f"position {position} out of range")
         i = position // 2
-        if self.block_seen[i] == 0:
-            bit = 0 if self.untouched - 1 >= self.fresh_threshold else 1
-            self.untouched -= 1
-        elif self.block_seen[i] == 1:
+        seen = self.block_seen[i]
+        if seen == 0:
+            return 0 if self.untouched - 1 >= self.fresh_threshold else 1
+        if seen == 1:
             if self.block_ones[i]:
-                bit = 0
-            else:
-                bit = 1 if self.double_zero >= self.n - self.k else 0
-                if bit == 0:
-                    self.double_zero += 1
-        else:
-            raise MatchProtocolError(f"block {i} already fully revealed")
+                return 0
+            return 1 if self.double_zero >= self.n - self.k else 0
+        raise MatchProtocolError(f"block {i} already fully revealed")
+
+    def answer(self, position: int) -> int:
+        bit = self.peek(position)
+        i = position // 2
+        if self.block_seen[i] == 0:
+            self.untouched -= 1
+        elif not bit and not self.block_ones[i]:
+            self.double_zero += 1
         self.block_seen[i] += 1
         self.block_ones[i] += bit
         return bit
@@ -694,6 +738,11 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
     cap) is exact below cap and else at least cap, so a child is searched
     with cap one below the best move found so far.  The memo (memo_safe
     adversaries only) maps zeros | ones << n to value << 1 | exact.
+
+    Each free position is probed with the adversary's peek, which must
+    give what answer would; only a child that is searched is cloned and
+    answered, and an answer other than its peek (an exhaustion included),
+    or a bit other than 0 or 1, raises AdversaryInvalidError.
     """
     dom = f.domain
     n = dom.n
@@ -707,12 +756,16 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
         free = (1 << n) - 1 & ~(key | key >> n)
         children = []
         for bit, P in low_moves[free & 255] + high_moves[free >> 8]:
-            child = state.clone()
             try:
-                one = child.answer(bit.bit_length() - 1)
+                one = state.peek(bit.bit_length() - 1)
             except AdversaryExhaustedError:
                 return 1
-            X = live & P if one else live & ~P
+            if one == 1:
+                X = live & P
+            elif one == 0:
+                X = live & ~P
+            else:
+                raise AdversaryInvalidError(f"adversary answered {one!r}")
             if not X:
                 raise AdversaryInvalidError(
                     "no domain member is consistent with the answers"
@@ -725,16 +778,27 @@ def forced_query_count(adv: AdversaryPlayer, f: LabeledFunction) -> int:
                 leaf = not X & ~lbs[table[(X & -X).bit_length() - 1]]
             if leaf:
                 return 1
-            children.append((X, key | bit << n if one else key | bit, child))
+            # a cap-2 state only needs the leaf test above
+            if cap > 2:
+                children.append((X, key | bit << n if one else key | bit, bit, one))
         if cap <= 2:
             return 2
         best = cap
-        for X, ckey, child in children:
+        for X, ckey, bit, one in children:
             ccap = best - 1
             e = None if memo is None else memo.get(ckey)
             if e is not None and (e & 1 or e >> 1 >= ccap):
                 v = e >> 1
             else:
+                child = state.clone()
+                try:
+                    got = child.answer(bit.bit_length() - 1)
+                except AdversaryExhaustedError:
+                    got = "exhausted"
+                if got != one:
+                    raise AdversaryInvalidError(
+                        f"adversary answered {got!r} where its peek gave {one}"
+                    )
                 v = rec(X, ckey, child, ccap)
                 if memo is not None:
                     memo[ckey] = v << 1 | (v < ccap)

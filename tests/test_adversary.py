@@ -5,7 +5,7 @@ import json
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import forced_oracle
@@ -230,6 +230,7 @@ def test_transcript_json_shape():
 def test_forced_counts_eq():
     assert forced_query_count(eq_adversary(1), make_eq(1)) == 2
     assert forced_query_count(eq_adversary(2), make_eq(2)) == 5
+    assert forced_query_count(eq_adversary(3), make_eq(3)) == 8
 
 
 def test_forced_counts_weights_modes():
@@ -237,6 +238,7 @@ def test_forced_counts_weights_modes():
         ("m2", 4, 2, 2, 5),
         ("m2", 4, 2, 3, 6),
         ("m2", 4, 2, 4, 6),
+        ("m2", 5, 2, 3, 7),
         ("balanced", 4, 2, 4, 5),
         ("basic", 2, 2, 2, 1),
         ("basic", 2, 3, 2, 3),
@@ -264,6 +266,66 @@ def test_forced_count_refuses_an_answer_that_empties_the_live_set():
     f = LabeledFunction.from_indices(dom, BOOLEAN, [0, 1])
     with pytest.raises(AdversaryInvalidError):
         forced_query_count(StuckAdversary(), f)
+
+
+class Wrapped(AdversaryPlayer):
+    """Plays like the wrapped adversary; each subclass below bends its
+    answers or its peeks."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.memo_safe = inner.memo_safe
+
+    def answer(self, position):
+        return self.inner.answer(position)
+
+    def peek(self, position):
+        return self.inner.peek(position)
+
+    def clone(self):
+        return type(self)(self.inner.clone())
+
+
+class TwoForOne(Wrapped):
+    """Answers 2 where the wrapped adversary answers 1, but peeks 1."""
+
+    def answer(self, position):
+        return 2 * self.inner.answer(position)
+
+
+class PeeksTwoForOne(TwoForOne):
+    """Answers 2 where the wrapped adversary answers 1, and peeks 2."""
+
+    peek = AdversaryPlayer.peek
+
+
+@pytest.mark.parametrize("bad", [TwoForOne, PeeksTwoForOne])
+def test_forced_count_refuses_a_bit_other_than_0_or_1(bad):
+    f = make_eq(2)
+    with pytest.raises(AdversaryInvalidError, match="adversary answered 2"):
+        forced_query_count(bad(eq_adversary(2)), f)
+    with pytest.raises(AdversaryInvalidError, match="adversary answered 2"):
+        run_match(eq_algorithm(2), bad(eq_adversary(2)), f)
+
+
+class LyingPeek(Wrapped):
+    """Peeks the other bit than the wrapped adversary answers."""
+
+    def peek(self, position):
+        return 1 - self.inner.peek(position)
+
+
+class ExhaustsOnAnswer(Wrapped):
+    """Peeks like the wrapped adversary but is exhausted when it answers."""
+
+    def answer(self, position):
+        raise AdversaryExhaustedError("out of answers")
+
+
+@pytest.mark.parametrize("liar", [LyingPeek, ExhaustsOnAnswer])
+def test_forced_count_refuses_an_answer_that_differs_from_its_peek(liar):
+    with pytest.raises(AdversaryInvalidError, match="peek"):
+        forced_query_count(liar(eq_adversary(2)), make_eq(2))
 
 
 class Unmemoized(AdversaryPlayer):
@@ -333,6 +395,64 @@ def test_forced_count_matches_the_plain_minimax(game):
     assert value == forced_oracle(make(), f)
     if make().memo_safe:
         assert forced_query_count(Unmemoized(make()), f) == value
+
+
+@st.composite
+def peek_walks(draw):
+    """A built-in adversary factory, its mode, and a query order: every
+    position in random order, then a few repeated or out-of-range ones."""
+    kind = draw(st.sampled_from(("eq", "fixed", "weights", "seeded")))
+    mode = kind
+    if kind == "eq":
+        k = draw(st.integers(1, 3))
+        make, total = partial(eq_adversary, k), 4 * k
+    elif kind == "fixed":
+        total = draw(st.integers(1, 8))
+        make = partial(FixedInputAdversary, draw(st.integers(0, (1 << total) - 1)))
+    else:
+        games = _WEIGHTS_GAMES if kind == "weights" else _SEEDED_GAMES
+        n, m, k, mode = draw(st.sampled_from(games))
+        seed = draw(st.integers(0, 99)) if kind == "seeded" else None
+        make, total = partial(weights_adversary, n, m, k, mode=mode, seed=seed), n * m
+    order = draw(st.permutations(range(total)))
+    extras = draw(st.lists(st.integers(-1, total), max_size=3))
+    return make, mode, order + extras
+
+
+def _outcome(call, position):
+    """The bit call(position) returns, or the type of what it raises."""
+    try:
+        return call(position)
+    except (AdversaryExhaustedError, DomainError, MatchProtocolError) as e:
+        return type(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(peek_walks())
+# balanced (4, 2, 4) abandons its script at position 1 and then plays the
+# basic rule until it exhausts
+@example((partial(weights_adversary, 4, 2, 4, mode="balanced"), "balanced", list(range(8))))
+@example(
+    (partial(weights_adversary, 4, 2, 4, mode="balanced", seed=3), "balanced", list(range(8)))
+)
+def test_peek_gives_the_answer_and_changes_nothing(walk):
+    """At every step peek matches a clone's answer, and a player that has
+    peeked answers exactly like a twin that never did."""
+    make, mode, order = walk
+    adv, twin = make(), make()
+    outcomes = []
+    for p in order:
+        peeked = _outcome(adv.peek, p)
+        assert peeked == _outcome(adv.clone().answer, p)
+        assert peeked == _outcome(adv.peek, p)
+        outcomes.append(_outcome(adv.answer, p))
+        assert outcomes[-1] == peeked == _outcome(twin.answer, p)
+    if mode in ("basic", "balanced"):
+        # the full order runs the strategy past its validity horizon
+        assert AdversaryExhaustedError in outcomes
+    if mode == "balanced":
+        # abandoned, or exhausted by the very query that would abandon
+        assert adv.abandoned or adv.s_ones + adv.s_zeros == 4
 
 
 def _probe(adv, positions):
